@@ -31,6 +31,11 @@ func main() {
 	nServers := flag.Int("servers", 300, "number of servers to geolocate")
 	seed := flag.Int64("seed", 1, "random seed for measurement noise")
 	flag.Parse()
+	if *nServers < 1 {
+		fmt.Fprintf(os.Stderr, "ytcdn-geoloc: -servers must be at least 1, got %d\n", *nServers)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	w, err := topology.BuildPaperWorld(topology.PaperConfig{Scale: 0.01})
 	if err != nil {

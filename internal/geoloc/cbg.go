@@ -13,12 +13,44 @@
 // bound, i.e. a disc around the landmark; the target must lie in the
 // intersection of all discs. The centroid of the intersection is the
 // position estimate and sqrt(area/π) its confidence radius (Fig 3).
+//
+// The intersection is found by grid-sampling, so its cost is one
+// point-in-disc test per (grid cell, disc) pair. The test is a dot
+// product, not a haversine distance. With u the unit vector of a cell
+// and c that of a disc centre, the great-circle distance between them
+// is R·acos(u·c), which falls as u·c grows. The cell therefore lies
+// within limit = radius·slack exactly when u·c ≥ cos θ, θ = limit/R.
+// The unit vectors cost one math.Sincos per disc per Locate and one
+// per grid row and column; the test itself is three multiplies.
+//
+// Both tests round, so they could disagree on a cell whose u·c sits
+// next to cos θ. A guard band of g = 1e-10 around cos θ removes that
+// case. A cell with u·c ≥ cos θ + g is inside, one with
+// u·c ≤ cos θ − g is outside, and one in between is decided by the
+// original geo.Distance(cell, centre) > limit. This is exact because
+// every rounding error involved is about 1e-15 in cosine terms, five
+// orders of magnitude inside g:
+//   - u·c sums three products of values math.Sincos gets right to
+//     an ulp;
+//   - cos θ is one math.Cos of a correctly rounded quotient;
+//   - haversine's h is (1 − cos φ)/2 up to a few ulps, and its sqrt,
+//     asin and ×2R add a relative error of a few ulps to the angle,
+//     which moves cos φ by at most as much.
+//
+// So whenever the band is cleared, haversine would give the same
+// answer, and inside the band haversine answers. Every Region is
+// bit-identical to the haversine-only grid. Two cases skip the band.
+// A disc with θ > π(1+1e-9) covers the whole sphere (haversine never
+// exceeds πR), so every cell is inside. A disc with θ within 1e-9 of
+// π has its boundary at the antipode, where haversine's clamped asin
+// and πR's rounding meet, so every cell of it is decided by haversine.
 package geoloc
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/geo"
@@ -189,15 +221,61 @@ type Region struct {
 	Feasible bool
 }
 
+// guardBand is the half-width g of the band around cos θ in which the
+// dot-product test defers to haversine (see the package comment).
+const guardBand = 1e-10
+
+// slacks are the radius inflations the relaxation loop tries in turn.
+var slacks = [...]float64{1.0, 1.1, 1.25, 1.5, 2.0}
+
+// vec3 is a point of the unit sphere in Earth-centred coordinates.
+type vec3 struct{ x, y, z float64 }
+
+// unitVector returns the unit vector of a position in degrees.
+func unitVector(p geo.Point) vec3 {
+	sinLat, cosLat := math.Sincos(p.Lat * math.Pi / 180)
+	sinLon, cosLon := math.Sincos(p.Lon * math.Pi / 180)
+	return vec3{cosLat * cosLon, cosLat * sinLon, sinLat}
+}
+
+// disc is one landmark's distance constraint. limit, in and out
+// belong to the current relaxation slack: a cell whose unit vector has
+// a dot product ≥ in with u lies within limit of center, one ≤ out
+// lies beyond it, and one in between is decided by haversine.
+type disc struct {
+	center         geo.Point
+	radius         float64
+	u              vec3
+	limit, in, out float64
+}
+
+// setSlack derives the disc's thresholds for one relaxation slack.
+func (d *disc) setSlack(slack float64) {
+	d.limit = d.radius * slack
+	theta := d.limit / geo.EarthRadiusKm
+	switch {
+	case theta > math.Pi*(1+1e-9):
+		d.in, d.out = math.Inf(-1), math.Inf(-1) // the whole sphere
+	case theta >= math.Pi*(1-1e-9):
+		d.in, d.out = math.Inf(1), math.Inf(-1) // always haversine
+	default:
+		cos := math.Cos(theta)
+		d.in, d.out = cos+guardBand, cos-guardBand
+	}
+}
+
+// discPool recycles Locate's disc slices. Locate runs once per located
+// server, and a fresh slice of discs this size per call would add about
+// a tenth to the paper suite's allocated bytes.
+var discPool = sync.Pool{New: func() any { return new([]disc) }}
+
 // Locate estimates the position of a target from its per-landmark
 // measured RTTs. Entries with non-positive RTT are skipped (landmark
 // unreachable).
 func (c *CBG) Locate(rtts []time.Duration) Region {
-	type disc struct {
-		center geo.Point
-		radius float64
-	}
-	discs := make([]disc, 0, len(rtts))
+	scratch := discPool.Get().(*[]disc)
+	defer discPool.Put(scratch)
+	discs := (*scratch)[:0]
 	for i, rtt := range rtts {
 		if i >= len(c.landmarks) || rtt <= 0 {
 			continue
@@ -211,8 +289,10 @@ func (c *CBG) Locate(rtts []time.Duration) Region {
 		if r < 1 {
 			r = 1
 		}
-		discs = append(discs, disc{center: c.landmarks[i].Loc, radius: r})
+		loc := c.landmarks[i].Loc
+		discs = append(discs, disc{center: loc, radius: r, u: unitVector(loc)})
 	}
+	*scratch = discs
 	if len(discs) == 0 {
 		return Region{Feasible: false}
 	}
@@ -220,21 +300,13 @@ func (c *CBG) Locate(rtts []time.Duration) Region {
 	// search box.
 	sort.Slice(discs, func(i, j int) bool { return discs[i].radius < discs[j].radius })
 
-	inAll := func(p geo.Point, slack float64) bool {
-		for _, d := range discs {
-			if geo.Distance(p, d.center) > d.radius*slack {
-				return false
-			}
-		}
-		return true
-	}
-
 	// Relaxation loop: CBG underestimation can make the intersection
 	// empty; inflate radii until points qualify.
-	for _, slack := range []float64{1.0, 1.1, 1.25, 1.5, 2.0} {
-		region, ok := gridRegion(discs[0].center, discs[0].radius*slack, func(p geo.Point) bool {
-			return inAll(p, slack)
-		})
+	for _, slack := range slacks {
+		for i := range discs {
+			discs[i].setSlack(slack)
+		}
+		region, ok := gridRegion(discs, discs[0].center, discs[0].limit)
 		if ok {
 			region.Feasible = slack == 1.0
 			return region
@@ -243,12 +315,38 @@ func (c *CBG) Locate(rtts []time.Duration) Region {
 	return Region{Centroid: discs[0].center, RadiusKm: discs[0].radius, Feasible: false}
 }
 
+// inAll reports whether the cell p, with unit vector u, lies in every
+// disc at the current slack. Each verdict is that of
+// geo.Distance(p, d.center) > d.limit; discs are tried in order and
+// the first miss ends the test.
+//
+//perf:hot
+//perf:noalloc
+func inAll(discs []disc, p geo.Point, u vec3) bool {
+	for i := range discs {
+		d := &discs[i]
+		dot := u.x*d.u.x + u.y*d.u.y + u.z*d.u.z
+		if dot >= d.in {
+			continue
+		}
+		if dot <= d.out || geo.Distance(p, d.center) > d.limit {
+			return false
+		}
+	}
+	return true
+}
+
 // gridRegion grid-samples the search box around the tightest disc,
-// returning the centroid and equivalent radius of the feasible cells.
-// Two passes: a coarse pass over the disc's bounding box, then a
-// refined pass over the feasible sub-box.
-func gridRegion(center geo.Point, radius float64, feasible func(geo.Point) bool) (Region, bool) {
+// returning the centroid and equivalent radius of the cells inside
+// every disc. Two passes: a coarse pass over the disc's bounding box,
+// then a refined pass over the feasible sub-box.
+//
+//perf:hot
+//perf:noalloc
+func gridRegion(discs []disc, center geo.Point, radius float64) (Region, bool) {
 	const n = 26
+	var lat, lon [n]float64
+	var rows, cols [n]struct{ sin, cos float64 }
 	box := boxAround(center, radius)
 	for pass := 0; pass < 2; pass++ {
 		var latSum, lonSum float64
@@ -259,13 +357,17 @@ func gridRegion(center geo.Point, radius float64, feasible func(geo.Point) bool)
 		if dLat <= 0 || dLon <= 0 {
 			return Region{}, false
 		}
+		for k := 0; k < n; k++ {
+			lat[k] = box.minLat + (float64(k)+0.5)*dLat
+			lon[k] = box.minLon + (float64(k)+0.5)*dLon
+			rows[k].sin, rows[k].cos = math.Sincos(lat[k] * math.Pi / 180)
+			cols[k].sin, cols[k].cos = math.Sincos(lon[k] * math.Pi / 180)
+		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				p := geo.Point{
-					Lat: box.minLat + (float64(i)+0.5)*dLat,
-					Lon: box.minLon + (float64(j)+0.5)*dLon,
-				}
-				if !feasible(p) {
+				p := geo.Point{Lat: lat[i], Lon: lon[j]}
+				u := vec3{rows[i].cos * cols[j].cos, rows[i].cos * cols[j].sin, rows[i].sin}
+				if !inAll(discs, p, u) {
 					continue
 				}
 				if count == 0 {

@@ -1,0 +1,117 @@
+package ytcdn
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
+)
+
+// The full-suite goldens pin every table and figure of the paper at
+// Scale 0.05 — including the CBG-dependent Table III and Figs 2–3, 7–8
+// and 17–18 that testdata/policy_parity_scale005.golden does not cover
+// — plus every located server's CBG region to the bit. A change to
+// geolocation, probing or analysis that moves a published number, or
+// a single centroid by one ulp, fails TestSuiteGolden.
+//
+// suiteGolden is exactly the stdout of
+//
+//	ytcdn-experiments -scale 0.05
+//
+// Regenerate (only when an intentional output change lands) with:
+//
+//	YTCDN_REGEN_GOLDEN=1 go test -run TestSuiteGolden .
+const (
+	suiteGolden      = "testdata/suite_scale005.golden"
+	cbgRegionsGolden = "testdata/cbg_regions_scale005.golden"
+)
+
+// renderCBGRegions lists one line per located server, sorted by
+// address: the address, the IEEE-754 bits of the centroid latitude,
+// longitude and confidence radius, and the feasibility flag.
+func renderCBGRegions(t *testing.T, study *Study) string {
+	t.Helper()
+	regions, err := study.Experiments().Geolocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]ipnet.Addr, 0, len(regions))
+	for a := range regions {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	var out bytes.Buffer
+	for _, a := range addrs {
+		r := regions[a]
+		fmt.Fprintf(&out, "%s %016x %016x %016x %t\n", a,
+			math.Float64bits(r.Centroid.Lat), math.Float64bits(r.Centroid.Lon),
+			math.Float64bits(r.RadiusKm), r.Feasible)
+	}
+	return out.String()
+}
+
+func TestSuiteGolden(t *testing.T) {
+	// The CLI defaults: seed 20100904, 7 days, the paper policy.
+	study, err := Run(Options{Scale: 0.05, Span: 7 * 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suite bytes.Buffer
+	if err := study.Experiments().RunAll(&suite); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{
+		suiteGolden:      suite.String(),
+		cbgRegionsGolden: renderCBGRegions(t, study),
+	}
+
+	if os.Getenv("YTCDN_REGEN_GOLDEN") != "" {
+		for _, path := range []string{suiteGolden, cbgRegionsGolden} {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got[path]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("regenerated %s (%d bytes)", path, len(got[path]))
+		}
+		return
+	}
+
+	for _, path := range []string{suiteGolden, cbgRegionsGolden} {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("golden missing (run with YTCDN_REGEN_GOLDEN=1 to create): %v", err)
+		}
+		if got[path] != string(want) {
+			t.Errorf("%s: output diverged from the pinned golden\n%s", path, firstDiff(got[path], string(want)))
+		}
+	}
+}
+
+// firstDiff reports the first differing line of two renders, so a
+// multi-kilobyte golden mismatch stays readable.
+func firstDiff(got, want string) string {
+	g := strings.Split(got, "\n")
+	w := strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n  got:  %q\n  want: %q", i+1, gl, wl)
+		}
+	}
+	return "renders differ only in length"
+}
