@@ -56,10 +56,14 @@ func main() {
 		"sharding unit: vp (whole vantage points) or subnet (sub-VP buckets, spreads one heavy network across engines)")
 	syncWindow := flag.Duration("sync-window", 0,
 		"shard lockstep window (0 = exact k-way merge, bit-identical to sequential; >0 = concurrent with bounded load staleness)")
-	optimistic := flag.Duration("optimistic", 0,
-		"optimistic (Time Warp) window: shards speculate concurrently and roll back on causality violations; bit-identical to sequential (requires -sim-shards > 1, excludes -sync-window)")
 	obsFlags := obscli.Register()
 	flag.Parse()
+	if *days < 1 {
+		usageError("-days must be at least 1, got %d", *days)
+	}
+	if !(*scale > 0) {
+		usageError("-scale must be positive, got %g", *scale)
+	}
 
 	session, err := obsFlags.Start("ytcdn-experiments")
 	if err != nil {
@@ -67,16 +71,15 @@ func main() {
 	}
 
 	opts := ytcdn.Options{
-		Scale:            *scale,
-		Span:             time.Duration(*days) * 24 * time.Hour,
-		Seed:             *seed,
-		Parallelism:      *parallelism,
-		SimShards:        *simShards,
-		ShardBy:          ytcdn.ShardBy(*shardBy),
-		SyncWindow:       *syncWindow,
-		OptimisticWindow: *optimistic,
-		Metrics:          session.Registry(),
-		Profiler:         session.Profiler(),
+		Scale:       *scale,
+		Span:        time.Duration(*days) * 24 * time.Hour,
+		Seed:        *seed,
+		Parallelism: *parallelism,
+		SimShards:   *simShards,
+		ShardBy:     ytcdn.ShardBy(*shardBy),
+		SyncWindow:  *syncWindow,
+		Metrics:     session.Registry(),
+		Profiler:    session.Profiler(),
 	}
 	if *storeDir != "" {
 		opts.Store = &ytcdn.StoreOptions{Dir: *storeDir, SegmentRecords: *segment}
@@ -91,7 +94,6 @@ func main() {
 		"sim_shards":  strconv.Itoa(*simShards),
 		"shard_by":    *shardBy,
 		"sync_window": syncWindow.String(),
-		"optimistic":  optimistic.String(),
 		"parallelism": strconv.Itoa(*parallelism),
 	}
 
@@ -144,4 +146,12 @@ func main() {
 	if err := session.Close(reportConfig); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// usageError rejects a flag value the way flag.Parse rejects an
+// unknown flag: the message, the usage text, exit status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ytcdn-experiments: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

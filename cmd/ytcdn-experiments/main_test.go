@@ -1,0 +1,45 @@
+package main
+
+import (
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestRejectsBadDaysAndScale runs the built binary with -days below 1
+// or a non-positive -scale: each must exit 2 with a usage error before
+// any work. They used to map onto library defaults (-days 0 ran a full
+// week, -scale 0 ran at paper scale) or run an empty study.
+func TestRejectsBadDaysAndScale(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "ytcdn-experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ytcdn-experiments: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-days", "0"}, "-days must be at least 1"},
+		{[]string{"-days", "-1"}, "-days must be at least 1"},
+		{[]string{"-scale", "0"}, "-scale must be positive"},
+		{[]string{"-scale", "-0.01"}, "-scale must be positive"},
+		{[]string{"-compare-policies", "-scale", "0"}, "-scale must be positive"},
+	} {
+		cmd := exec.Command(bin, tc.args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("%v: want exit status 2, got %v\nstderr: %s", tc.args, err, stderr.String())
+		}
+		if len(out) != 0 {
+			t.Errorf("%v: wrote %q to stdout", tc.args, out)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.msg) || strings.Contains(msg, "# simulation") {
+			t.Errorf("%v: want an early usage error %q, got stderr:\n%s", tc.args, tc.msg, msg)
+		}
+	}
+}

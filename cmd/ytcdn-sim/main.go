@@ -3,10 +3,12 @@
 // end_us, bytes, VideoID, resolution), one line per flow — the same
 // records a Tstat probe at each vantage point would log.
 //
-// The trace goes to the -o file; stdout carries nothing. All progress
-// and summary output goes to stderr, so the command composes cleanly
-// in pipelines. The observability flags (-metrics-addr, -report,
-// -progress) expose the run while it executes and as an artifact.
+// The trace goes to the -o file; stdout carries nothing. The file is
+// replaced only when the run succeeds: a rejected or failed run leaves
+// an existing -o as it was. All progress and summary output goes to
+// stderr, so the command composes cleanly in pipelines. The
+// observability flags (-metrics-addr, -report, -progress) expose the
+// run while it executes and as an artifact.
 //
 // Usage:
 //
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -44,10 +47,14 @@ func main() {
 		"sharding unit: vp (whole vantage points) or subnet (sub-VP buckets, spreads one heavy network across engines)")
 	syncWindow := flag.Duration("sync-window", 0,
 		"shard lockstep window (0 = exact k-way merge, bit-identical to sequential; >0 = concurrent with bounded load staleness)")
-	optimistic := flag.Duration("optimistic", 0,
-		"optimistic (Time Warp) window: shards speculate concurrently and roll back on causality violations; bit-identical to sequential (requires -sim-shards > 1, excludes -sync-window)")
 	obsFlags := obscli.Register()
 	flag.Parse()
+	if *days < 1 {
+		usageError("-days must be at least 1, got %d", *days)
+	}
+	if !(*scale > 0) {
+		usageError("-scale must be positive, got %g", *scale)
+	}
 
 	pol, err := ytcdn.PolicyByName(*policy)
 	if err != nil {
@@ -59,40 +66,53 @@ func main() {
 		log.Fatal(err)
 	}
 
-	f, err := os.Create(*out)
+	// The trace is written to a temporary file beside -o and renamed
+	// over it only after the run succeeds. log.Fatal skips defers, so
+	// every failure before the rename goes through fail, which removes
+	// the temporary file first.
+	f, err := os.CreateTemp(filepath.Dir(*out), "."+filepath.Base(*out)+".tmp*")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
+	fail := func(err error) {
+		f.Close()
+		os.Remove(f.Name())
+		log.Fatal(err)
+	}
 
 	ws := capture.NewWriterSink(f)
 	start := time.Now()
 	simDone := session.Phase("simulation")
 	study, err := ytcdn.Run(ytcdn.Options{
-		Scale:            *scale,
-		Span:             time.Duration(*days) * 24 * time.Hour,
-		Seed:             *seed,
-		Policy:           pol,
-		ExtraSink:        ws,
-		SimShards:        *simShards,
-		ShardBy:          ytcdn.ShardBy(*shardBy),
-		SyncWindow:       *syncWindow,
-		OptimisticWindow: *optimistic,
-		Metrics:          session.Registry(),
+		Scale:      *scale,
+		Span:       time.Duration(*days) * 24 * time.Hour,
+		Seed:       *seed,
+		Policy:     pol,
+		ExtraSink:  ws,
+		SimShards:  *simShards,
+		ShardBy:    ytcdn.ShardBy(*shardBy),
+		SyncWindow: *syncWindow,
+		Metrics:    session.Registry(),
 	})
 	simDone()
 	if err != nil {
-		log.Fatal(err)
+		fail(err)
 	}
 	if err := ws.Flush(); err != nil {
-		log.Fatal(err)
+		fail(err)
+	}
+	if err := f.Chmod(traceMode(*out)); err != nil {
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
+	if err := os.Rename(f.Name(), *out); err != nil {
+		fail(err)
 	}
 
 	mode := "sequential"
-	switch {
-	case study.SimShards > 1 && *optimistic > 0:
-		mode = fmt.Sprintf("%d %s-shards, optimistic window %v", study.SimShards, *shardBy, *optimistic)
-	case study.SimShards > 1:
+	if study.SimShards > 1 {
 		mode = fmt.Sprintf("%d %s-shards, window %v", study.SimShards, *shardBy, *syncWindow)
 	}
 	// Summary lines are progress/log output: stderr, so stdout stays
@@ -122,8 +142,24 @@ func main() {
 		"sim_shards":  strconv.Itoa(study.SimShards),
 		"shard_by":    *shardBy,
 		"sync_window": syncWindow.String(),
-		"optimistic":  optimistic.String(),
 	}); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// traceMode is the permission the finished trace gets: an existing
+// -o keeps its own, a new one gets 0644 (os.CreateTemp makes 0600).
+func traceMode(out string) os.FileMode {
+	if st, err := os.Stat(out); err == nil {
+		return st.Mode().Perm()
+	}
+	return 0o644
+}
+
+// usageError rejects a flag value the way flag.Parse rejects an
+// unknown flag: the message, the usage text, exit status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ytcdn-sim: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -188,14 +188,6 @@ type Simulator struct {
 	truncated int // flows dropped because they started at/after span
 	metrics   SelectionMetrics
 
-	// journal, when set (optimistic mode), records every cross-shard-
-	// visible effect and shared-state-reading decision this simulator
-	// executes, for barrier-time validation. Simulators sharing an
-	// engine share one journal (same goroutine). ckpt is the state
-	// captured by the last Checkpoint.
-	journal *core.Journal
-	ckpt    *simCheckpoint
-
 	// inst is the optional deterministic-plane instrumentation (see
 	// Instrument); nil when metrics are off. Everything recorded here
 	// is derived from sim time and event counts the simulator computes
@@ -301,66 +293,9 @@ func (s *Simulator) rng(req Request) *stats.RNG {
 	g, ok := s.streams[k]
 	if !ok {
 		g = s.root.Fork("player-"+s.w.VantagePoints[req.VP].Name).ForkIndexed("subnet", req.SubnetIdx)
-		if s.journal != nil {
-			// Streams forked mid-interval start recording immediately so
-			// their decisions carry tape segments; a rollback deletes
-			// the fork (re-forking is pure, so the rerun reproduces it).
-			g.Mark()
-		}
 		s.streams[k] = g
 	}
 	return g
-}
-
-// SetJournal switches the simulator into optimistic journaling mode:
-// every flow begin/end and every shared-state-reading decision is
-// recorded into j (see core.Journal). Must be set before the run.
-func (s *Simulator) SetJournal(j *core.Journal) { s.journal = j }
-
-// simCheckpoint is the simulator state captured at an optimistic
-// horizon. Engine state, selector state and sink staging are owned by
-// their own layers; this covers only what the Simulator itself
-// mutates.
-type simCheckpoint struct {
-	sessions, flows, truncated int
-	metrics                    SelectionMetrics
-	// streams is the key set of player forks existing at the horizon:
-	// those streams are tape-Marked and rewound on rollback, while
-	// forks created during speculation are deleted (re-forking is
-	// pure).
-	streams map[streamKey]struct{}
-}
-
-// Checkpoint captures the simulator's committed state and Marks every
-// player stream's RNG tape, immediately before a speculative interval.
-func (s *Simulator) Checkpoint() {
-	ck := &simCheckpoint{
-		sessions: s.sessions, flows: s.flows, truncated: s.truncated,
-		metrics: s.metrics,
-		streams: make(map[streamKey]struct{}, len(s.streams)),
-	}
-	for k, g := range s.streams {
-		ck.streams[k] = struct{}{}
-		g.Mark()
-	}
-	s.ckpt = ck
-}
-
-// Rollback restores the last Checkpoint: session/flow counters and
-// metrics rewind, pre-existing player streams rewind their RNG tapes
-// (replaying the identical value sequence during re-execution), and
-// speculation-born forks are dropped.
-func (s *Simulator) Rollback() {
-	ck := s.ckpt
-	s.sessions, s.flows, s.truncated = ck.sessions, ck.flows, ck.truncated
-	s.metrics = ck.metrics
-	for k, g := range s.streams {
-		if _, ok := ck.streams[k]; ok {
-			g.Rewind()
-		} else {
-			delete(s.streams, k)
-		}
-	}
 }
 
 // SubmitSession executes a session starting at the engine's current
@@ -415,13 +350,16 @@ func (s *Simulator) runChain(req Request, g *stats.RNG, start time.Duration, wat
 	home := s.homes[req.VP]
 
 	t := start
-	srv, raced := s.selectServer(ldns, req, g)
-	if raced {
+	var srv topology.ServerID
+	if cands := s.sel.RaceCandidates(ldns, req.Video, g); len(cands) > 0 {
+		srv = s.raceWinner(req.VP, g, cands)
 		s.sel.CommitRace(ldns, srv)
 		s.metrics.RaceWins++
 		if s.inst != nil {
 			s.inst.raceWins.Inc()
 		}
+	} else {
+		srv = s.sel.ResolveDNS(ldns, req.Video, g)
 	}
 
 	// Optional control prelude to the resolved server.
@@ -439,10 +377,10 @@ func (s *Simulator) runChain(req Request, g *stats.RNG, start time.Duration, wat
 			// pull-through and miss accounting — previously the video
 			// was emitted from a DC that might not hold it, with no
 			// accounting at all.
-			s.serveFinal(srv, req.Video, ldns, home, g)
+			s.sel.ServeFinal(srv, req.Video, ldns, home, g)
 			break
 		}
-		d := s.serveOrRedirect(srv, req.Video, ldns, home, g)
+		d := s.sel.ServeOrRedirect(srv, req.Video, ldns, home, g)
 		if !d.Redirected {
 			break
 		}
@@ -472,105 +410,20 @@ func (s *Simulator) runChain(req Request, g *stats.RNG, start time.Duration, wat
 	s.emitVideo(vp, req, g, srv, t, watchScale)
 }
 
-// selectServer performs the selection step of a chain: a candidate
-// race under a racing policy, the DNS resolution otherwise. Under an
-// optimistic journal the whole step — candidate pick, per-candidate
-// load reads and RTT draws, winner commit — is recorded as ONE
-// decision whose replay re-runs it against the truth view; the
-// reported bool (raced) and the winner determine every live side
-// effect (spill counting via CommitRace is a pure function of the
-// winner), so comparing the winner plus the branch validates the step.
-func (s *Simulator) selectServer(ldns topology.LDNSID, req Request, g *stats.RNG) (topology.ServerID, bool) {
-	if s.journal == nil {
-		if cands := s.sel.RaceCandidates(ldns, req.Video, g); len(cands) > 0 {
-			return s.raceWinner(req.VP, g, cands, s.sel.ServerLoad), true
-		}
-		return s.sel.ResolveDNS(ldns, req.Video, g), false
-	}
-	pos := g.TapePos()
-	var srv topology.ServerID
-	raced := false
-	if cands := s.sel.RaceCandidates(ldns, req.Video, g); len(cands) > 0 {
-		srv = s.raceWinner(req.VP, g, cands, s.sel.ServerLoad)
-		raced = true
-	} else {
-		srv = s.sel.ResolveDNS(ldns, req.Video, g)
-	}
-	sel, vpIdx, vid := s.sel, req.VP, req.Video
-	s.journal.AddDecision(s.eng.Now(), g.TapeSince(pos), func(tv *core.TruthView, rg *stats.RNG) bool {
-		if cands := sel.RaceCandidatesDecision(tv, ldns, vid, rg); len(cands) > 0 {
-			return raced && s.raceWinner(vpIdx, rg, cands, tv.ServerLoad) == srv
-		}
-		return !raced && sel.ResolveDecision(tv, ldns, vid, rg) == srv
-	})
-	return srv, raced
-}
-
-// serveOrRedirect is the journal-aware ServeOrRedirect: under an
-// optimistic journal the decision (with its RNG tape segment) is
-// recorded, and its replay re-runs the policy against the truth view —
-// applying the miss pull-through to the view's overlay on success so
-// later decisions in the validation sweep observe it, exactly as the
-// sequential execution would.
-func (s *Simulator) serveOrRedirect(srv topology.ServerID, vid content.VideoID, ldns topology.LDNSID, home core.Home, g *stats.RNG) core.Decision {
-	if s.journal == nil {
-		return s.sel.ServeOrRedirect(srv, vid, ldns, home, g)
-	}
-	pos := g.TapePos()
-	d := s.sel.ServeOrRedirect(srv, vid, ldns, home, g)
-	sel, w := s.sel, s.w
-	s.journal.AddDecision(s.eng.Now(), g.TapeSince(pos), func(tv *core.TruthView, rg *stats.RNG) bool {
-		rd := sel.ServeDecision(tv, srv, vid, ldns, home, rg)
-		if rd != d {
-			return false
-		}
-		if rd.Redirected && rd.Reason == core.ReasonMiss {
-			tv.Pull(w.Server(srv).DC, vid)
-		}
-		return true
-	})
-	return d
-}
-
-// serveFinal is the journal-aware ServeFinal (forced serve at the
-// redirect bound). The suppressed decision still validates: its miss
-// side effects (pull-through, miss count) are shared state.
-func (s *Simulator) serveFinal(srv topology.ServerID, vid content.VideoID, ldns topology.LDNSID, home core.Home, g *stats.RNG) {
-	if s.journal == nil {
-		s.sel.ServeFinal(srv, vid, ldns, home, g)
-		return
-	}
-	pos := g.TapePos()
-	d := s.sel.ServeFinal(srv, vid, ldns, home, g)
-	sel, w := s.sel, s.w
-	s.journal.AddDecision(s.eng.Now(), g.TapeSince(pos), func(tv *core.TruthView, rg *stats.RNG) bool {
-		rd := sel.ServeDecision(tv, srv, vid, ldns, home, rg)
-		if rd != d {
-			return false
-		}
-		if rd.Redirected && rd.Reason == core.ReasonMiss {
-			tv.Pull(w.Server(srv).DC, vid)
-		}
-		return true
-	})
-}
-
 // raceWinner models the go-with-the-winner player hook: it opens the
 // race to every candidate, observes each one's time to first byte —
 // one sampled network RTT plus a queueing delay growing quadratically
 // with the server's utilisation — and commits to the first responder.
 // The losers' connections are torn down during the handshake, before
 // any payload, so they fall below the capture pipeline's flow
-// threshold and are not recorded. load abstracts the utilisation read
-// so the optimistic validation sweep can replay the race against its
-// truth view (pass Selector.ServerLoad on the live path).
-func (s *Simulator) raceWinner(vpIdx int, g *stats.RNG, cands []topology.ServerID, load func(topology.ServerID) int) topology.ServerID {
+// threshold and are not recorded.
+func (s *Simulator) raceWinner(vpIdx int, g *stats.RNG, cands []topology.ServerID) topology.ServerID {
 	best := cands[0]
 	bestT := time.Duration(math.MaxInt64)
 	for _, c := range cands {
 		ttfb := s.w.Net.SampleRTT(s.vpEndpoints[vpIdx], s.serverEndpoint(c), g)
 		if capacity := s.w.Server(c).Capacity; capacity > 0 {
-			util := float64(load(c)) / float64(capacity)
+			util := float64(s.sel.ServerLoad(c)) / float64(capacity)
 			ttfb += time.Duration(util * util * float64(raceQueuePenalty))
 		}
 		if ttfb < bestT {
@@ -643,19 +496,8 @@ func (s *Simulator) emitVideo(vp *topology.VantagePoint, req Request, g *stats.R
 	dur := time.Duration(watch*s.cat.Duration(req.Video).Seconds()*float64(time.Second)) + s.cfg.StartupDelay
 
 	s.sel.BeginFlow(srv)
-	if s.journal != nil {
-		// Effects are journaled at their EXECUTION time (the engine
-		// clock), which is the order the sequential merge interleaves
-		// them in — not at the flow's nominal start.
-		s.journal.AddBegin(s.eng.Now(), srv)
-	}
 	end := t + dur
-	s.eng.Schedule(end, func() {
-		s.sel.EndFlow(srv)
-		if s.journal != nil {
-			s.journal.AddEnd(s.eng.Now(), srv)
-		}
-	})
+	s.eng.Schedule(end, func() { s.sel.EndFlow(srv) })
 
 	s.record(vp.Name, capture.FlowRecord{
 		Client:     req.Client,

@@ -424,6 +424,20 @@ func TestLoadTrackerPanicsOnNegative(t *testing.T) {
 	NewLoadTracker("test", 1).Release(0)
 }
 
+// TestLiveTrackerPanicsNegative pins the balance check on a counter
+// that was in use: draining it to zero is legal, one more Release is not.
+func TestLiveTrackerPanicsNegative(t *testing.T) {
+	lt := NewLoadTracker("t", 1)
+	lt.Acquire(0)
+	lt.Release(0)
+	defer func() {
+		if recover() == nil {
+			t.Error("live tracker tolerated a negative count")
+		}
+	}()
+	lt.Release(0)
+}
+
 func TestLoadConservationProperty(t *testing.T) {
 	// Any balanced sequence of Begin/End leaves all loads at zero.
 	r := newRig(t, DefaultConfig())

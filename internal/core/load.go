@@ -18,52 +18,11 @@ import (
 type LoadTracker struct {
 	counts []int64
 	label  string
-	// relaxed disables the negative-count panic. It is set only on
-	// delta trackers used by the optimistic validation sweep (see
-	// NewDeltaTracker): a delta tracker starts every interval at zero,
-	// so releasing a flow whose matching begin happened before the
-	// rollback horizon legitimately drives its count negative — the
-	// true load is the committed base plus the (possibly negative)
-	// delta. Live trackers keep the panic: their counts are absolute
-	// and a negative there is still always a simulator bug.
-	relaxed bool
 }
 
 // NewLoadTracker creates a tracker for n entities.
 func NewLoadTracker(label string, n int) *LoadTracker {
 	return &LoadTracker{counts: make([]int64, n), label: label}
-}
-
-// NewDeltaTracker creates a rollback-aware tracker that accumulates an
-// interval's load deltas relative to a committed base snapshot.
-// Release tolerates negative counts (see the relaxed field): during an
-// optimistic interval a flow begun before the commit horizon can end
-// inside it, which is a -1 delta with no matching +1.
-func NewDeltaTracker(label string, n int) *LoadTracker {
-	return &LoadTracker{counts: make([]int64, n), label: label, relaxed: true}
-}
-
-// Snapshot returns a copy of the current counts, for checkpointing and
-// as the committed base of a delta tracker. Safe to call while other
-// goroutines acquire and release (each count is an atomic load).
-func (lt *LoadTracker) Snapshot() []int64 {
-	out := make([]int64, len(lt.counts))
-	for i := range lt.counts {
-		out[i] = atomic.LoadInt64(&lt.counts[i])
-	}
-	return out
-}
-
-// Restore overwrites the counts from a Snapshot (rollback to a commit
-// horizon). The caller must guarantee no concurrent Acquire/Release —
-// the optimistic driver restores only with every shard parked.
-func (lt *LoadTracker) Restore(snap []int64) {
-	if len(snap) != len(lt.counts) {
-		panic(fmt.Sprintf("core: %s restore with %d counts, want %d", lt.label, len(snap), len(lt.counts)))
-	}
-	for i := range lt.counts {
-		atomic.StoreInt64(&lt.counts[i], snap[i])
-	}
 }
 
 // Acquire increments the load of entity i.
@@ -79,7 +38,7 @@ func (lt *LoadTracker) Acquire(i int) { atomic.AddInt64(&lt.counts[i], 1) }
 //perf:inline
 //perf:noalloc
 func (lt *LoadTracker) Release(i int) {
-	if atomic.AddInt64(&lt.counts[i], -1) < 0 && !lt.relaxed {
+	if atomic.AddInt64(&lt.counts[i], -1) < 0 {
 		lt.negative(i)
 	}
 }

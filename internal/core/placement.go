@@ -110,14 +110,6 @@ type Placement struct {
 	// pulls counts pull-through insertions (exposed for ablations).
 	// guarded by mu
 	pulls int
-	// sinceMark journals the keys Pull inserted since the last Mark —
-	// the undo log of the optimistic mode. Nil when no mark is active;
-	// then Pull journals nothing and pays nothing.
-	// guarded by mu
-	sinceMark map[pullKey]struct{}
-	// pullsAtMark is the pulls counter value captured by Mark.
-	// guarded by mu
-	pullsAtMark int
 }
 
 type pullKey struct {
@@ -252,70 +244,8 @@ func (p *Placement) Pull(dc topology.DataCenterID, v content.VideoID) {
 	if _, ok := p.pulled[k]; !ok {
 		p.pulled[k] = struct{}{}
 		p.pulls++
-		if p.sinceMark != nil {
-			p.sinceMark[k] = struct{}{}
-		}
 	}
 	p.mu.Unlock()
-}
-
-// Mark opens an undo journal at the current state: every key Pull
-// inserts from now on is journaled, so Rollback can delete exactly
-// those insertions instead of copying the whole (potentially
-// multi-million-entry) pulled set per checkpoint. Calling Mark again
-// commits the previous journal (the insertions become permanent) and
-// starts a fresh one.
-func (p *Placement) Mark() {
-	p.mu.Lock()
-	p.sinceMark = make(map[pullKey]struct{})
-	p.pullsAtMark = p.pulls
-	p.mu.Unlock()
-}
-
-// Rollback undoes every pull-through insertion since the last Mark and
-// restores the pulls counter, then starts a fresh journal at the
-// restored state. It is the placement half of an optimistic rollback;
-// without an active Mark it is a no-op.
-func (p *Placement) Rollback() {
-	p.mu.Lock()
-	if p.sinceMark != nil {
-		for k := range p.sinceMark {
-			delete(p.pulled, k)
-		}
-		p.pulls = p.pullsAtMark
-		p.sinceMark = make(map[pullKey]struct{})
-	}
-	p.mu.Unlock()
-}
-
-// hasBase reports whether dc held v at the last Mark — the committed
-// placement state an optimistic validation sweep measures decisions
-// against. Keys inserted since the Mark (speculative pull-throughs of
-// any shard) are excluded; whether a key predates the mark does not
-// depend on speculation scheduling, so the answer is deterministic.
-// Without an active Mark it degrades to Has.
-func (p *Placement) hasBase(dc topology.DataCenterID, v content.VideoID, home geo.Continent, foreignProb float64, weights map[geo.Continent]float64) bool {
-	if !p.catalog.IsTail(v) {
-		return true
-	}
-	k := pullKey{dc, v}
-	p.mu.RLock()
-	_, ok := p.pulled[k]
-	if ok && p.sinceMark != nil {
-		if _, speculative := p.sinceMark[k]; speculative {
-			ok = false
-		}
-	}
-	p.mu.RUnlock()
-	if ok {
-		return true
-	}
-	for _, o := range p.Origins(v, home, foreignProb, weights) {
-		if o == dc {
-			return true
-		}
-	}
-	return false
 }
 
 // Pulls returns the number of pull-through insertions (exposed for

@@ -89,11 +89,6 @@ type PolicyView struct {
 	RNG *stats.RNG
 
 	sel *Selector
-	// tv, when non-nil, redirects the mutable-state reads (loads,
-	// placement) to an optimistic-validation truth view instead of the
-	// live trackers. Static ground truth (rankings, capacities, origin
-	// hashing) is identical either way and stays on the selector.
-	tv *TruthView
 }
 
 // Preferred returns the ground-truth preferred DC of the LDNS.
@@ -116,9 +111,6 @@ func (v PolicyView) RankedDC(id topology.LDNSID, i int) topology.DataCenterID {
 // DCLoad returns the DC's current concurrent video-flow count (the
 // DNS-level load signal).
 func (v PolicyView) DCLoad(dc topology.DataCenterID) int {
-	if v.tv != nil {
-		return v.tv.DCLoad(dc)
-	}
 	return v.sel.dcFlows.Load(int(dc))
 }
 
@@ -130,9 +122,6 @@ func (v PolicyView) DCCapacity(dc topology.DataCenterID) int {
 
 // ServerLoad returns the server's current concurrent session count.
 func (v PolicyView) ServerLoad(srv topology.ServerID) int {
-	if v.tv != nil {
-		return v.tv.ServerLoad(srv)
-	}
 	return v.sel.srvSess.Load(int(srv))
 }
 
@@ -156,9 +145,6 @@ func (v PolicyView) ServerForVideo(dc topology.DataCenterID, vid content.VideoID
 // HasVideo reports whether dc currently holds the video for a
 // requester with the given origin parameters.
 func (v PolicyView) HasVideo(dc topology.DataCenterID, vid content.VideoID, home Home) bool {
-	if v.tv != nil {
-		return v.tv.HasVideo(dc, vid, home)
-	}
 	return v.sel.placement.Has(dc, vid, home.Continent, home.ForeignProb, home.Weights)
 }
 

@@ -197,12 +197,6 @@ func (s *Selector) MaxRedirects() int { return s.cfg.MaxRedirects }
 // view builds the restricted policy window for one decision.
 func (s *Selector) view(g *stats.RNG) PolicyView { return PolicyView{RNG: g, sel: s} }
 
-// viewTruth builds a policy window whose mutable-state reads come from
-// an optimistic-validation truth view (see TruthView).
-func (s *Selector) viewTruth(g *stats.RNG, tv *TruthView) PolicyView {
-	return PolicyView{RNG: g, sel: s, tv: tv}
-}
-
 // Preferred returns the ground-truth preferred DC of an LDNS.
 func (s *Selector) Preferred(id topology.LDNSID) topology.DataCenterID {
 	return s.prefByLDNS[id]
@@ -312,16 +306,13 @@ func (s *Selector) ServeOrRedirect(srv topology.ServerID, v content.VideoID, ldn
 // it through and counts the miss — but the redirect itself is
 // suppressed. A hotspot decision at the bound needs no side effects
 // (nothing was redirected and serving requires no placement change),
-// so it is dropped without touching the hotspot counter. The
-// suppressed decision is returned so the optimistic journal can
-// validate it like any other.
-func (s *Selector) ServeFinal(srv topology.ServerID, v content.VideoID, ldns topology.LDNSID, home Home, g *stats.RNG) Decision {
+// so it is dropped without touching the hotspot counter.
+func (s *Selector) ServeFinal(srv topology.ServerID, v content.VideoID, ldns topology.LDNSID, home Home, g *stats.RNG) {
 	d := s.Policy().ServeOrRedirect(s.view(g), srv, v, ldns, home)
 	if d.Redirected && d.Reason == ReasonMiss {
 		s.placement.Pull(s.w.Server(srv).DC, v)
 		s.misses.Add(1)
 	}
-	return d
 }
 
 // closestTo returns the candidate DC ranked best for the LDNS, via the

@@ -167,42 +167,6 @@ func (e *Engine) LiveStats() (executed, queueDepth int64, now time.Duration) {
 	return e.executed.Load(), e.liveDepth.Load(), time.Duration(e.liveNow.Load())
 }
 
-// EngineSnapshot is a restorable copy of an engine's run state: the
-// pending queue, clock, scheduling sequence and executed count. It is
-// the engine's contribution to an optimistic checkpoint; the event
-// closures themselves are shared, not deep-copied, which is sound
-// because everything mutable they capture is checkpointed and restored
-// by the same coordinator that snapshots the engine.
-type EngineSnapshot struct {
-	queue    []event
-	now      time.Duration
-	seq      uint64
-	executed int64
-}
-
-// Snapshot captures the engine's current state for a later Restore.
-// Like every Engine method it must be called from the engine's driving
-// goroutine (the sharded runner checkpoints only with all shards
-// parked at a barrier).
-func (e *Engine) Snapshot() *EngineSnapshot {
-	q := make([]event, len(e.queue))
-	copy(q, e.queue)
-	return &EngineSnapshot{queue: q, now: e.now, seq: e.seq, executed: e.executed.Load()}
-}
-
-// Restore rewinds the engine to a Snapshot: pending events, clock,
-// sequence counter and executed count, plus the atomic shadows the
-// metrics scrape reads. The snapshot is copied out, so one snapshot
-// can restore repeatedly.
-func (e *Engine) Restore(s *EngineSnapshot) {
-	e.queue = append(e.queue[:0], s.queue...)
-	e.now = s.now
-	e.seq = s.seq
-	e.executed.Store(s.executed)
-	e.liveDepth.Store(int64(len(e.queue)))
-	e.liveNow.Store(int64(s.now))
-}
-
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {

@@ -32,13 +32,6 @@ import (
 //     shared state that is stale by at most one window — the price of
 //     near-linear speedup.
 //
-// A third protocol, optimistic (Time Warp) execution, is enabled by
-// SetOptimistic on a window-0 runner: shards speculate through each
-// interval concurrently and a journal-validation pass commits clean
-// intervals or rolls back and re-executes violated ones sequentially,
-// keeping results bit-identical to the merge while still extracting
-// parallelism (see runOptimistic).
-//
 // Barriers registered with At run between windows, when every shard's
 // clock sits exactly on the barrier time: they are the hook for global
 // scenario actions (a mid-run policy switch) that must not interleave
@@ -53,44 +46,12 @@ type ShardedRunner struct {
 	// skipped depending on how far the run has progressed).
 	started bool
 
-	// Optimistic (Time Warp) mode, enabled by SetOptimistic: shards
-	// speculate through optWindow-sized intervals concurrently and the
-	// hooks validate/commit or roll back each interval (see the method
-	// comment).
-	optWindow time.Duration
-	hooks     OptimisticHooks
-
-	// Optional instruments (see Instrument). All count pure
+	// Optional instruments (see Instrument). All three count pure
 	// event-structure facts — windows advanced, barriers fired, shards
-	// idle across a window, intervals rolled back or committed — so
-	// recording them never perturbs the run.
+	// idle across a window — so recording them never perturbs the run.
 	windows      *obs.Counter
 	barrierFires *obs.Counter
 	stalls       *obs.Counter
-	rollbacks    *obs.Counter
-	commits      *obs.Counter
-}
-
-// OptimisticHooks is the coordinator side of the optimistic protocol.
-// The runner drives the control flow — checkpoint, speculate, validate,
-// commit or roll back — and the hooks own the simulation state the
-// engine layer cannot see (load trackers, placement, RNG tapes, staged
-// sinks, the engines' own snapshots). All four methods are called with
-// every shard parked, single-threaded.
-type OptimisticHooks interface {
-	// Checkpoint captures all shared and per-shard state at the current
-	// horizon, immediately before a speculative interval.
-	Checkpoint()
-	// Validate reports whether the just-speculated interval is free of
-	// cross-shard causality violations.
-	Validate() bool
-	// Rollback restores the Checkpoint state after a failed validation.
-	// The runner then re-executes the interval sequentially.
-	Rollback()
-	// Commit finalizes the interval ending at horizon: journal entries
-	// become permanent and staged side effects (capture records) are
-	// released downstream.
-	Commit(horizon time.Duration)
 }
 
 type barrier struct {
@@ -122,41 +83,11 @@ func NewShardedRunner(window time.Duration, shards ...*Engine) (*ShardedRunner, 
 	return &ShardedRunner{shards: shards, window: window}, nil
 }
 
-// SetOptimistic switches the runner to optimistic (Time Warp) mode:
-// shards speculate concurrently through window-sized intervals with
-// shared state live, and the hooks checkpoint, validate and commit (or
-// roll back and let the runner re-execute sequentially) each interval.
-// It must be called before Run, on a runner constructed with sync
-// window 0 — optimistic and conservative windowing are alternative
-// synchronization protocols, not layers.
-func (r *ShardedRunner) SetOptimistic(window time.Duration, hooks OptimisticHooks) error {
-	if r.started {
-		return fmt.Errorf("des: SetOptimistic after Run")
-	}
-	if window <= 0 {
-		return fmt.Errorf("des: optimistic window %v must be > 0", window)
-	}
-	if hooks == nil {
-		return fmt.Errorf("des: optimistic mode needs hooks")
-	}
-	if r.window != 0 {
-		return fmt.Errorf("des: optimistic mode requires sync window 0, have %v", r.window)
-	}
-	r.optWindow = window
-	r.hooks = hooks
-	return nil
-}
-
 // Instrument publishes the runner's progress into reg:
-// "sim.runner.windows" (lockstep or speculative windows completed),
-// "sim.runner.barriers" (global barrier actions fired),
+// "sim.runner.windows" (lockstep windows completed),
+// "sim.runner.barriers" (global barrier actions fired), and
 // "sim.runner.window_stalls" (shard-windows in which a shard executed
-// no events — shards parked at the barrier waiting for stragglers),
-// "sim.runner.rollbacks" (optimistic intervals that failed validation
-// and were re-executed sequentially) and "sim.runner.commits"
-// (optimistic intervals finalized). The rollback/commit counters are
-// protocol telemetry: they vary with goroutine scheduling even though
-// every simulation result is deterministic.
+// no events — shards parked at the barrier waiting for stragglers).
 // It also registers per-shard live gauges "sim.shard.<i>.queue_depth",
 // "sim.shard.<i>.events" and "sim.shard.<i>.now_seconds", plus the
 // aggregate "sim.des.events". Instrument must be called before Run.
@@ -164,8 +95,6 @@ func (r *ShardedRunner) Instrument(reg *obs.Registry) {
 	r.windows = reg.Counter("sim.runner.windows")
 	r.barrierFires = reg.Counter("sim.runner.barriers")
 	r.stalls = reg.Counter("sim.runner.window_stalls")
-	r.rollbacks = reg.Counter("sim.runner.rollbacks")
-	r.commits = reg.Counter("sim.runner.commits")
 	for i, e := range r.shards {
 		e := e
 		prefix := fmt.Sprintf("sim.shard.%d.", i)
@@ -214,12 +143,9 @@ func (r *ShardedRunner) Run() {
 		}
 		return r.barriers[i].seq < r.barriers[j].seq
 	})
-	switch {
-	case r.hooks != nil:
-		r.runOptimistic()
-	case r.window == 0:
+	if r.window == 0 {
 		r.runMerged()
-	default:
+	} else {
 		r.runWindowed()
 	}
 }
@@ -355,102 +281,5 @@ func (r *ShardedRunner) runWindowed() {
 				}
 			}
 		}
-	}
-}
-
-// runOptimistic is the Time Warp mode: each interval is checkpointed,
-// speculated concurrently with shared state live (the hooks journal
-// every cross-shard-visible effect), then validated single-threaded.
-// A clean interval commits as-is — the speculation already produced
-// the sequential state. A causality violation rolls everything back to
-// the checkpoint and re-executes the interval through the sequential
-// merge, which cannot be wrong, then commits. Either way the state at
-// each commit horizon is bit-identical to the sequential run; only the
-// rollback/commit protocol counters depend on scheduling.
-func (r *ShardedRunner) runOptimistic() {
-	bi := 0
-	for {
-		lo := time.Duration(-1)
-		for _, e := range r.shards {
-			if at, ok := e.PeekTime(); ok && (lo < 0 || at < lo) {
-				lo = at
-			}
-		}
-		if lo < 0 {
-			if bi >= len(r.barriers) {
-				return
-			}
-			r.fireBarrier(r.barriers[bi])
-			bi++
-			continue
-		}
-		if bi < len(r.barriers) && r.barriers[bi].at <= lo {
-			// Barriers fire between committed intervals: every effect
-			// before the barrier is final, so a global action (policy
-			// switch) can never be rolled back — even when several
-			// equal-time barriers straddle a rollback horizon they all
-			// run here, after the horizon's commit, in registration
-			// order.
-			r.fireBarrier(r.barriers[bi])
-			bi++
-			continue
-		}
-		next := lo + r.optWindow
-		if bi < len(r.barriers) && r.barriers[bi].at < next {
-			next = r.barriers[bi].at
-		}
-		r.hooks.Checkpoint()
-		var wg sync.WaitGroup
-		for _, e := range r.shards {
-			e := e
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e.RunBefore(next)
-			}()
-		}
-		wg.Wait()
-		if !r.hooks.Validate() {
-			r.hooks.Rollback()
-			r.runMergedUntil(next)
-			if r.rollbacks != nil {
-				r.rollbacks.Inc()
-			}
-		}
-		r.hooks.Commit(next)
-		if r.commits != nil {
-			r.commits.Inc()
-		}
-		if r.windows != nil {
-			r.windows.Inc()
-		}
-	}
-}
-
-// runMergedUntil re-executes one rolled-back interval sequentially:
-// the k-way merge of all events strictly before deadline, then every
-// clock parked exactly at deadline. Barriers never fall inside an
-// interval (the window is capped at the next barrier), so none are
-// consulted here.
-func (r *ShardedRunner) runMergedUntil(deadline time.Duration) {
-	for {
-		best := -1
-		var bestAt time.Duration
-		for i, e := range r.shards {
-			at, ok := e.PeekTime()
-			if !ok || at >= deadline {
-				continue
-			}
-			if best < 0 || at < bestAt {
-				best, bestAt = i, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		r.shards[best].Step()
-	}
-	for _, e := range r.shards {
-		e.RunBefore(deadline)
 	}
 }

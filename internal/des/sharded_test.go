@@ -1,9 +1,7 @@
 package des
 
 import (
-	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -346,204 +344,4 @@ func TestAddBarrierAfterRunPanics(t *testing.T) {
 		}
 	}()
 	r.AddBarrier(time.Second, func() {})
-}
-
-// hookRecorder is a scripted OptimisticHooks: it snapshots/restores
-// the engines AND the test's side-effect log (a real coordinator
-// checkpoints every effect a rollback must undo), and fails validation
-// on the intervals listed in failOn, counting protocol calls.
-type hookRecorder struct {
-	t        *testing.T
-	shards   []*Engine
-	failOn   map[int]bool
-	interval int
-	snaps    []*EngineSnapshot
-	log      []string
-	horizons []time.Duration
-	// sideEffects is the test-owned record the simulated events append
-	// to; checkpointed by length, truncated on rollback.
-	sideEffects *[]string
-	effectsMu   *sync.Mutex
-	effectsLen  int
-}
-
-func (h *hookRecorder) Checkpoint() {
-	h.snaps = make([]*EngineSnapshot, len(h.shards))
-	for i, e := range h.shards {
-		h.snaps[i] = e.Snapshot()
-	}
-	if h.sideEffects != nil {
-		h.effectsMu.Lock()
-		h.effectsLen = len(*h.sideEffects)
-		h.effectsMu.Unlock()
-	}
-	h.log = append(h.log, "ckpt")
-}
-
-func (h *hookRecorder) Validate() bool {
-	h.log = append(h.log, "validate")
-	ok := !h.failOn[h.interval]
-	h.interval++
-	return ok
-}
-
-func (h *hookRecorder) Rollback() {
-	for i, e := range h.shards {
-		e.Restore(h.snaps[i])
-	}
-	if h.sideEffects != nil {
-		h.effectsMu.Lock()
-		*h.sideEffects = (*h.sideEffects)[:h.effectsLen]
-		h.effectsMu.Unlock()
-	}
-	h.log = append(h.log, "rollback")
-}
-
-func (h *hookRecorder) Commit(horizon time.Duration) {
-	h.log = append(h.log, "commit")
-	h.horizons = append(h.horizons, horizon)
-}
-
-// TestOptimisticDriver pins the runner's optimistic control flow:
-// checkpoint → speculate → validate, commit on success, rollback +
-// sequential re-execution on failure — with every event running
-// exactly once per committed interval and results independent of which
-// intervals fail.
-func TestOptimisticDriver(t *testing.T) {
-	run := func(failOn map[int]bool) ([]string, []string, []time.Duration) {
-		shards := []*Engine{{}, {}}
-		var mu sync.Mutex
-		var events []string
-		for s, e := range shards {
-			s, e := s, e
-			for i := 0; i < 6; i++ {
-				at := time.Duration(i*4+s) * time.Second
-				name := fmt.Sprintf("s%d@%v", s, at)
-				e.Schedule(at, func() {
-					mu.Lock()
-					events = append(events, name)
-					mu.Unlock()
-				})
-			}
-		}
-		r, err := NewShardedRunner(0, shards...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := &hookRecorder{t: t, shards: shards, failOn: failOn, sideEffects: &events, effectsMu: &mu}
-		if err := r.SetOptimistic(8*time.Second, h); err != nil {
-			t.Fatal(err)
-		}
-		r.Run()
-		sort.Strings(events) // cross-shard speculation order is free
-		return events, h.log, h.horizons
-	}
-
-	clean, cleanLog, cleanHz := run(nil)
-	if len(clean) != 12 {
-		t.Fatalf("clean run executed %d events, want 12", len(clean))
-	}
-	for _, s := range cleanLog {
-		if s == "rollback" {
-			t.Fatal("clean run rolled back")
-		}
-	}
-
-	dirty, dirtyLog, dirtyHz := run(map[int]bool{0: true, 2: true})
-	if !reflect.DeepEqual(dirty, clean) {
-		t.Errorf("rollback changed the executed event set:\n got %v\nwant %v", dirty, clean)
-	}
-	if !reflect.DeepEqual(dirtyHz, cleanHz) {
-		t.Errorf("rollback changed commit horizons: %v vs %v", dirtyHz, cleanHz)
-	}
-	rollbacks := 0
-	for _, s := range dirtyLog {
-		if s == "rollback" {
-			rollbacks++
-		}
-	}
-	if rollbacks != 2 {
-		t.Errorf("rollbacks = %d, want 2", rollbacks)
-	}
-}
-
-// TestOptimisticEqualTimeBarriersAtHorizon pins the barrier edge the
-// optimistic mode must get right: several equal-time barriers sitting
-// exactly on a rollback horizon all fire once, in registration order,
-// after the interval before them has committed — a rollback of that
-// interval must neither re-fire nor skip them.
-func TestOptimisticEqualTimeBarriersAtHorizon(t *testing.T) {
-	shards := []*Engine{{}, {}}
-	var mu sync.Mutex
-	var log []string
-	shards[0].Schedule(1*time.Second, func() { mu.Lock(); log = append(log, "a@1"); mu.Unlock() })
-	shards[1].Schedule(12*time.Second, func() { mu.Lock(); log = append(log, "b@12"); mu.Unlock() })
-
-	r, err := NewShardedRunner(0, shards...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interval [1s, 10s) fails validation and is re-executed; the
-	// barriers at its horizon fire exactly once afterwards.
-	h := &hookRecorder{t: t, shards: shards, failOn: map[int]bool{0: true}, sideEffects: &log, effectsMu: &mu}
-	if err := r.SetOptimistic(9*time.Second, h); err != nil {
-		t.Fatal(err)
-	}
-	r.AddBarrier(10*time.Second, func() { log = append(log, "bar1@10") })
-	r.AddBarrier(10*time.Second, func() { log = append(log, "bar2@10") })
-	r.Run()
-
-	want := []string{"a@1", "bar1@10", "bar2@10", "b@12"}
-	if !reflect.DeepEqual(log, want) {
-		t.Errorf("log = %v, want %v", log, want)
-	}
-}
-
-// TestSetOptimisticValidation rejects bad optimistic configuration.
-func TestSetOptimisticValidation(t *testing.T) {
-	h := &hookRecorder{}
-	if r, _ := NewShardedRunner(0, &Engine{}); r.SetOptimistic(0, h) == nil {
-		t.Error("zero optimistic window must be rejected")
-	}
-	if r, _ := NewShardedRunner(0, &Engine{}); r.SetOptimistic(time.Second, nil) == nil {
-		t.Error("nil hooks must be rejected")
-	}
-	if r, _ := NewShardedRunner(time.Minute, &Engine{}); r.SetOptimistic(time.Second, h) == nil {
-		t.Error("optimistic over a conservative window must be rejected")
-	}
-	r, _ := NewShardedRunner(0, &Engine{})
-	r.Run()
-	if r.SetOptimistic(time.Second, h) == nil {
-		t.Error("SetOptimistic after Run must be rejected")
-	}
-}
-
-// TestEngineSnapshotRestore pins the engine half of a checkpoint:
-// pending events, clock, tie-break sequence and executed count all
-// rewind, and one snapshot restores repeatedly.
-func TestEngineSnapshotRestore(t *testing.T) {
-	e := &Engine{}
-	var log []string
-	e.Schedule(1*time.Second, func() { log = append(log, "a") })
-	e.Schedule(2*time.Second, func() {
-		log = append(log, "b")
-		e.ScheduleAfter(time.Second, func() { log = append(log, "c") })
-	})
-	e.Step() // run "a"
-	snap := e.Snapshot()
-
-	for round := 0; round < 2; round++ {
-		e.Restore(snap)
-		if e.Now() != 1*time.Second || e.Pending() != 1 {
-			t.Fatalf("round %d: now=%v pending=%d after restore", round, e.Now(), e.Pending())
-		}
-		e.Run()
-	}
-	want := []string{"a", "b", "c", "b", "c"}
-	if !reflect.DeepEqual(log, want) {
-		t.Errorf("log = %v, want %v", log, want)
-	}
-	if e.Executed() != 3 { // restored to 1, then b and c
-		t.Errorf("executed = %d, want 3", e.Executed())
-	}
 }

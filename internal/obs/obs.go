@@ -189,43 +189,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return 0
 }
 
-// HistogramState is the raw internal state of a Histogram — every
-// bucket plus the scalar trackers, including the MaxInt64/MinInt64
-// min/max sentinels of an empty histogram. Unlike HistogramSnapshot it
-// is lossless: RestoreState(State()) is an exact round trip, which is
-// what the optimistic rollback path needs.
-type HistogramState struct {
-	Buckets              [histBuckets]int64
-	Count, Sum, Min, Max int64
-}
-
-// State captures the histogram's raw state. Call it only while no
-// observer is concurrently recording (the optimistic driver does, with
-// every shard parked).
-func (h *Histogram) State() HistogramState {
-	var s HistogramState
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Min = h.min.Load()
-	s.Max = h.max.Load()
-	return s
-}
-
-// RestoreState rolls the histogram back to a captured state. Same
-// quiescence requirement as State.
-func (h *Histogram) RestoreState(s HistogramState) {
-	for i := range s.Buckets {
-		h.buckets[i].Store(s.Buckets[i])
-	}
-	h.count.Store(s.Count)
-	h.sum.Store(s.Sum)
-	h.min.Store(s.Min)
-	h.max.Store(s.Max)
-}
-
 // HistogramSnapshot is the rendered state of a histogram.
 type HistogramSnapshot struct {
 	Count int64 `json:"count"`

@@ -181,66 +181,6 @@ func ValidateSnapshotJSON(data []byte) error {
 	return nil
 }
 
-// State is a lossless capture of every value-holding instrument in a
-// registry: counter and gauge values plus raw histogram states.
-// Derived gauges (GaugeFunc) are recomputed from other state at
-// snapshot time, so they carry no state of their own and are excluded.
-// It exists for the optimistic rollback path: RestoreState(State())
-// round-trips exactly, sentinels included.
-type State struct {
-	Counters   map[string]int64
-	Gauges     map[string]int64
-	Histograms map[string]HistogramState
-}
-
-// State captures the registry's instrument values. Call it only while
-// no recorder is concurrently writing (the optimistic driver does,
-// with every shard parked at the horizon).
-func (r *Registry) State() State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := State{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramState, len(r.histograms)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		s.Histograms[name] = h.State()
-	}
-	return s
-}
-
-// RestoreState rolls every instrument captured in s back to its saved
-// value. Instruments registered after the capture are untouched — the
-// optimistic driver registers everything before the first checkpoint,
-// and its own protocol counters (rollbacks, commits, violations) are
-// deliberately bumped after the restore so they survive it.
-func (r *Registry) RestoreState(s State) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, v := range s.Counters {
-		if c, ok := r.counters[name]; ok {
-			c.v.Store(v)
-		}
-	}
-	for name, v := range s.Gauges {
-		if g, ok := r.gauges[name]; ok {
-			g.v.Store(v)
-		}
-	}
-	for name, hs := range s.Histograms {
-		if h, ok := r.histograms[name]; ok {
-			h.RestoreState(hs)
-		}
-	}
-}
-
 // Names returns every registered instrument name, sorted — handy for
 // tests asserting the instrument population.
 func (r *Registry) Names() []string {

@@ -12,75 +12,6 @@ import (
 	"math/rand"
 )
 
-// rngMask truncates a raw 64-bit source value to the non-negative
-// 63-bit range, exactly as math/rand's own rngSource.Int63 does.
-const rngMask = 1<<63 - 1
-
-// tapeSource interposes between math/rand and the underlying seeded
-// source, treating the source's Uint64 outputs as a fixed value tape.
-// While recording (Mark) every produced value is journaled; Rewind
-// pushes the journal back onto a pending queue, so the next draws
-// replay the exact tape before the inner source resumes — which is what
-// makes deterministic replay after an optimistic rollback possible: the
-// tape is a pure function of the seed, so "rewind and re-execute" is
-// indistinguishable from never having sped ahead, even when the replay
-// consumes a different number of values than the speculation did.
-//
-// Int63 is int64(Uint64() & rngMask), byte-identical to the stdlib
-// rngSource, so wrapping changes no draw of any seeded stream.
-type tapeSource struct {
-	inner     rand.Source64
-	recording bool
-	journal   []uint64 // values produced since the last Mark
-	pending   []uint64 // rewound values to replay before inner resumes
-}
-
-func (t *tapeSource) Uint64() uint64 {
-	var v uint64
-	if len(t.pending) > 0 {
-		v = t.pending[0]
-		t.pending = t.pending[1:]
-	} else {
-		v = t.inner.Uint64()
-	}
-	if t.recording {
-		t.journal = append(t.journal, v)
-	}
-	return v
-}
-
-func (t *tapeSource) Int63() int64 { return int64(t.Uint64() & rngMask) }
-
-func (t *tapeSource) Seed(seed int64) {
-	t.inner.Seed(seed)
-	t.journal = nil
-	t.pending = nil
-}
-
-// replaySource feeds a recorded tape back through math/rand. Once the
-// tape is exhausted it returns zeros instead of panicking and marks
-// itself overdrawn — an overdraw is a causality violation for the
-// caller to detect, not a crash.
-type replaySource struct {
-	steps     []uint64
-	next      int
-	overdrawn bool
-}
-
-func (s *replaySource) Uint64() uint64 {
-	if s.next >= len(s.steps) {
-		s.overdrawn = true
-		return 0
-	}
-	v := s.steps[s.next]
-	s.next++
-	return v
-}
-
-func (s *replaySource) Int63() int64 { return int64(s.Uint64() & rngMask) }
-
-func (s *replaySource) Seed(int64) {}
-
 // RNG is a deterministic random stream. It wraps math/rand with a few
 // distributions the workload model needs. Drawing from an RNG is not
 // safe for concurrent use; derive independent streams with Fork
@@ -88,92 +19,11 @@ func (s *replaySource) Seed(int64) {}
 type RNG struct {
 	seed int64
 	r    *rand.Rand
-	// tape is the source interposer of a seeded stream (nil for replay
-	// streams); it carries the Mark/Rewind rollback machinery.
-	tape *tapeSource
-	// replay is set on streams built by NewReplayRNG.
-	replay *replaySource
 }
 
-// NewRNG returns a stream seeded with seed. The stream's draws are
-// identical to rand.New(rand.NewSource(seed)): the tape interposer
-// underneath (see Mark/Rewind) forwards the source values untouched.
+// NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	t := &tapeSource{inner: rand.NewSource(seed).(rand.Source64)}
-	return &RNG{seed: seed, r: rand.New(t), tape: t}
-}
-
-// NewReplayRNG returns a stream that replays a tape recorded with
-// TapeSince: its draws reproduce the recorded stream segment exactly.
-// Drawing past the tape's end does not panic — the stream yields zeros
-// and reports the overdraw through ReplayOverdrawn, so a replay that
-// consumes more values than the original is detectable. A replay that
-// consumes fewer is detected with ReplayExhausted.
-func NewReplayRNG(steps []uint64) *RNG {
-	s := &replaySource{steps: steps}
-	return &RNG{r: rand.New(s), replay: s}
-}
-
-// ReplayExhausted reports whether a replay stream has consumed its
-// whole tape (and no more). It is false for non-replay streams.
-func (g *RNG) ReplayExhausted() bool {
-	return g.replay != nil && g.replay.next == len(g.replay.steps) && !g.replay.overdrawn
-}
-
-// ReplayOverdrawn reports whether a replay stream was drawn from past
-// the end of its tape.
-func (g *RNG) ReplayOverdrawn() bool {
-	return g.replay != nil && g.replay.overdrawn
-}
-
-// Mark starts (or restarts) recording the stream's source values. The
-// journal is cleared, so a later Rewind returns the stream to exactly
-// this point. Replay streams ignore Mark.
-func (g *RNG) Mark() {
-	if g.tape == nil {
-		return
-	}
-	g.tape.recording = true
-	g.tape.journal = g.tape.journal[:0]
-}
-
-// Rewind returns the stream to the last Mark: every source value
-// produced since then is queued for replay, so re-executing the same
-// (or a different) draw sequence continues the seed's fixed tape
-// without a gap. Rewound values are re-journaled as they replay, so
-// repeated rollbacks of one interval compose. Calling Rewind without a
-// prior Mark (or on a replay stream) is a no-op.
-func (g *RNG) Rewind() {
-	if g.tape == nil || len(g.tape.journal) == 0 {
-		return
-	}
-	t := g.tape
-	replay := make([]uint64, 0, len(t.journal)+len(t.pending))
-	replay = append(replay, t.journal...)
-	replay = append(replay, t.pending...)
-	t.pending = replay
-	t.journal = t.journal[:0]
-}
-
-// TapePos returns the number of source values recorded since the last
-// Mark. Zero for non-recording and replay streams.
-func (g *RNG) TapePos() int {
-	if g.tape == nil {
-		return 0
-	}
-	return len(g.tape.journal)
-}
-
-// TapeSince returns a copy of the source values recorded since the
-// given TapePos — the tape segment one decision consumed, ready to seed
-// a NewReplayRNG. The copy never aliases the live journal.
-func (g *RNG) TapeSince(pos int) []uint64 {
-	if g.tape == nil || pos >= len(g.tape.journal) {
-		return nil
-	}
-	out := make([]uint64, len(g.tape.journal)-pos)
-	copy(out, g.tape.journal[pos:])
-	return out
+	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
 }
 
 // Seed returns the seed the stream was created with.

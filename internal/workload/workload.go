@@ -137,26 +137,6 @@ func NewGeneratorSubset(w *topology.World, vpIndex int, subnets []int, cat *cont
 	return gen, nil
 }
 
-// MarkStreams Marks every covered subnet's RNG tape at the current
-// position — the generator half of an optimistic checkpoint. The
-// generator keeps no other mutable state: everything it schedules
-// lives in the engine (snapshotted separately), so marking the streams
-// is the whole checkpoint.
-func (gen *Generator) MarkStreams() {
-	for i := range gen.buckets {
-		gen.buckets[i].g.Mark()
-	}
-}
-
-// RewindStreams rewinds every covered subnet's RNG tape to the last
-// MarkStreams: re-executed hour batches replay the identical Poisson
-// counts, offsets and video draws.
-func (gen *Generator) RewindStreams() {
-	for i := range gen.buckets {
-		gen.buckets[i].g.Rewind()
-	}
-}
-
 // TotalSessions returns the expected number of sessions over the
 // window for the covered subnets, scaled from the VP's weekly target
 // (subnet weights sum to 1, so a full generator returns the VP total).

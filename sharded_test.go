@@ -174,6 +174,32 @@ func TestStudySpanNotExceeded(t *testing.T) {
 	}
 }
 
+// TestSyncWindowValidation pins the window misconfigurations Run
+// rejects instead of silently dropping: a negative window, and a
+// window on a single-engine run (SimShards unset or 1), which would
+// leave the caller believing they measured a windowed run. RunMany
+// surfaces the same errors.
+func TestSyncWindowValidation(t *testing.T) {
+	base := Options{Scale: 0.002, Span: 24 * time.Hour}
+	for name, mutate := range map[string]func(*Options){
+		"negative window": func(o *Options) { o.SimShards = 2; o.SyncWindow = -time.Second },
+		"no shards":       func(o *Options) { o.SyncWindow = time.Minute },
+		"one shard":       func(o *Options) { o.SimShards = 1; o.SyncWindow = time.Minute },
+	} {
+		opts := base
+		mutate(&opts)
+		if _, err := Run(opts); err == nil {
+			t.Errorf("%s: Run accepted %+v", name, opts)
+		}
+	}
+
+	bad := base
+	bad.SyncWindow = time.Minute // SimShards unset
+	if _, err := RunMany([]Options{base, bad}, 1); err == nil {
+		t.Error("RunMany accepted a SyncWindow without shards")
+	}
+}
+
 func mustPolicy(t *testing.T, name string) core.SelectionPolicy {
 	t.Helper()
 	p, err := PolicyByName(name)

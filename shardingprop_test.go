@@ -197,20 +197,6 @@ func TestShardingMetamorphic(t *testing.T) {
 		}
 		assertStudiesIdentical(t, fmt.Sprintf("%s shards=%d by=%s", label, exact.SimShards, exact.ShardBy), s, ref)
 
-		// Exactness under speculation: an optimistic run of the same
-		// study — random shard count, granularity and window — must
-		// also be bit-identical to sequential (rollbacks included).
-		optimistic := base
-		optimistic.SimShards = 2 + meta.Intn(10)
-		optimistic.ShardBy = []ShardBy{ShardByVP, ShardBySubnet}[meta.Intn(2)]
-		optimistic.OptimisticWindow = time.Duration(2+meta.Intn(10)) * time.Hour
-		o, err := Run(optimistic)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		assertStudiesIdentical(t, fmt.Sprintf("%s optimistic shards=%d by=%s window=%v",
-			label, optimistic.SimShards, optimistic.ShardBy, optimistic.OptimisticWindow), o, ref)
-
 		// Tolerance: a windowed sub-VP run of the same study.
 		windowed := base
 		windowed.SimShards = 5
@@ -332,18 +318,6 @@ func TestShardMatrixCell(t *testing.T) {
 			assertStudiesIdentical(t, label, s, ref)
 		} else {
 			assertWindowedTolerance(t, label, s, ref)
-
-			// The optimistic flavour of the same cell must be exact,
-			// not merely within tolerance.
-			oopts := base
-			oopts.SimShards = shards
-			oopts.ShardBy = by
-			oopts.OptimisticWindow = window
-			o, err := Run(oopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertStudiesIdentical(t, label+" optimistic", o, ref)
 		}
 	}
 }

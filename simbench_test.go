@@ -100,34 +100,12 @@ func TestBenchArtifactSim(t *testing.T) {
 		t.Errorf("sub-VP sharding = %.2fx over per-VP on the heavy-VP workload, want >= 1.2x", subSpeedup)
 	}
 
-	// Conservative-vs-optimistic: the same heavy-VP sub-VP sharding,
-	// but speculating in optimistic windows instead of staleness-bounded
-	// lockstep. Optimistic gives back bit-exactness (the windowed run
-	// only bounds the error), so the bar is throughput: it must not be
-	// slower than the conservative windowed run it replaces.
-	optOpts := heavyOpts
-	optOpts.SyncWindow = 0
-	optOpts.OptimisticWindow = time.Hour
-	optSessions, optFlows, optSecs := run(optOpts, heavyWorld())
-	if optSessions != subSessions {
-		t.Errorf("heavy-VP sessions: optimistic %d, windowed %d; arrivals must match", optSessions, subSessions)
-	}
-	optRate := float64(optSessions) / optSecs
-	consRate := float64(subSessions) / subSecs
-	optOverCons := optRate / consRate
-	t.Logf("heavy-VP workload: optimistic %.0f sessions/sec vs conservative-windowed %.0f (%.2fx) on %d cores",
-		optRate, consRate, optOverCons, runtime.NumCPU())
-	if os.Getenv("BENCH_SIM_ASSERT") != "" && runtime.NumCPU() >= 4 && optOverCons < 1.0 {
-		t.Errorf("optimistic sessions/sec = %.2fx of conservative-windowed, want >= 1.0x", optOverCons)
-	}
-
 	rep := report.New("sim-bench").
 		Set("workload", fmt.Sprintf("scale %.2f, %v span, seed default", base.Scale, base.Span)).
 		Set("heavy_vp_workload", "US-Campus x3 sessions, others /10 (single heavy vantage point)").
 		Set("cores", strconv.Itoa(runtime.NumCPU())).
 		Set("sim_shards", strconv.Itoa(sharded.SimShards)).
-		Set("sync_window", sharded.SyncWindow.String()).
-		Set("optimistic_window", optOpts.OptimisticWindow.String())
+		Set("sync_window", sharded.SyncWindow.String())
 	series := func(prefix string, sessions, flows int, secs float64) {
 		rep.Add(prefix+".sessions", float64(sessions), "count").
 			Add(prefix+".flows", float64(flows), "count").
@@ -140,8 +118,6 @@ func TestBenchArtifactSim(t *testing.T) {
 	series("sim.heavy_vp.vp_sharded", vpSessions, vpFlows, vpSecs)
 	series("sim.heavy_vp.subvp_sharded", subSessions, subFlows, subSecs)
 	rep.Add("sim.heavy_vp.subvp_over_vp_speedup", subSpeedup, "ratio")
-	series("sim.heavy_vp.optimistic", optSessions, optFlows, optSecs)
-	rep.Add("sim.heavy_vp.optimistic_over_windowed", optOverCons, "ratio")
 	if err := rep.WriteFile(out); err != nil {
 		t.Fatal(err)
 	}

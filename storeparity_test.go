@@ -3,10 +3,14 @@ package ytcdn
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/topology"
 )
 
 // TestStoreParity is the disk-store acceptance gate: the same study
@@ -106,6 +110,61 @@ func TestStoreStudyTraceAccessors(t *testing.T) {
 	}
 	if total != s.TotalFlows() {
 		t.Errorf("sum of traces %d, TotalFlows %d", total, s.TotalFlows())
+	}
+}
+
+// TestRejectsNegativeSpanAndScale pins the option checks that must
+// run before anything touches disk. A negative Span used to be caught
+// only by the simulator, after the store writer had replaced the
+// store's shard files; a negative Scale returned an empty study.
+func TestRejectsNegativeSpanAndScale(t *testing.T) {
+	dir := t.TempDir()
+	good := Options{Scale: 0.002, Span: 24 * time.Hour, Store: &StoreOptions{Dir: dir}}
+	if _, err := Run(good); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(entries))
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := snapshot()
+	if len(before) == 0 {
+		t.Fatal("the good run wrote no shard files")
+	}
+
+	w, err := topology.BuildPaperWorld(topology.PaperConfig{Scale: 0.002})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Options){
+		"negative span":  func(o *Options) { o.Span = -time.Hour },
+		"negative scale": func(o *Options) { o.Scale = -0.002 },
+	} {
+		opts := good
+		mutate(&opts)
+		if _, err := Run(opts); err == nil {
+			t.Errorf("%s: Run accepted it", name)
+		}
+		if !reflect.DeepEqual(snapshot(), before) {
+			t.Fatalf("%s: Run changed the existing store directory", name)
+		}
+		if _, err := RunWorld(w, opts); err == nil {
+			t.Errorf("%s: RunWorld accepted it", name)
+		}
+		if !reflect.DeepEqual(snapshot(), before) {
+			t.Fatalf("%s: RunWorld changed the existing store directory", name)
+		}
 	}
 }
 

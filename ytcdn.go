@@ -59,9 +59,11 @@ type Options struct {
 	// Seed makes the whole study reproducible.
 	Seed int64
 	// Scale multiplies session volumes (1.0 = paper scale, ~2.4M
-	// flows; 0.05 runs in well under a second).
+	// flows; 0.05 runs in well under a second). Zero means 1.0; a
+	// negative value is an error.
 	Scale float64
 	// Span is the capture window (default: one week, like the paper).
+	// A negative value is an error.
 	Span time.Duration
 	// Topology, Catalog, Selector and Player override subsystem
 	// configurations; zero values mean calibrated defaults.
@@ -142,26 +144,8 @@ type Options struct {
 	// observe DC/server loads that are stale by up to the window,
 	// which perturbs individual redirect decisions slightly (aggregate
 	// tables stay within tolerance) in exchange for near-linear
-	// speedup. Ignored unless SimShards > 1.
+	// speedup. A positive window requires SimShards > 1.
 	SyncWindow time.Duration
-	// OptimisticWindow enables optimistic (Time Warp) sharded
-	// execution: shards run each window of this length concurrently and
-	// speculatively against live shared state while journaling every
-	// shared-state effect and decision; at the window barrier a
-	// single-threaded sweep replays the journals in the sequential merge
-	// order, and on any causality violation the whole window is rolled
-	// back to the last committed horizon and re-run sequentially from
-	// the same per-subnet RNG streams. Either way the committed state —
-	// and therefore every trace, table and figure — is bit-identical to
-	// SyncWindow == 0 at any shard count and either ShardBy granularity;
-	// only the protocol telemetry (rollback/commit counts) depends on
-	// scheduling. Mutually exclusive with SyncWindow; requires
-	// SimShards > 1.
-	OptimisticWindow time.Duration
-	// optimisticForceRollback forces every optimistic window to roll
-	// back and re-run sequentially, exercising the rollback/replay path
-	// end to end. Test-only (unexported).
-	optimisticForceRollback bool
 }
 
 // ShardBy names the unit of simulation sharding.
@@ -221,7 +205,8 @@ type Study struct {
 	Sessions int
 	// SimShards is the effective shard count the simulation ran with
 	// (Options.SimShards after defaulting and clamping to the number
-	// of vantage points).
+	// of shardable units: vantage points, or subnets with
+	// ShardBySubnet).
 	SimShards int
 
 	// Metrics is the registry the run was instrumented into (nil when
@@ -249,6 +234,9 @@ func Run(opts Options) (*Study, error) {
 	}
 	if opts.Span == 0 {
 		opts.Span = 7 * 24 * time.Hour
+	}
+	if err := checkSpanScale(opts); err != nil {
+		return nil, err
 	}
 
 	topoCfg := topology.PaperConfig{}
@@ -337,27 +325,19 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 		}
 	}
 
+	if err := checkSpanScale(opts); err != nil {
+		return nil, err
+	}
 	if opts.SyncWindow < 0 {
 		return nil, fmt.Errorf("ytcdn: SyncWindow %v must be >= 0", opts.SyncWindow)
 	}
-	if opts.OptimisticWindow < 0 {
-		return nil, fmt.Errorf("ytcdn: OptimisticWindow %v must be >= 0", opts.OptimisticWindow)
-	}
-	if opts.SyncWindow > 0 && opts.OptimisticWindow > 0 {
-		return nil, fmt.Errorf("ytcdn: SyncWindow and OptimisticWindow are mutually exclusive")
-	}
 	// A window on a single-engine run is a silent misconfiguration: the
 	// option would be dropped and the caller would believe they measured
-	// a windowed (or optimistic) run. Reject it before clamping — asking
-	// for more shards than the topology has units is a different, valid
-	// request that still clamps below.
-	if opts.SimShards <= 1 {
-		if opts.SyncWindow > 0 {
-			return nil, fmt.Errorf("ytcdn: SyncWindow %v requires SimShards > 1 (got %d)", opts.SyncWindow, opts.SimShards)
-		}
-		if opts.OptimisticWindow > 0 {
-			return nil, fmt.Errorf("ytcdn: OptimisticWindow %v requires SimShards > 1 (got %d)", opts.OptimisticWindow, opts.SimShards)
-		}
+	// a windowed run. Reject it before clamping — asking for more shards
+	// than the topology has units is a different, valid request that
+	// still clamps below.
+	if opts.SimShards <= 1 && opts.SyncWindow > 0 {
+		return nil, fmt.Errorf("ytcdn: SyncWindow %v requires SimShards > 1 (got %d)", opts.SyncWindow, opts.SimShards)
 	}
 	shardBy := opts.ShardBy
 	if shardBy == "" {
@@ -381,11 +361,10 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 		shardCount = units
 	}
 	syncWindow := opts.SyncWindow
-	optWindow := opts.OptimisticWindow
 	if shardCount == 1 {
 		// Only reachable by clamping (SimShards > units): a single
-		// shard is already exact, so the windows degenerate to it.
-		syncWindow, optWindow = 0, 0
+		// shard is already exact, so the window degenerates to it.
+		syncWindow = 0
 	}
 
 	var mem *capture.MemSink
@@ -446,15 +425,6 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 			}
 		}
 	}
-	// Optimistic mode routes each shard's capture emissions through a
-	// per-shard staging buffer (flushed in merge order at each commit)
-	// and journals every shared-state effect and decision; see
-	// optimistic.go for the hook wiring.
-	var opt *optimisticRun
-	if optWindow > 0 {
-		opt = newOptimisticRun(engines, sel, placement, sink, opts.Metrics)
-		opt.forceRollback = opts.optimisticForceRollback
-	}
 	var sims []*cdn.Simulator
 	for e := 0; e < shardCount; e++ {
 		// Deterministic bucket order: VP index ascending.
@@ -465,11 +435,7 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 			}
 			name := w.VantagePoints[i].Name
 			eng := engines[e]
-			simSink := sink
-			if opt != nil {
-				simSink = opt.stages[e]
-			}
-			sim, err := cdn.NewSimulator(w, cat, sel, eng, simSink, playerCfg, root, opts.Span)
+			sim, err := cdn.NewSimulator(w, cat, sel, eng, sink, playerCfg, root, opts.Span)
 			if err != nil {
 				return nil, fmt.Errorf("ytcdn: %w", err)
 			}
@@ -477,11 +443,6 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 			gen, err := workload.NewGeneratorSubset(w, i, subnets, cat, opts.Span, root.Fork("workload-"+name))
 			if err != nil {
 				return nil, fmt.Errorf("ytcdn: %w", err)
-			}
-			if opt != nil {
-				sim.SetJournal(opt.journals[e])
-				opt.sims[e] = append(opt.sims[e], sim)
-				opt.gens[e] = append(opt.gens[e], gen)
 			}
 			if opts.Metrics != nil {
 				sim.Instrument(opts.Metrics)
@@ -497,11 +458,6 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 	}
 	if opts.Metrics != nil {
 		runner.Instrument(opts.Metrics)
-	}
-	if opt != nil {
-		if err := runner.SetOptimistic(optWindow, opt); err != nil {
-			return nil, fmt.Errorf("ytcdn: %w", err)
-		}
 	}
 	if sw := opts.PolicySwitch; sw != nil {
 		// Validated above (before the store writer), so the switch
@@ -550,6 +506,19 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 		store:       store,
 		profiler:    opts.Profiler,
 	}, nil
+}
+
+// checkSpanScale rejects a negative Span or Scale. Zero means the
+// default for both; a negative value means nothing, and must fail
+// before RunWorld's store writer replaces any shard files.
+func checkSpanScale(opts Options) error {
+	if opts.Span < 0 {
+		return fmt.Errorf("ytcdn: Span %v must be >= 0", opts.Span)
+	}
+	if !(opts.Scale >= 0) { // also rejects NaN
+		return fmt.Errorf("ytcdn: Scale %v must be >= 0", opts.Scale)
+	}
+	return nil
 }
 
 // RunMany executes one independent study per Options entry, running up
