@@ -120,12 +120,17 @@ func main() {
 	fmt.Fprintf(os.Stderr, "simulated %d days at scale %.3f under policy %s (%s) in %v\n",
 		*days, *scale, *policy, mode, time.Since(start).Round(time.Millisecond))
 	for _, name := range ytcdn.DatasetNames() {
-		trace := study.Trace(name)
-		var bytes int64
-		for _, r := range trace {
+		// Stream the totals: Trace would copy the dataset only to sum it.
+		it := study.TraceIter(name)
+		flows, bytes := 0, int64(0)
+		for r, ok := it.Next(); ok; r, ok = it.Next() {
+			flows++
 			bytes += r.Bytes
 		}
-		fmt.Fprintf(os.Stderr, "  %-12s %8d flows  %8.2f GB\n", name, len(trace), float64(bytes)/1e9)
+		if err := it.Err(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "  %-12s %8d flows  %8.2f GB\n", name, flows, float64(bytes)/1e9)
 	}
 	spills, hotspots, misses := study.Selector.Counters()
 	fmt.Fprintf(os.Stderr, "mechanisms: %d DNS spills, %d hotspot redirects, %d content misses\n", spills, hotspots, misses)

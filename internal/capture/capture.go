@@ -155,53 +155,86 @@ func (m MapSource) Iter(dataset string) Iterator { return IterSlice(m[dataset]) 
 
 var _ TraceSource = MapSource(nil)
 
-// MemSink accumulates records per dataset in memory. It is safe for
-// concurrent use, so it survives being tee'd from studies running in
-// parallel.
+// chunkRecords is the number of records per MemSink chunk. A
+// FlowRecord is 64 bytes, so a full chunk is exactly 32 KiB, which Go
+// allocates as four whole pages with no per-object header. A smaller
+// power of two would carry an 8-byte malloc header and land in the
+// next size class up, wasting an eighth of it. Chunks never regrow, so
+// each record is copied once, where a doubling slice copies the whole
+// trace again at every regrowth.
+const chunkRecords = 512
+
+// MemSink accumulates records per dataset in memory, in chunks of
+// chunkRecords records. It is safe for concurrent use, so it survives
+// being tee'd from studies running in parallel.
 type MemSink struct {
 	mu sync.Mutex
 	// guarded by mu
-	byDataset map[string][]FlowRecord
+	byDataset map[string]*memTrace
+}
+
+// memTrace is one dataset's records in emission order. Records are
+// only ever appended to the last chunk, and a chunk is never written
+// below its length, so a copy of the chunk list is a stable snapshot.
+type memTrace struct {
+	chunks [][]FlowRecord
+	n      int
 }
 
 // NewMemSink returns an empty in-memory sink.
 func NewMemSink() *MemSink {
-	return &MemSink{byDataset: make(map[string][]FlowRecord)}
+	return &MemSink{byDataset: make(map[string]*memTrace)}
 }
 
 // Record implements Sink.
 func (m *MemSink) Record(dataset string, rec FlowRecord) {
 	m.mu.Lock()
-	m.byDataset[dataset] = append(m.byDataset[dataset], rec)
+	t := m.byDataset[dataset]
+	if t == nil {
+		t = &memTrace{}
+		m.byDataset[dataset] = t
+	}
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		t.chunks = append(t.chunks, make([]FlowRecord, 0, chunkRecords))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], rec)
+	t.n++
 	m.mu.Unlock()
+}
+
+// Trim shrinks each dataset's last chunk to its length, releasing the
+// unused tail of a partly filled chunk. Call it once recording is
+// done; a later Record starts a fresh chunk.
+func (m *MemSink) Trim() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, t := range m.byDataset {
+		last := len(t.chunks) - 1
+		if c := t.chunks[last]; len(c) < cap(c) {
+			t.chunks[last] = append([]FlowRecord(nil), c...)
+		}
+	}
 }
 
 // Trace returns a copy of the records captured for a dataset, in
 // emission order. The copy is the caller's to keep: mutating it cannot
 // corrupt the sink, and later Record calls do not grow it. A dataset
-// never recorded returns nil. Use View to avoid the copy on hot paths.
+// never recorded returns nil. Iter streams the records without the
+// copy.
 func (m *MemSink) Trace(dataset string) []FlowRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	recs := m.byDataset[dataset]
-	if recs == nil {
+	t := m.byDataset[dataset]
+	if t == nil {
 		return nil
 	}
-	out := make([]FlowRecord, len(recs))
-	copy(out, recs)
+	out := make([]FlowRecord, 0, t.n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
 	return out
-}
-
-// View returns the live backing slice for a dataset, in emission
-// order. It is a read-only view: callers must not modify it, and must
-// not call View while records are still being emitted (a concurrent
-// Record may reallocate the slice). Analysis hot paths use View to
-// avoid duplicating multi-million-record traces; everyone else should
-// prefer Trace.
-func (m *MemSink) View(dataset string) []FlowRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.byDataset[dataset]
 }
 
 // Datasets returns the dataset names seen so far, sorted.
@@ -217,9 +250,37 @@ func (m *MemSink) Datasets() []string {
 }
 
 // Iter returns an iterator over a dataset's records in emission order.
-// Like View, it reads the live backing slice: do not iterate while
-// records are still being emitted.
-func (m *MemSink) Iter(dataset string) Iterator { return IterSlice(m.View(dataset)) }
+// It iterates a snapshot of the records captured so far, without
+// copying them: records recorded after the call are not seen.
+func (m *MemSink) Iter(dataset string) Iterator {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := m.byDataset[dataset]
+	if t == nil {
+		return &chunkIterator{}
+	}
+	return &chunkIterator{chunks: append([][]FlowRecord(nil), t.chunks...)}
+}
+
+// chunkIterator walks a chunk list.
+type chunkIterator struct {
+	chunks [][]FlowRecord
+	cur    []FlowRecord
+}
+
+func (it *chunkIterator) Next() (FlowRecord, bool) {
+	for len(it.cur) == 0 {
+		if len(it.chunks) == 0 {
+			return FlowRecord{}, false
+		}
+		it.cur, it.chunks = it.chunks[0], it.chunks[1:]
+	}
+	r := it.cur[0]
+	it.cur = it.cur[1:]
+	return r, true
+}
+
+func (it *chunkIterator) Err() error { return nil }
 
 var _ TraceSource = (*MemSink)(nil)
 
@@ -228,8 +289,8 @@ func (m *MemSink) TotalRecords() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, recs := range m.byDataset {
-		n += len(recs)
+	for _, t := range m.byDataset {
+		n += t.n
 	}
 	return n
 }
@@ -246,6 +307,9 @@ type WriterSink struct {
 	mu sync.Mutex
 	// guarded by mu
 	w *bufio.Writer
+	// line is the reused encode buffer of one TSV line.
+	// guarded by mu
+	line []byte
 	// err is sticky: the first write failure wins.
 	// guarded by mu
 	err error
@@ -257,16 +321,32 @@ func NewWriterSink(w io.Writer) *WriterSink {
 }
 
 // Record implements Sink. Errors are sticky and surfaced by Flush.
+// The line is encoded into a buffer the sink reuses, so a record costs
+// no allocation; ParseLine reads it back.
 func (ws *WriterSink) Record(dataset string, rec FlowRecord) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	if ws.err != nil {
 		return
 	}
-	_, ws.err = fmt.Fprintf(ws.w, "%s\t%s\t%s\t%d\t%d\t%d\t%s\t%s\n",
-		dataset, rec.Client, rec.Server,
-		rec.Start.Microseconds(), rec.End.Microseconds(),
-		rec.Bytes, rec.VideoID, rec.Resolution)
+	b := append(ws.line[:0], dataset...)
+	b = append(b, '\t')
+	b = rec.Client.AppendTo(b)
+	b = append(b, '\t')
+	b = rec.Server.AppendTo(b)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, rec.Start.Microseconds(), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, rec.End.Microseconds(), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, rec.Bytes, 10)
+	b = append(b, '\t')
+	b = append(b, rec.VideoID...)
+	b = append(b, '\t')
+	b = append(b, rec.Resolution...)
+	b = append(b, '\n')
+	ws.line = b
+	_, ws.err = ws.w.Write(b)
 }
 
 // Flush drains the buffer and returns any write error.

@@ -48,8 +48,9 @@ func TestMemSink(t *testing.T) {
 	}
 }
 
-// TestMemSinkConcurrentRecord exercises the sink from many goroutines;
-// meaningful under -race, and the totals must still add up.
+// TestMemSinkConcurrentRecord exercises the sink from many goroutines,
+// with a reader iterating alongside; meaningful under -race, and the
+// totals must still add up.
 func TestMemSinkConcurrentRecord(t *testing.T) {
 	m := NewMemSink()
 	const workers, perWorker = 8, 500
@@ -68,7 +69,23 @@ func TestMemSinkConcurrentRecord(t *testing.T) {
 			}
 		}()
 	}
+	// A reader iterating while the writers record sees a snapshot that
+	// only grows.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		seen := 0
+		for seen < workers/2*perWorker {
+			recs, err := Collect(m.Iter("ds1"))
+			if err != nil || len(recs) < seen {
+				t.Errorf("snapshot of %d records after one of %d (err %v)", len(recs), seen, err)
+				return
+			}
+			seen = len(recs)
+		}
+	}()
 	wg.Wait()
+	<-done
 	if got := m.TotalRecords(); got != workers*perWorker {
 		t.Errorf("TotalRecords = %d, want %d", got, workers*perWorker)
 	}
@@ -78,8 +95,8 @@ func TestMemSinkConcurrentRecord(t *testing.T) {
 }
 
 // TestMemSinkTraceReturnsCopy pins the Trace contract: mutating the
-// returned slice must not corrupt the sink, and View must keep
-// exposing the original records.
+// returned slice must not corrupt the sink, and Iter must keep
+// streaming the original records.
 func TestMemSinkTraceReturnsCopy(t *testing.T) {
 	m := NewMemSink()
 	m.Record("ds", sampleRecord())
@@ -89,8 +106,52 @@ func TestMemSinkTraceReturnsCopy(t *testing.T) {
 	if again := m.Trace("ds"); again[0] != sampleRecord() {
 		t.Errorf("sink corrupted through Trace copy: %+v", again[0])
 	}
-	if view := m.View("ds"); view[0] != sampleRecord() {
-		t.Errorf("sink corrupted through View: %+v", view[0])
+	if recs, _ := Collect(m.Iter("ds")); len(recs) != 1 || recs[0] != sampleRecord() {
+		t.Errorf("sink corrupted, Iter streams %+v", recs)
+	}
+}
+
+// TestMemSinkChunkBoundaries fills a dataset to either side of the
+// chunk boundaries: Trace, Iter and TotalRecords must agree and keep
+// emission order, before and after Trim, and Record must keep working
+// after Trim.
+func TestMemSinkChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, chunkRecords - 1, chunkRecords, chunkRecords + 1, 2*chunkRecords + 1} {
+		m := NewMemSink()
+		rec := func(i int) FlowRecord {
+			r := sampleRecord()
+			r.Bytes = int64(i)
+			return r
+		}
+		for i := 0; i < n; i++ {
+			m.Record("ds", rec(i))
+		}
+		check := func(stage string, want int) {
+			t.Helper()
+			if got := m.TotalRecords(); got != want {
+				t.Errorf("n=%d %s: TotalRecords = %d, want %d", n, stage, got, want)
+			}
+			trace := m.Trace("ds")
+			iterated, err := Collect(m.Iter("ds"))
+			if err != nil {
+				t.Fatalf("n=%d %s: Iter: %v", n, stage, err)
+			}
+			if len(trace) != want || len(iterated) != want {
+				t.Fatalf("n=%d %s: Trace has %d records, Iter %d, want %d", n, stage, len(trace), len(iterated), want)
+			}
+			for i := range trace {
+				if trace[i] != rec(i) || iterated[i] != rec(i) {
+					t.Fatalf("n=%d %s: record %d out of emission order: Trace %d, Iter %d", n, stage, i, trace[i].Bytes, iterated[i].Bytes)
+				}
+			}
+		}
+		check("recorded", n)
+		m.Trim()
+		check("trimmed", n)
+		for i := n; i < n+chunkRecords+1; i++ {
+			m.Record("ds", rec(i))
+		}
+		check("recorded after trim", n+chunkRecords+1)
 	}
 }
 

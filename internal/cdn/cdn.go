@@ -182,6 +182,9 @@ type Simulator struct {
 	vpEndpoints []netmodel.Endpoint
 	// homes caches per-VP origin parameters.
 	homes []core.Home
+	// quirk caches the server pool each (VP, class) quirk session draws
+	// from (see serveFromClass).
+	quirk map[quirkKey][]*topology.Server
 
 	sessions  int
 	flows     int
@@ -214,6 +217,12 @@ type instruments struct {
 // streamKey identifies one subnet's player stream.
 type streamKey struct{ vp, subnet int }
 
+// quirkKey identifies one vantage point's pool of a quirk class.
+type quirkKey struct {
+	vp    int
+	class topology.ServerClass
+}
+
 // NewSimulator wires a simulator over a world. g is the seed-level RNG
 // parent: session randomness comes from "player-<vp>" / "subnet/<j>"
 // forks of it, one stream per subnet, so the same parent handed to any
@@ -244,12 +253,40 @@ func NewSimulator(w *topology.World, cat *content.Catalog, sel *core.Selector,
 		return nil, fmt.Errorf("cdn: span %v must be >= 0", span)
 	}
 	s := &Simulator{w: w, cat: cat, sel: sel, eng: eng, sink: sink, cfg: cfg,
-		root: g, streams: make(map[streamKey]*stats.RNG), span: span}
+		root: g, streams: make(map[streamKey]*stats.RNG), span: span,
+		quirk: make(map[quirkKey][]*topology.Server)}
 	for _, vp := range w.VantagePoints {
 		s.vpEndpoints = append(s.vpEndpoints, vp.Endpoint())
 		s.homes = append(s.homes, core.HomeOf(vp))
 	}
+	for _, class := range []topology.ServerClass{topology.ClassLegacyEU, topology.ClassThirdParty} {
+		all := w.ServersOfClass(class)
+		for i, vp := range w.VantagePoints {
+			s.quirk[quirkKey{vp: i, class: class}] = homePool(w, vp, all)
+		}
+	}
 	return s, nil
+}
+
+// homePool narrows a legacy/third-party server pool to the servers a
+// vantage point's quirk sessions reach. American networks are pinned
+// to the US-located residue of the old infrastructure (the paper's
+// US-Campus sees ~310 distinct AS-43515 servers against Europe's ~550,
+// Table II), while European networks draw from the whole footprint.
+func homePool(w *topology.World, vp *topology.VantagePoint, all []*topology.Server) []*topology.Server {
+	if vp.HomeContinent() != geo.NorthAmerica {
+		return all
+	}
+	var same []*topology.Server
+	for _, srv := range all {
+		if w.DC(srv.DC).City.Continent == geo.NorthAmerica {
+			same = append(same, srv)
+		}
+	}
+	if len(same) == 0 {
+		return all
+	}
+	return same
 }
 
 // Instrument publishes the simulator's progress into reg under the
@@ -433,29 +470,21 @@ func (s *Simulator) raceWinner(vpIdx int, g *stats.RNG, cands []topology.ServerI
 	return best
 }
 
-// serveFromClass serves a session from a uniformly chosen server of a
-// legacy/third-party pool. American networks are pinned to the
-// US-located residue of the old infrastructure (the paper's US-Campus
-// sees ~310 distinct AS-43515 servers against Europe's ~550, Table
-// II), while European networks draw from the whole footprint.
+// serveFromClass serves a session from a uniformly chosen server of
+// the vantage point's legacy/third-party pool (see homePool).
 func (s *Simulator) serveFromClass(req Request, g *stats.RNG, class topology.ServerClass) {
-	vp := s.w.VantagePoints[req.VP]
-	var same, all []*topology.Server
-	for _, srv := range s.w.ServersOfClass(class) {
-		all = append(all, srv)
-		if s.w.DC(srv.DC).City.Continent == vp.HomeContinent() {
-			same = append(same, srv)
-		}
-	}
-	if len(all) == 0 {
+	pool := s.quirkPool(req.VP, class)
+	if len(pool) == 0 {
 		return
 	}
-	pool := all
-	if vp.HomeContinent() == geo.NorthAmerica && len(same) > 0 {
-		pool = same
-	}
 	srv := pool[g.Intn(len(pool))]
-	s.emitVideo(vp, req, g, srv.ID, s.eng.Now(), 1.0)
+	s.emitVideo(s.w.VantagePoints[req.VP], req, g, srv.ID, s.eng.Now(), 1.0)
+}
+
+// quirkPool returns the pool a quirk session of class at vantage point
+// vp draws from, as NewSimulator built it.
+func (s *Simulator) quirkPool(vp int, class topology.ServerClass) []*topology.Server {
+	return s.quirk[quirkKey{vp: vp, class: class}]
 }
 
 // emitControl records a sub-1000-byte control flow to srv starting at

@@ -8,6 +8,7 @@ import (
 	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/core"
 	"github.com/ytcdn-sim/ytcdn/internal/des"
+	"github.com/ytcdn-sim/ytcdn/internal/geo"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 	"github.com/ytcdn-sim/ytcdn/internal/stats"
 	"github.com/ytcdn-sim/ytcdn/internal/topology"
@@ -236,6 +237,39 @@ func TestLegacySessionServedFromLegacyPool(t *testing.T) {
 	// American networks must hit American legacy caches only.
 	if r.w.DC(srv.DC).City.Continent != r.w.VantagePoints[0].HomeContinent() {
 		t.Error("US legacy session escaped the continent")
+	}
+}
+
+// TestQuirkPoolsMatchPerSessionRebuild pins the cached quirk pools to
+// the rebuild serveFromClass used to do on every quirk session: the
+// class's servers in World order, narrowed for a North American VP to
+// those on its continent unless that leaves none. Same pool, same
+// order, so the same Intn draw picks the same server.
+func TestQuirkPoolsMatchPerSessionRebuild(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	for i, vp := range r.w.VantagePoints {
+		for _, class := range []topology.ServerClass{topology.ClassLegacyEU, topology.ClassThirdParty} {
+			var same, all []*topology.Server
+			for _, srv := range r.w.ServersOfClass(class) {
+				all = append(all, srv)
+				if r.w.DC(srv.DC).City.Continent == vp.HomeContinent() {
+					same = append(same, srv)
+				}
+			}
+			want := all
+			if vp.HomeContinent() == geo.NorthAmerica && len(same) > 0 {
+				want = same
+			}
+			got := r.sim.quirkPool(i, class)
+			if len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%s class %v: pool of %d servers, want %d", vp.Name, class, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s class %v: pool[%d] = %v, want %v", vp.Name, class, k, got[k].Addr, want[k].Addr)
+				}
+			}
+		}
 	}
 }
 

@@ -98,9 +98,9 @@ func runHotspotChains(t *testing.T, policy core.SelectionPolicy, n int) (mean ti
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * time.Hour
 		r.eng.Schedule(at, func() {
-			before := len(r.sink.View(vp.Name))
+			before := len(r.sink.Trace(vp.Name))
 			r.sim.runChain(req, r.sim.rng(req), r.eng.Now(), 1.0)
-			recs := r.sink.View(vp.Name)[before:]
+			recs := r.sink.Trace(vp.Name)[before:]
 			// The chain's video flow is its last record; map it back
 			// to the serving server and read its load right away.
 			served, ok := r.w.ServerByAddr(recs[len(recs)-1].Server)
@@ -172,7 +172,7 @@ func TestRaceMetrics(t *testing.T) {
 func countServedFrom(r *rig, req Request, dc topology.DataCenterID) int {
 	vp := r.w.VantagePoints[req.VP]
 	n := 0
-	for _, rec := range r.sink.View(vp.Name) {
+	for _, rec := range r.sink.Trace(vp.Name) {
 		if rec.Bytes < 1000 {
 			continue
 		}

@@ -12,6 +12,7 @@ package ipnet
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 )
 
 // Addr is a compact IPv4 address. Using uint32 keeps flow records small
@@ -48,6 +49,19 @@ func (a Addr) ToNetip() netip.Addr {
 
 // String renders the address as a dotted quad.
 func (a Addr) String() string { return a.ToNetip().String() }
+
+// AppendTo appends the dotted quad of String to b and returns the
+// extended buffer — the allocation-free form for encoders that write
+// one address per record.
+func (a Addr) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(byte(a>>24)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>16)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>8)), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(byte(a)), 10)
+}
 
 // Slash24 returns the /24 prefix containing a, expressed as the network
 // address (host byte zeroed).

@@ -155,3 +155,31 @@ func TestAddrOrderingWithinPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendToMatchesString pins AppendTo to String byte for byte: at
+// every digit-count boundary of an octet (0, 9, 10, 99, 100, 255) in
+// every position, then over a random sweep, and always appending
+// after existing bytes.
+func TestAppendToMatchesString(t *testing.T) {
+	octets := []uint32{0, 9, 10, 99, 100, 255}
+	check := func(a Addr) bool {
+		got := string(a.AppendTo([]byte("x\t")))
+		if want := "x\t" + a.String(); got != want {
+			t.Errorf("AppendTo(%08x) = %q, want %q", uint32(a), got, want)
+			return false
+		}
+		return true
+	}
+	for _, o0 := range octets {
+		for _, o1 := range octets {
+			for _, o2 := range octets {
+				for _, o3 := range octets {
+					check(Addr(o0<<24 | o1<<16 | o2<<8 | o3))
+				}
+			}
+		}
+	}
+	if err := quick.Check(func(raw uint32) bool { return check(Addr(raw)) }, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Error(err)
+	}
+}

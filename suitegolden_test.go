@@ -2,6 +2,8 @@ package ytcdn
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
@@ -93,6 +96,37 @@ func TestSuiteGolden(t *testing.T) {
 		if got[path] != string(want) {
 			t.Errorf("%s: output diverged from the pinned golden\n%s", path, firstDiff(got[path], string(want)))
 		}
+	}
+}
+
+// traceTSVSHA256 is the sha256 of the complete WriterSink output of a
+// default-seed, scale-0.05, 2-day run — exactly the file
+//
+//	ytcdn-sim -scale 0.05 -days 2 -o FILE
+//
+// writes. It pins the TSV encoder byte for byte over every record of a
+// whole trace, in emission order, where the capture fuzz targets check
+// one line at a time. After an intentional change to the trace format
+// or to the simulated flows, replace it with the digest the failure
+// reports.
+const traceTSVSHA256 = "2eed060a1c4fa5e94706033e9abd2710e6e3efd87a63772a29b69fbd628015d2"
+
+func TestTraceTSVGolden(t *testing.T) {
+	pol, err := PolicyByName("paper") // the ytcdn-sim default
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	ws := capture.NewWriterSink(h)
+	study, err := Run(Options{Scale: 0.05, Span: 2 * 24 * time.Hour, Policy: pol, ExtraSink: ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != traceTSVSHA256 {
+		t.Errorf("TSV trace of %d flows diverged from the pinned digest:\n got  %s\n want %s", study.TotalFlows(), got, traceTSVSHA256)
 	}
 }
 

@@ -477,6 +477,9 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 	}
 
 	var store *tracestore.Reader
+	if mem != nil {
+		mem.Trim()
+	}
 	if writer != nil {
 		if err := writer.Close(); err != nil {
 			return nil, fmt.Errorf("ytcdn: %w", err)
@@ -586,22 +589,17 @@ func (s *Study) StoreDir() string {
 // source exposes the captured traces as a capture.TraceSource. Both
 // paths report every expected dataset — including one that captured
 // zero flows — so a store-backed study renders the same zero rows an
-// in-memory one does.
+// in-memory one does. The in-memory path iterates the sink's chunks in
+// place: the simulation has finished, so nothing needs copying.
 func (s *Study) source() capture.TraceSource {
 	if s.store != nil {
-		return allDatasetsSource{inner: s.store}
+		return storeSource{allDatasetsSource{inner: s.store}, s.store}
 	}
-	// Read-only views over the sink: the simulation has finished, so
-	// the backing slices are stable and need no copying.
-	traces := make(capture.MapSource)
-	for _, name := range DatasetNames() {
-		traces[name] = s.mem.View(name)
-	}
-	return traces
+	return allDatasetsSource{inner: s.mem}
 }
 
 // allDatasetsSource widens a trace source to the study's full dataset
-// list: the tracestore only creates a shard on the first record, so a
+// list: neither sink creates a dataset before its first record, so a
 // zero-flow dataset would otherwise vanish from the analysis instead
 // of rendering as a zero row.
 type allDatasetsSource struct {
@@ -627,19 +625,17 @@ func (s allDatasetsSource) Datasets() []string {
 // iterator.
 func (s allDatasetsSource) Iter(dataset string) capture.Iterator { return s.inner.Iter(dataset) }
 
-// ScanByStart forwards the store's start-ordered stream, preserving
-// the bounded-memory capability the streaming sessionizer keys on.
-// The inner source is always the tracestore reader (the in-memory
-// path never constructs an allDatasetsSource); anything else would be
-// a wiring bug, surfaced as an explicit iterator error rather than a
-// silently unordered stream.
-func (s allDatasetsSource) ScanByStart(dataset string) capture.Iterator {
-	if r, ok := s.inner.(interface {
-		ScanByStart(string) capture.Iterator
-	}); ok {
-		return r.ScanByStart(dataset)
-	}
-	return capture.ErrIter(fmt.Errorf("ytcdn: trace source %T has no start-ordered scan", s.inner))
+// storeSource is a store-backed study's source. It adds the store's
+// start-ordered scan, the bounded-memory capability the streaming
+// sessionizer keys on.
+type storeSource struct {
+	allDatasetsSource
+	store *tracestore.Reader
+}
+
+// ScanByStart forwards the store's start-ordered stream.
+func (s storeSource) ScanByStart(dataset string) capture.Iterator {
+	return s.store.ScanByStart(dataset)
 }
 
 // TotalFlows returns the number of flows captured across all datasets.
