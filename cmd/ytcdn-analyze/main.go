@@ -11,9 +11,9 @@
 // disk-backed tracestore directory produced with the -store option of
 // ytcdn-experiments / the public API. A TSV file is loaded into
 // memory; a store directory is analyzed fully streaming — summaries
-// and classification in one bounded-memory pass per dataset, and
-// sessionization through the start-ordered scan with only the
-// currently open sessions in memory.
+// and classification in one bounded-memory pass per dataset, and the
+// flows-per-session tally through the start-ordered scan with only the
+// currently open sessions' counts in memory.
 //
 // Usage:
 //
@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -49,12 +50,12 @@ func main() {
 		log.Fatal(err)
 	}
 	if info.IsDir() {
-		if err := analyzeStore(path, *gap); err != nil {
+		if err := analyzeStore(os.Stdout, path, *gap); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-	if err := analyzeTSV(path, *gap); err != nil {
+	if err := analyzeTSV(os.Stdout, path, *gap); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -68,19 +69,19 @@ type row struct {
 	single   float64
 }
 
-func printHeader() {
-	fmt.Printf("%-12s %9s %10s %9s %9s | %7s %7s | %9s %7s\n",
+func printHeader(w io.Writer) {
+	fmt.Fprintf(w, "%-12s %9s %10s %9s %9s | %7s %7s | %9s %7s\n",
 		"dataset", "flows", "GB", "servers", "clients", "video", "control", "sessions", "1-flow")
 }
 
-func printRow(name string, r row) {
-	fmt.Printf("%-12s %9d %10.2f %9d %9d | %7d %7d | %9d %6.1f%%\n",
+func printRow(w io.Writer, name string, r row) {
+	fmt.Fprintf(w, "%-12s %9d %10.2f %9d %9d | %7d %7d | %9d %6.1f%%\n",
 		name, r.sum.Flows, float64(r.sum.Bytes)/1e9, r.sum.Servers, r.sum.Clients,
 		r.video, r.control, r.sessions, r.single*100)
 }
 
 // analyzeTSV loads a WriterSink-format trace file into memory.
-func analyzeTSV(path string, gap time.Duration) error {
+func analyzeTSV(w io.Writer, path string, gap time.Duration) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -91,7 +92,7 @@ func analyzeTSV(path string, gap time.Duration) error {
 		return err
 	}
 	src := capture.MapSource(traces)
-	printHeader()
+	printHeader(w)
 	for _, name := range src.Datasets() {
 		recs := traces[name]
 		video, control := analysis.SplitFlows(recs)
@@ -101,7 +102,7 @@ func analyzeTSV(path string, gap time.Duration) error {
 		if len(hist) > 0 {
 			single = hist[0]
 		}
-		printRow(name, row{
+		printRow(w, name, row{
 			sum:      analysis.Summarize(recs),
 			video:    len(video),
 			control:  len(control),
@@ -113,14 +114,14 @@ func analyzeTSV(path string, gap time.Duration) error {
 }
 
 // analyzeStore streams a tracestore directory: one summary pass per
-// dataset plus one start-ordered pass feeding the bounded-memory
-// sessionizer, so the trace is never materialized.
-func analyzeStore(dir string, gap time.Duration) error {
+// dataset plus one start-ordered pass tallying flows per session, so
+// neither the trace nor any session's flows are materialized.
+func analyzeStore(w io.Writer, dir string, gap time.Duration) error {
 	r, err := tracestore.OpenReader(dir)
 	if err != nil {
 		return err
 	}
-	printHeader()
+	printHeader(w)
 	for _, name := range r.Datasets() {
 		if r.Truncated(name) {
 			fmt.Fprintf(os.Stderr, "ytcdn-analyze: %s: shard truncated, analyzing the %d recovered records\n",
@@ -152,22 +153,13 @@ func analyzeStore(dir string, gap time.Duration) error {
 		}
 		out.sum.Servers = len(servers)
 		out.sum.Clients = len(clients)
-		flowCounts := make([]int, 10)
-		err = analysis.StreamSessions(r.ScanByStart(name), gap, func(s analysis.Session) {
-			out.sessions++
-			n := len(s.Flows)
-			if n > len(flowCounts) {
-				n = len(flowCounts)
-			}
-			flowCounts[n-1]++
-		})
+		tallies, err := analysis.SessionTalliesIter(r.ScanByStart(name), []time.Duration{gap}, 10)
 		if err != nil {
 			return err
 		}
-		if out.sessions > 0 {
-			out.single = float64(flowCounts[0]) / float64(out.sessions)
-		}
-		printRow(name, out)
+		out.sessions = tallies[0].Sessions()
+		out.single = tallies[0].Histogram()[0]
+		printRow(w, name, out)
 	}
 	return nil
 }

@@ -35,59 +35,60 @@ func BreakdownByAS(recs []capture.FlowRecord, reg *asdb.Registry, clientAS asdb.
 }
 
 // BreakdownByASIter is the streaming BreakdownByAS: one pass over the
-// iterator, memory bounded by the distinct server set.
+// iterator, memory bounded by the distinct server set. Each server's
+// bucket is looked up once per pass.
 func BreakdownByASIter(it capture.Iterator, reg *asdb.Registry, clientAS asdb.ASN) (ASBreakdown, error) {
-	type agg struct {
-		bytes   int64
-		servers map[uint32]struct{}
-	}
-	buckets := map[string]*agg{
-		"google": {servers: map[uint32]struct{}{}},
-		"yteu":   {servers: map[uint32]struct{}{}},
-		"same":   {servers: map[uint32]struct{}{}},
-		"other":  {servers: map[uint32]struct{}{}},
-	}
-	var total agg
-	total.servers = map[uint32]struct{}{}
+	const (
+		google = iota
+		yteu
+		same
+		other
+	)
+	bucketOf := make(map[ipnet.Addr]int)
+	var servers [4]int
+	var bytes [4]int64
+	var totalBytes int64
 	for {
 		r, ok := it.Next()
 		if !ok {
 			break
 		}
-		as, ok := reg.Lookup(r.Server)
-		key := "other"
-		if ok {
-			switch {
-			case as.Number == asdb.ASGoogle:
-				key = "google"
-			case as.Number == asdb.ASYouTubeEU:
-				key = "yteu"
-			case as.Number == clientAS:
-				key = "same"
+		b, seen := bucketOf[r.Server]
+		if !seen {
+			b = other
+			if as, ok := reg.Lookup(r.Server); ok {
+				switch {
+				case as.Number == asdb.ASGoogle:
+					b = google
+				case as.Number == asdb.ASYouTubeEU:
+					b = yteu
+				case as.Number == clientAS:
+					b = same
+				}
 			}
+			bucketOf[r.Server] = b
+			servers[b]++
 		}
-		b := buckets[key]
-		b.bytes += r.Bytes
-		b.servers[uint32(r.Server)] = struct{}{}
-		total.bytes += r.Bytes
-		total.servers[uint32(r.Server)] = struct{}{}
+		bytes[b] += r.Bytes
+		totalBytes += r.Bytes
 	}
-	share := func(b *agg) ASShare {
-		if len(total.servers) == 0 || total.bytes == 0 {
+	totalSrv := len(bucketOf)
+	share := func(b int) ASShare {
+		if totalSrv == 0 || totalBytes == 0 {
 			return ASShare{}
 		}
 		return ASShare{
-			ServerFrac: float64(len(b.servers)) / float64(len(total.servers)),
-			ByteFrac:   float64(b.bytes) / float64(total.bytes),
+			ServerFrac: float64(servers[b]) / float64(totalSrv),
+			ByteFrac:   float64(bytes[b]) / float64(totalBytes),
 		}
 	}
 	return ASBreakdown{
-		Google:     share(buckets["google"]),
-		YouTubeEU:  share(buckets["yteu"]),
-		SameAS:     share(buckets["same"]),
-		Others:     share(buckets["other"]),
-		TotalSrv:   len(total.servers),
-		TotalBytes: total.bytes,
+		Google:     share(google),
+		YouTubeEU:  share(yteu),
+		SameAS:     share(same),
+		Others:     share(other),
+		TotalSrv:   totalSrv,
+		TotalBytes: totalBytes,
 	}, it.Err()
 }
 
@@ -110,11 +111,19 @@ func GoogleFilterIter(it capture.Iterator, reg *asdb.Registry, clientAS asdb.ASN
 
 // GoogleIter applies the §IV Google filter lazily: the returned
 // iterator yields exactly the records GoogleFilter would keep, one
-// upstream record at a time, so nothing is materialized.
+// upstream record at a time, so nothing is materialized. Each server
+// is looked up once per iterator; the memo is bounded by the distinct
+// server set.
 func GoogleIter(it capture.Iterator, reg *asdb.Registry, clientAS asdb.ASN) capture.Iterator {
+	keep := make(map[ipnet.Addr]bool)
 	return capture.FilterIter(it, func(r capture.FlowRecord) bool {
-		as, ok := reg.Lookup(r.Server)
-		return ok && (as.Number == asdb.ASGoogle || as.Number == clientAS)
+		k, seen := keep[r.Server]
+		if !seen {
+			as, ok := reg.Lookup(r.Server)
+			k = ok && (as.Number == asdb.ASGoogle || as.Number == clientAS)
+			keep[r.Server] = k
+		}
+		return k
 	})
 }
 

@@ -50,7 +50,9 @@ func BreakdownSessions(sessions []Session, m *DCMap, preferred int) (SingleFlowB
 // required a materialized []Session: the flows-per-session histogram
 // (Figs 5/6) and the 1-/2-flow preferred-pattern breakdown (Fig 10).
 // Feed it one session at a time — e.g. as the emit callback of
-// StreamSessions — so a trace's sessions never need to exist at once.
+// StreamSessions — so a trace's sessions never need to exist at once;
+// SessionTalliesIter fills one histogram-only tally per gap without
+// building sessions at all.
 // All internal state is integer counts, making the results independent
 // of the order sessions are added in (stream emission order differs
 // between storage backends).
@@ -75,14 +77,7 @@ func NewSessionTally(maxBucket int) *SessionTally {
 // Add tallies one session. m may be nil when the caller only needs the
 // histogram (the preferred-pattern breakdown is skipped).
 func (t *SessionTally) Add(s Session, m *DCMap, preferred int) {
-	t.n++
-	if t.hist != nil {
-		n := len(s.Flows)
-		if n > len(t.hist) {
-			n = len(t.hist)
-		}
-		t.hist[n-1]++
-	}
+	t.count(len(s.Flows))
 	if m == nil {
 		return
 	}
@@ -105,6 +100,15 @@ func (t *SessionTally) Add(s Session, m *DCMap, preferred int) {
 		default:
 			t.two[3]++
 		}
+	}
+}
+
+// count tallies one session of the given flow count into the
+// histogram alone.
+func (t *SessionTally) count(flows int) {
+	t.n++
+	if t.hist != nil {
+		t.hist[min(flows, len(t.hist))-1]++
 	}
 }
 

@@ -161,11 +161,13 @@ func TestStreamSessionsRejectsUnsortedInput(t *testing.T) {
 }
 
 // TestStreamSessionsBoundedOpenSet checks the memory property: with
-// short sessions spread over a long window, the open-session set stays
-// tiny even though the trace has many sessions in total.
+// short sessions spread over a long window, the open set never holds
+// more than the sessions one sweep interval creates plus the one still
+// live at the cursor, though the trace has ten times as many sessions.
 func TestStreamSessionsBoundedOpenSet(t *testing.T) {
+	const n = 10 * sweepEvery
 	var recs []capture.FlowRecord
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < n; i++ {
 		start := time.Duration(i) * 10 * time.Second
 		recs = append(recs, capture.FlowRecord{
 			Client:  ipnet.Addr(0x0A000000 + uint32(i%7)),
@@ -176,13 +178,15 @@ func TestStreamSessionsBoundedOpenSet(t *testing.T) {
 		})
 	}
 	emitted := 0
-	if err := StreamSessions(capture.IterSlice(recs), time.Second, func(Session) {
-		emitted++
-	}); err != nil {
+	z := newSessionizer(time.Second, func(Session) { emitted++ })
+	if err := z.run(capture.IterSlice(recs)); err != nil {
 		t.Fatal(err)
 	}
-	if emitted != 5000 {
-		t.Fatalf("emitted %d sessions, want 5000", emitted)
+	if emitted != n {
+		t.Fatalf("emitted %d sessions, want %d", emitted, n)
+	}
+	if z.peakOpen > sweepEvery+1 {
+		t.Fatalf("peak open sessions %d, want <= %d", z.peakOpen, sweepEvery+1)
 	}
 }
 

@@ -157,25 +157,24 @@ type Fig05Result struct {
 	Hist map[time.Duration][]float64
 }
 
-// Fig05SessionGapT computes the T-sensitivity of sessionization, one
-// start-ordered streaming pass per T — no session list is ever held,
-// and no dataset artifacts are needed (pure sessionization).
+// Fig05SessionGapT computes the T-sensitivity of sessionization: one
+// start-ordered streaming pass tallies every T at once — no session
+// list is ever held, and no dataset artifacts are needed (pure
+// sessionization).
 func (h *Harness) Fig05SessionGapT() (*Fig05Result, error) {
 	name := topology.DatasetUSCampus
 	googleStart, err := h.googleStartSource(name)
 	if err != nil {
 		return nil, err
 	}
+	gaps := []time.Duration{time.Second, 5 * time.Second, 10 * time.Second, 60 * time.Second, 300 * time.Second}
+	tallies, err := analysis.SessionTalliesIter(googleStart(), gaps, 10)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: sessionizing %s: %w", name, err)
+	}
 	res := &Fig05Result{Hist: make(map[time.Duration][]float64)}
-	for _, T := range []time.Duration{time.Second, 5 * time.Second, 10 * time.Second, 60 * time.Second, 300 * time.Second} {
-		tally := analysis.NewSessionTally(10)
-		err := analysis.StreamSessions(googleStart(), T, func(s analysis.Session) {
-			tally.Add(s, nil, 0)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: sessionizing %s at T=%v: %w", name, T, err)
-		}
-		res.Hist[T] = tally.Histogram()
+	for i, T := range gaps {
+		res.Hist[T] = tallies[i].Histogram()
 	}
 	return res, nil
 }

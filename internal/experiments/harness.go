@@ -120,9 +120,9 @@ func (c *cell[T]) do(compute func() (T, error)) (T, error) {
 // dataset caches per-trace analysis artifacts. No flow slice is
 // retained — not even the §IV Google-AS subset: every figure streams
 // the records it needs through googleIter/videoIter (and the
-// sessionizing figures through StreamSessions over a start-ordered
-// stream), so what survives here is bounded by the distinct-server and
-// distinct-video sets, never the trace size.
+// sessionizing figures through StreamSessions or SessionTalliesIter
+// over a start-ordered stream), so what survives here is bounded by
+// the distinct-server and distinct-video sets, never the trace size.
 type dataset struct {
 	vp *topology.VantagePoint
 	// googleServers is the sorted distinct server set of the §IV
@@ -199,14 +199,15 @@ type startScanner interface {
 }
 
 // googleStartSource returns a factory of fresh start-ordered streams
-// over one dataset's §IV Google-AS subset — the input shape
-// StreamSessions requires, reusable when a figure needs several passes
-// (Fig 5 sessionizes at five T values). A store-backed source opens a
-// bounded ScanByStart merge per call; an in-memory source, which
-// already holds the trace, filters then sorts the (much smaller)
-// Google subset once per dataset — cached in a cell, shared by every
-// sessionizing figure — and re-serves it (the sort is stable, so
-// equal starts keep emission order, matching the store's tie-break).
+// over one dataset's §IV Google-AS subset — the input shape the
+// sessionizers require, reusable when several passes sessionize one
+// dataset (the per-dataset T=1s tally, Fig 5's one pass over every T,
+// Fig 16). A store-backed source opens a bounded ScanByStart merge per
+// call; an in-memory source, which already holds the trace, filters
+// then sorts the (much smaller) Google subset once per dataset —
+// cached in a cell, shared by every sessionizing figure — and
+// re-serves it (the sort is stable, so equal starts keep emission
+// order, matching the store's tie-break).
 func (h *Harness) googleStartSource(name string) (func() capture.Iterator, error) {
 	h.mu.Lock()
 	c, ok := h.starts[name]
