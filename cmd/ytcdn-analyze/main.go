@@ -43,6 +43,9 @@ func main() {
 	if flag.NArg() != 1 {
 		log.Fatal("usage: ytcdn-analyze [-t gap] traces.tsv | store-dir")
 	}
+	if *gap < 0 {
+		usageError("-t must not be negative, got %v", *gap)
+	}
 	path := flag.Arg(0)
 
 	info, err := os.Stat(path)
@@ -58,6 +61,14 @@ func main() {
 	if err := analyzeTSV(os.Stdout, path, *gap); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// usageError rejects a flag value the way flag.Parse rejects an
+// unknown flag: the message, the usage text, exit status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ytcdn-analyze: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // row is the per-dataset output line shared by both input modes.

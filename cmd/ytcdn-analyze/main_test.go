@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"github.com/ytcdn-sim/ytcdn"
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
 // rowsByDataset splits the analyzer's output into its header and one
@@ -76,5 +79,73 @@ func TestStoreMatchesTSV(t *testing.T) {
 				t.Errorf("T=%v %s:\n tsv   %q\n store %q", gap, name, want, got)
 			}
 		}
+	}
+}
+
+// TestRejectsNegativeGap runs the built binary: a negative -t is a
+// usage error, exit status 2, raised before the input is opened, so a
+// missing input path must not be what it reports. -t 0 stays valid: it
+// splits a session at any gap, so two flows 500 ms apart are two
+// sessions, where the default 1 s gap makes them one.
+func TestRejectsNegativeGap(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "ytcdn-analyze")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ytcdn-analyze: %v\n%s", err, out)
+	}
+	tsvPath := filepath.Join(dir, "traces.tsv")
+	var buf bytes.Buffer
+	ws := capture.NewWriterSink(&buf)
+	client, server := ipnet.MustParseAddr("10.0.0.1"), ipnet.MustParseAddr("173.194.0.1")
+	for _, start := range []time.Duration{0, 1500 * time.Millisecond} {
+		ws.Record("EU1-ADSL", capture.FlowRecord{
+			Client: client, Server: server, Start: start, End: start + time.Second,
+			Bytes: 1 << 20, VideoID: "abcdefghijk", Resolution: "360p",
+		})
+	}
+	if err := ws.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tsvPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, args := range [][]string{
+		{"-t", "-1s", filepath.Join(dir, "missing.tsv")},
+		{"-t", "-1ns", tsvPath},
+	} {
+		cmd := exec.Command(bin, args...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%v: want exit status 2, got %v\nstderr: %s", args, err, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "-t must not be negative") || strings.Contains(msg, "no such file") {
+			t.Errorf("%v: want an early usage error, got stderr:\n%s", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: rejected run printed %q", args, stdout.String())
+		}
+	}
+
+	sessions := func(gap string) string {
+		out, err := exec.Command(bin, "-t", gap, tsvPath).Output()
+		if err != nil {
+			t.Fatalf("-t %s: %v", gap, err)
+		}
+		_, rows := rowsByDataset(t, string(out))
+		fields := strings.Fields(rows["EU1-ADSL"])
+		if len(fields) < 10 {
+			t.Fatalf("-t %s: no EU1-ADSL row in %q", gap, out)
+		}
+		return fields[9]
+	}
+	if got := sessions("0"); got != "2" {
+		t.Errorf("-t 0: %s sessions, want 2", got)
+	}
+	if got := sessions("1s"); got != "1" {
+		t.Errorf("-t 1s: %s sessions, want 1", got)
 	}
 }

@@ -191,8 +191,13 @@ func (m *Model) BaseRTT(a, b Endpoint) time.Duration {
 // SampleRTT returns one measured RTT: BaseRTT plus non-negative
 // exponential jitter and occasional congestion spikes, drawn from g.
 func (m *Model) SampleRTT(a, b Endpoint, g *stats.RNG) time.Duration {
-	rtt := m.BaseRTT(a, b)
-	rtt += time.Duration(g.ExpFloat64() * float64(m.cfg.JitterMean))
+	return m.jitter(m.BaseRTT(a, b), g)
+}
+
+// jitter returns one sample on top of base: an exponential queueing
+// delay, then with probability SpikeProb a uniform congestion spike.
+func (m *Model) jitter(base time.Duration, g *stats.RNG) time.Duration {
+	rtt := base + time.Duration(g.ExpFloat64()*float64(m.cfg.JitterMean))
 	if g.Bool(m.cfg.SpikeProb) {
 		rtt += time.Duration(g.Float64() * float64(m.cfg.SpikeMax))
 	}
@@ -200,14 +205,16 @@ func (m *Model) SampleRTT(a, b Endpoint, g *stats.RNG) time.Duration {
 }
 
 // MinRTT returns the minimum of n samples, the standard active-probing
-// estimate used by the paper for Figs. 2 and 7 and by CBG.
+// estimate used by the paper for Figs. 2 and 7 and by CBG. It draws
+// what n SampleRTT calls draw, but computes BaseRTT once.
 func (m *Model) MinRTT(a, b Endpoint, n int, g *stats.RNG) time.Duration {
+	base := m.BaseRTT(a, b)
 	if n <= 0 {
-		return m.BaseRTT(a, b)
+		return base
 	}
-	best := m.SampleRTT(a, b, g)
+	best := m.jitter(base, g)
 	for i := 1; i < n; i++ {
-		if v := m.SampleRTT(a, b, g); v < best {
+		if v := m.jitter(base, g); v < best {
 			best = v
 		}
 	}

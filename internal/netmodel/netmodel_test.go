@@ -123,6 +123,45 @@ func TestMinRTTConvergesToBase(t *testing.T) {
 	}
 }
 
+// TestMinRTTMatchesSampleRTT is the oracle for MinRTT's hoisted
+// BaseRTT: MinRTT(a, b, n, g) must equal the minimum of n SampleRTT
+// calls on a stream with the same seed (BaseRTT for n = 0), and both
+// streams must end at the same draw. Fifty seeds of ten samples put a
+// few congestion spikes among the draws.
+func TestMinRTTMatchesSampleRTT(t *testing.T) {
+	m := testModel()
+	gw := geo.NewYork.Point
+	campus := Endpoint{ID: "campus", Loc: geo.WestLafayette.Point, Access: AccessCampus, Gateway: &gw}
+	turin := ep("turin", geo.Turin, AccessADSL)
+	pairs := []struct {
+		name string
+		a, b Endpoint
+	}{
+		{"plain", turin, ep("dc-ams", geo.Amsterdam, AccessDataCenter)},
+		{"gateway", campus, ep("dc-chi", geo.Chicago, AccessDataCenter)},
+		{"self", turin, turin},
+	}
+	for _, p := range pairs {
+		for _, n := range []int{0, 1, 3, 5, 10} {
+			for seed := int64(0); seed < 50; seed++ {
+				g, ref := stats.NewRNG(seed), stats.NewRNG(seed)
+				want := m.BaseRTT(p.a, p.b)
+				for i := 0; i < n; i++ {
+					if v := m.SampleRTT(p.a, p.b, ref); i == 0 || v < want {
+						want = v
+					}
+				}
+				if got := m.MinRTT(p.a, p.b, n, g); got != want {
+					t.Fatalf("%s n=%d seed %d: MinRTT = %v, min of SampleRTT = %v", p.name, n, seed, got, want)
+				}
+				if got, w := g.Int63(), ref.Int63(); got != w {
+					t.Fatalf("%s n=%d seed %d: streams end at different draws", p.name, n, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestMinRTTZeroProbes(t *testing.T) {
 	m := testModel()
 	g := stats.NewRNG(3)

@@ -18,12 +18,21 @@ import (
 // (which is safe to call concurrently) instead of sharing one.
 type RNG struct {
 	seed int64
-	r    *rand.Rand
+	r    *rand.Rand // &lazy, until src builds its register
+	lazy rand.Rand
+	src  lazySource
 }
 
-// NewRNG returns a stream seeded with seed.
+// NewRNG returns a stream seeded with seed. Its draws are exactly those
+// of rand.New(rand.NewSource(seed)); the source state is built lazily
+// (see lazySource), so a short-lived stream costs one allocation.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
+	g := &RNG{seed: seed}
+	g.src.Seed(seed)
+	g.src.owner = &g.r
+	g.lazy = *rand.New(&g.src)
+	g.r = &g.lazy
+	return g
 }
 
 // Seed returns the seed the stream was created with.
