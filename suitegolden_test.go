@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/core"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
@@ -127,6 +128,46 @@ func TestTraceTSVGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != traceTSVSHA256 {
 		t.Errorf("TSV trace of %d flows diverged from the pinned digest:\n got  %s\n want %s", study.TotalFlows(), got, traceTSVSHA256)
+	}
+}
+
+// TestPolicySwitchTraceGolden pins the complete TSV trace of runs that
+// swap the selection policy mid-span, at the default seed and starting
+// policy. A switch must run after every event strictly before At and
+// before any event at or after it; these digests were recorded with the
+// switch done that way, so a change to when the swap lands relative to
+// the event queue, or to what carries across it, fails here.
+func TestPolicySwitchTraceGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		at   time.Duration
+		to   core.SelectionPolicy
+		span time.Duration
+		sha  string
+	}{
+		{"least-loaded at 24h", 24 * time.Hour, &core.LeastLoadedDC{}, 2 * 24 * time.Hour,
+			"bb652bac0d768c80c77258c6eea8b5bc5e42873743fea8cb874d3bd134c28638"},
+		{"proximity at 36h17m3s", 36*time.Hour + 17*time.Minute + 3*time.Second, core.ProximityOnly{}, 3 * 24 * time.Hour,
+			"911f592d084d8e762b84bef4f9cc2730fd4ae4d637eb9867ccb180f9c67d1f3a"},
+		{"client race at 0", 0, &core.ClientRace{K: 2}, 2 * 24 * time.Hour,
+			"bf815008b7db09d910cb2e41d4378a352cab24d3c002c4c6cd72bd31e333fa46"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := sha256.New()
+			ws := capture.NewWriterSink(h)
+			study, err := Run(Options{Scale: 0.05, Span: tc.span, ExtraSink: ws,
+				PolicySwitch: &PolicySwitch{At: tc.at, To: tc.to}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ws.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha {
+				t.Errorf("TSV trace of %d flows diverged from the pinned digest:\n got  %s\n want %s", study.TotalFlows(), got, tc.sha)
+			}
+		})
 	}
 }
 
