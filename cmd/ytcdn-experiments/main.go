@@ -50,12 +50,6 @@ func main() {
 		"selection policy for the run ("+strings.Join(ytcdn.PolicyNames(), ", ")+")")
 	comparePolicies := flag.Bool("compare-policies", false,
 		"run one study per built-in policy and print the ground-truth comparison table instead of the paper suite")
-	simShards := flag.Int("sim-shards", 1,
-		"simulation shards, one group of sharding units per engine (1 = sequential)")
-	shardBy := flag.String("shard-by", "vp",
-		"sharding unit: vp (whole vantage points) or subnet (sub-VP buckets, spreads one heavy network across engines)")
-	syncWindow := flag.Duration("sync-window", 0,
-		"shard lockstep window (0 = exact k-way merge, bit-identical to sequential; >0 = concurrent with bounded load staleness)")
 	obsFlags := obscli.Register()
 	flag.Parse()
 	if *days < 1 {
@@ -63,6 +57,16 @@ func main() {
 	}
 	if !(*scale > 0) {
 		usageError("-scale must be positive, got %g", *scale)
+	}
+	if *segment != 0 && *storeDir == "" {
+		usageError("-segment requires -store")
+	}
+	if *comparePolicies && *policy != "paper" {
+		usageError("-compare-policies runs every built-in policy; drop -policy")
+	}
+	pol, err := ytcdn.PolicyByName(*policy)
+	if err != nil {
+		usageError("unknown -policy %q (built-ins: %s)", *policy, strings.Join(ytcdn.PolicyNames(), ", "))
 	}
 
 	session, err := obsFlags.Start("ytcdn-experiments")
@@ -75,33 +79,22 @@ func main() {
 		Span:        time.Duration(*days) * 24 * time.Hour,
 		Seed:        *seed,
 		Parallelism: *parallelism,
-		SimShards:   *simShards,
-		ShardBy:     ytcdn.ShardBy(*shardBy),
-		SyncWindow:  *syncWindow,
 		Metrics:     session.Registry(),
 		Profiler:    session.Profiler(),
 	}
 	if *storeDir != "" {
 		opts.Store = &ytcdn.StoreOptions{Dir: *storeDir, SegmentRecords: *segment}
-	} else if *segment != 0 {
-		log.Fatal("-segment requires -store")
 	}
 	reportConfig := map[string]string{
 		"scale":       fmt.Sprintf("%g", *scale),
 		"days":        strconv.Itoa(*days),
 		"seed":        strconv.FormatInt(*seed, 10),
 		"policy":      *policy,
-		"sim_shards":  strconv.Itoa(*simShards),
-		"shard_by":    *shardBy,
-		"sync_window": syncWindow.String(),
 		"parallelism": strconv.Itoa(*parallelism),
 	}
 
 	start := time.Now()
 	if *comparePolicies {
-		if *policy != "paper" {
-			log.Fatal("-compare-policies runs every built-in policy; drop -policy")
-		}
 		cmp, err := ytcdn.ComparePolicies(opts)
 		if err != nil {
 			log.Fatal(err)
@@ -115,11 +108,7 @@ func main() {
 		return
 	}
 	if *policy != "paper" {
-		p, err := ytcdn.PolicyByName(*policy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Policy = p
+		opts.Policy = pol
 	}
 	simDone := session.Phase("simulation")
 	study, err := ytcdn.Run(opts)
@@ -131,12 +120,8 @@ func main() {
 	if dir := study.StoreDir(); dir != "" {
 		where = "on disk at " + dir
 	}
-	mode := "sequential sim"
-	if study.SimShards > 1 {
-		mode = fmt.Sprintf("%d sim %s-shards, window %v", study.SimShards, *shardBy, *syncWindow)
-	}
-	fmt.Fprintf(os.Stderr, "# simulation: policy %s, scale %.3f, %d days, %d flows %s, %v (%s, analysis parallelism %d)\n",
-		*policy, *scale, *days, study.TotalFlows(), where, time.Since(start).Round(time.Millisecond), mode, *parallelism)
+	fmt.Fprintf(os.Stderr, "# simulation: policy %s, scale %.3f, %d days, %d flows %s, %v (analysis parallelism %d)\n",
+		*policy, *scale, *days, study.TotalFlows(), where, time.Since(start).Round(time.Millisecond), *parallelism)
 
 	if err := study.Experiments().RunAll(os.Stdout); err != nil {
 		log.Fatal(err)

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	ytcdn-sim -scale 0.1 -days 7 -o traces.tsv
-//	ytcdn-sim -scale 0.3 -sim-shards 5 -sync-window 60s -metrics-addr :9090
+//	ytcdn-sim -scale 0.3 -metrics-addr :9090 -report run.json
 package main
 
 import (
@@ -41,12 +41,6 @@ func main() {
 	out := flag.String("o", "traces.tsv", "output trace file")
 	policy := flag.String("policy", "paper",
 		"selection policy ("+strings.Join(ytcdn.PolicyNames(), ", ")+")")
-	simShards := flag.Int("sim-shards", 1,
-		"simulation shards, one group of sharding units per engine (1 = sequential)")
-	shardBy := flag.String("shard-by", "vp",
-		"sharding unit: vp (whole vantage points) or subnet (sub-VP buckets, spreads one heavy network across engines)")
-	syncWindow := flag.Duration("sync-window", 0,
-		"shard lockstep window (0 = exact k-way merge, bit-identical to sequential; >0 = concurrent with bounded load staleness)")
 	obsFlags := obscli.Register()
 	flag.Parse()
 	if *days < 1 {
@@ -58,7 +52,7 @@ func main() {
 
 	pol, err := ytcdn.PolicyByName(*policy)
 	if err != nil {
-		log.Fatal(err)
+		usageError("unknown -policy %q (built-ins: %s)", *policy, strings.Join(ytcdn.PolicyNames(), ", "))
 	}
 
 	session, err := obsFlags.Start("ytcdn-sim")
@@ -84,15 +78,12 @@ func main() {
 	start := time.Now()
 	simDone := session.Phase("simulation")
 	study, err := ytcdn.Run(ytcdn.Options{
-		Scale:      *scale,
-		Span:       time.Duration(*days) * 24 * time.Hour,
-		Seed:       *seed,
-		Policy:     pol,
-		ExtraSink:  ws,
-		SimShards:  *simShards,
-		ShardBy:    ytcdn.ShardBy(*shardBy),
-		SyncWindow: *syncWindow,
-		Metrics:    session.Registry(),
+		Scale:     *scale,
+		Span:      time.Duration(*days) * 24 * time.Hour,
+		Seed:      *seed,
+		Policy:    pol,
+		ExtraSink: ws,
+		Metrics:   session.Registry(),
 	})
 	simDone()
 	if err != nil {
@@ -111,14 +102,10 @@ func main() {
 		fail(err)
 	}
 
-	mode := "sequential"
-	if study.SimShards > 1 {
-		mode = fmt.Sprintf("%d %s-shards, window %v", study.SimShards, *shardBy, *syncWindow)
-	}
 	// Summary lines are progress/log output: stderr, so stdout stays
 	// machine-parseable (the trace itself goes to -o).
-	fmt.Fprintf(os.Stderr, "simulated %d days at scale %.3f under policy %s (%s) in %v\n",
-		*days, *scale, *policy, mode, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "simulated %d days at scale %.3f under policy %s in %v\n",
+		*days, *scale, *policy, time.Since(start).Round(time.Millisecond))
 	for _, name := range ytcdn.DatasetNames() {
 		// Stream the totals: Trace would copy the dataset only to sum it.
 		it := study.TraceIter(name)
@@ -140,13 +127,10 @@ func main() {
 	fmt.Fprintf(os.Stderr, "trace written to %s\n", *out)
 
 	if err := session.Close(map[string]string{
-		"scale":       fmt.Sprintf("%g", *scale),
-		"days":        strconv.Itoa(*days),
-		"seed":        strconv.FormatInt(*seed, 10),
-		"policy":      *policy,
-		"sim_shards":  strconv.Itoa(study.SimShards),
-		"shard_by":    *shardBy,
-		"sync_window": syncWindow.String(),
+		"scale":  fmt.Sprintf("%g", *scale),
+		"days":   strconv.Itoa(*days),
+		"seed":   strconv.FormatInt(*seed, 10),
+		"policy": *policy,
 	}); err != nil {
 		log.Fatal(err)
 	}

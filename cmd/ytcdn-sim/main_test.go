@@ -13,8 +13,9 @@ import (
 // reject, each against an existing -o file: every run must exit
 // non-zero and leave that file byte-identical with nothing beside it
 // (the file used to be truncated before the options were validated).
-// Bad -days and -scale values are usage errors, exit status 2, caught
-// before any work. A good run then replaces the file.
+// Bad -days, -scale and -policy values and removed flags are usage
+// errors, exit status 2, caught before any work. A good run then
+// replaces the file.
 func TestRejectedRunKeepsOutput(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "ytcdn-sim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -37,8 +38,9 @@ func TestRejectedRunKeepsOutput(t *testing.T) {
 		code  int
 		usage string // the usage error expected with exit status 2
 	}{
-		{args: []string{"-sync-window", "1m"}, code: 1},
-		{args: []string{"-shard-by", "bogus"}, code: 1},
+		{args: []string{"-sync-window", "1m"}, code: 2, usage: "flag provided but not defined: -sync-window"},
+		{args: []string{"-shard-by", "bogus"}, code: 2, usage: "flag provided but not defined: -shard-by"},
+		{args: []string{"-policy", "bogus"}, code: 2, usage: `unknown -policy "bogus"`},
 		{args: []string{"-days", "-1"}, code: 2, usage: "-days must be at least 1"},
 		{args: []string{"-days", "0"}, code: 2, usage: "-days must be at least 1"},
 		{args: []string{"-scale", "0"}, code: 2, usage: "-scale must be positive"},

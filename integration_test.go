@@ -492,3 +492,22 @@ func TestFeb2011Reassignment(t *testing.T) {
 		t.Error("analysis must detect that the preferred DC is no longer the min-RTT one (Feb 2011 behaviour)")
 	}
 }
+
+// TestStudySpanNotExceeded is the end-to-end regression for the
+// capture-window overrun: no captured flow may start at or after the
+// configured span (follow-up chains used to land up to ~11 minutes
+// past it).
+func TestStudySpanNotExceeded(t *testing.T) {
+	span := 24 * time.Hour
+	s, err := Run(Options{Scale: 0.01, Span: span, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range DatasetNames() {
+		for _, rec := range s.Trace(name) {
+			if rec.Start >= span {
+				t.Fatalf("%s: flow starts at %v, at/after span %v", name, rec.Start, span)
+			}
+		}
+	}
+}

@@ -124,20 +124,6 @@ func (m SelectionMetrics) MeanServedRTTms() float64 {
 	return float64(m.SumServedRTT) / float64(m.Chains) / float64(time.Millisecond)
 }
 
-// Merge folds another simulator's metrics into m. Every field is a sum
-// or a max, so merging per-shard metrics yields the same totals no
-// matter how vantage points were grouped into shards.
-func (m *SelectionMetrics) Merge(o SelectionMetrics) {
-	m.Chains += o.Chains
-	m.ServedPreferred += o.ServedPreferred
-	m.Redirects += o.Redirects
-	if o.MaxChain > m.MaxChain {
-		m.MaxChain = o.MaxChain
-	}
-	m.SumServedRTT += o.SumServedRTT
-	m.RaceWins += o.RaceWins
-}
-
 // Request is one user-initiated video session.
 type Request struct {
 	VP int // index into World.VantagePoints
@@ -151,15 +137,13 @@ type Request struct {
 }
 
 // Simulator executes sessions. It owns no clock of its own: callers
-// schedule SubmitSession on the shared des.Engine. A Simulator belongs
-// to exactly one engine (one shard of a sharded run). Every draw a
-// session makes comes from its subnet's own player stream — the
-// "player-<vp>" fork of the root, sub-forked per subnet index — so a
-// subnet's draw order depends only on that subnet's event sequence.
-// That is what lets one vantage point's subnets be split across
-// several simulators (sub-VP sharding) while reproducing the
-// single-simulator run bit-for-bit: all of a SUBNET's sessions must go
-// through the same simulator, but a VP's subnets need not.
+// schedule SubmitSession on the shared des.Engine. One simulator serves
+// every vantage point, with per-VP endpoints, origin parameters and
+// quirk pools. Every draw a session makes comes from its subnet's own
+// player stream — the "player-<vp>" fork of the root, sub-forked per
+// subnet index — so a subnet's draw order depends only on that
+// subnet's event sequence. Those streams fix the draws of every pinned
+// trace.
 type Simulator struct {
 	w    *topology.World
 	cat  *content.Catalog
@@ -171,7 +155,7 @@ type Simulator struct {
 	// fork from; the simulator never draws from it directly.
 	root *stats.RNG
 	// streams caches the per-(vp, subnet) player forks. Accessed only
-	// from the simulator's engine goroutine.
+	// from the engine goroutine.
 	streams map[streamKey]*stats.RNG
 	// span is the capture window: no new chain is admitted at or after
 	// it and the probe records no flow starting at or after it (a real
@@ -225,10 +209,8 @@ type quirkKey struct {
 
 // NewSimulator wires a simulator over a world. g is the seed-level RNG
 // parent: session randomness comes from "player-<vp>" / "subnet/<j>"
-// forks of it, one stream per subnet, so the same parent handed to any
-// partition of the subnets yields the same per-subnet draws. span
-// bounds the capture window (see Simulator.span); zero means
-// unbounded.
+// forks of it, one stream per subnet. span bounds the capture window
+// (see Simulator.span); zero means unbounded.
 func NewSimulator(w *topology.World, cat *content.Catalog, sel *core.Selector,
 	eng *des.Engine, sink capture.Sink, cfg Config, g *stats.RNG, span time.Duration) (*Simulator, error) {
 	if cfg.ControlBytesMax >= 1000 {
@@ -290,10 +272,9 @@ func homePool(w *topology.World, vp *topology.VantagePoint, all []*topology.Serv
 }
 
 // Instrument publishes the simulator's progress into reg under the
-// "sim.cdn.*" names. Lookups get-or-create, so the shard simulators of
-// one run instrumented into the same registry share instruments and
-// the published values are run-wide totals. Call before the run
-// starts; passing the same registry to every shard is the point.
+// "sim.cdn.*" names. Lookups get-or-create, so simulators instrumented
+// into the same registry share instruments and the published values
+// are totals across them. Call before the run starts.
 func (s *Simulator) Instrument(reg *obs.Registry) {
 	s.inst = &instruments{
 		sessions:     reg.Counter("sim.cdn.sessions"),
@@ -322,9 +303,8 @@ func (s *Simulator) Truncated() int { return s.truncated }
 func (s *Simulator) Metrics() SelectionMetrics { return s.metrics }
 
 // rng returns (forking on first use) the player stream of the
-// request's subnet. Forking is order-independent, so the stream is the
-// same no matter which simulator of which sharding layout serves the
-// subnet.
+// request's subnet. Forking is order-independent, so the stream does
+// not depend on when the subnet's first session arrives.
 func (s *Simulator) rng(req Request) *stats.RNG {
 	k := streamKey{vp: req.VP, subnet: req.SubnetIdx}
 	g, ok := s.streams[k]

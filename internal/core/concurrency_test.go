@@ -11,10 +11,10 @@ import (
 
 // TestSelectorConcurrentUse hammers the selection engine from several
 // goroutines — resolutions, serve-or-redirect chains, flow accounting,
-// placement pull-through and a mid-run policy swap — the access pattern
-// of a sharded simulation. It proves nothing about outcomes (those are
-// pinned by the parity tests); its job is to fail under -race if any
-// of the shared structures loses its guard.
+// placement pull-through and a mid-run policy swap — the concurrent
+// use the Selector documents. It proves nothing about outcomes (those
+// are pinned by the parity tests); its job is to fail under -race if
+// any of the shared structures loses its guard.
 func TestSelectorConcurrentUse(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	homes := make([]Home, len(r.w.VantagePoints))

@@ -10,11 +10,11 @@ import (
 // because that always indicates a simulator bug that would corrupt
 // every load-dependent result downstream.
 //
-// Counters are atomic so that sharded simulations (one goroutine per
-// vantage-point shard, see des.ShardedRunner) can begin and end flows
-// concurrently. Reads are plain atomic loads: under windowed lockstep
-// a policy may observe a load that is stale by up to the sync window,
-// which is the documented staleness/throughput trade.
+// Counters are atomic because the live /metrics gauges
+// (sim.selector.dc_load.*, flows_active, sessions_active) read them
+// from the scrape goroutine while the engine goroutine begins and ends
+// flows. The simulation itself updates them from one goroutine, so
+// its decisions always see the current load.
 type LoadTracker struct {
 	counts []int64
 	label  string

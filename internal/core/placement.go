@@ -85,9 +85,8 @@ type OriginPolicy struct {
 // tail videos start at CopiesPerVideo origin DCs and spread by
 // pull-through as they get requested. Placement is safe for concurrent
 // use: the mutable state (pull-through set, forced origins, the pull
-// counter) sits behind a read/write mutex so that vantage-point shards
-// running on separate goroutines can look up and pull videos
-// concurrently.
+// counter) sits behind a read/write mutex, so goroutines sharing one
+// placement can look up and pull videos concurrently.
 type Placement struct {
 	catalog *content.Catalog
 	policy  OriginPolicy

@@ -88,12 +88,11 @@ func (r RedirectReason) String() string {
 // and the mechanism counters — and delegates every actual decision to
 // its SelectionPolicy through a restricted PolicyView.
 //
-// The Selector is the one point where the otherwise-independent
-// vantage-point shards of a simulation couple, so it is safe for
-// concurrent use: load trackers and mechanism counters are atomic,
-// placement pull-through is mutex-guarded, and the active policy sits
-// behind an atomic pointer so a mid-run SetPolicy (scenario timelines)
-// cannot race in-flight decisions.
+// The Selector is safe for concurrent use. The live /metrics gauges
+// (see Instrument) read its load trackers and mechanism counters from
+// the scrape goroutine mid-run, so those are atomic; placement
+// pull-through is mutex-guarded, and the active policy sits behind an
+// atomic pointer so a SetPolicy cannot race an in-flight decision.
 type Selector struct {
 	w         *topology.World
 	placement *Placement

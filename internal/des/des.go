@@ -7,23 +7,24 @@ package des
 import (
 	"sync/atomic"
 	"time"
+
+	"github.com/ytcdn-sim/ytcdn/internal/obs"
 )
 
 // Engine runs events in non-decreasing time order. The zero value is
-// ready to use. An Engine is not safe for concurrent use: each engine
-// is driven by exactly one goroutine so that runs are reproducible.
-// Concurrency across engines is the ShardedRunner's job.
+// ready to use. An Engine is not safe for concurrent use: one goroutine
+// drives it, so that runs are reproducible.
 //
-// The atomic fields shadow the single-goroutine state for the
-// observability scrape goroutine (LiveStats): a /metrics request must
-// be able to read progress while the engine runs without taking part
-// in its synchronization.
+// The atomic fields shadow that goroutine's state for the gauges
+// Instrument registers: a live /metrics scrape reads progress from
+// another goroutine while the engine runs, without taking part in its
+// synchronization.
 type Engine struct {
 	queue eventHeap
 	now   time.Duration
 	seq   uint64
 
-	executed  atomic.Int64 // events run, shadows the Step count
+	executed  atomic.Int64 // events run
 	liveDepth atomic.Int64 // shadows len(queue)
 	liveNow   atomic.Int64 // shadows now, in nanoseconds
 }
@@ -110,14 +111,17 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// PeekTime returns the time of the earliest queued event, or false
-// when the queue is empty. The sharded runner's k-way merge uses it to
-// pick which shard steps next.
-func (e *Engine) PeekTime() (time.Duration, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
+// Instrument publishes the engine's progress into reg as live gauges:
+// "sim.des.events" (events run), "sim.des.queue_depth" (events queued)
+// and "sim.des.now_seconds" (the simulated clock). Each reads an atomic
+// shadow, so a scrape may run on any goroutine mid-run; a value may lag
+// the engine by one event. Gauge functions are replaced on
+// re-registration, so engines instrumented into one registry publish
+// the last one's values.
+func (e *Engine) Instrument(reg *obs.Registry) {
+	reg.GaugeFunc("sim.des.events", func() float64 { return float64(e.executed.Load()) })
+	reg.GaugeFunc("sim.des.queue_depth", func() float64 { return float64(e.liveDepth.Load()) })
+	reg.GaugeFunc("sim.des.now_seconds", func() float64 { return time.Duration(e.liveNow.Load()).Seconds() })
 }
 
 // Schedule enqueues run at the given absolute simulated time. Events
@@ -152,45 +156,18 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Executed returns how many events have run. Unlike the other
-// accessors it is safe to call from any goroutine while the engine
-// runs — the sharded runner's stall accounting and the live metrics
-// endpoint both rely on that.
-func (e *Engine) Executed() int64 { return e.executed.Load() }
-
-// LiveStats returns a racy-but-consistent view of engine progress —
-// events executed, current queue depth, and the simulated clock — safe
-// to call from the metrics scrape goroutine while the engine's own
-// goroutine is mid-run. Each value is an atomic shadow updated as
-// events are scheduled and run; they may lag the engine by an event.
-func (e *Engine) LiveStats() (executed, queueDepth int64, now time.Duration) {
-	return e.executed.Load(), e.liveDepth.Load(), time.Duration(e.liveNow.Load())
-}
-
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
 
-// RunUntil executes events with time <= deadline, advancing the clock
-// to exactly deadline afterwards. Events beyond the deadline stay
-// queued.
-func (e *Engine) RunUntil(deadline time.Duration) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-		e.liveNow.Store(int64(deadline))
-	}
-}
-
-// RunBefore executes events with time strictly before deadline,
-// advancing the clock to exactly deadline afterwards. It is the
-// window step of the sharded runner: events at the window boundary
-// belong to the next window, so a barrier at a boundary cleanly
-// separates the events before it from the events at or after it.
+// RunBefore executes events with time strictly before deadline, then
+// advances the clock to exactly deadline. Events at the deadline stay
+// queued, so an action taken between RunBefore and the next Run sees
+// every earlier event done and none at or after the deadline — how a
+// mid-run policy switch lands. Events the action schedules at the
+// deadline run after the ones already queued there.
 func (e *Engine) RunBefore(deadline time.Duration) {
 	for len(e.queue) > 0 && e.queue[0].at < deadline {
 		e.Step()

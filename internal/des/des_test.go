@@ -1,8 +1,11 @@
 package des
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"github.com/ytcdn-sim/ytcdn/internal/obs"
 )
 
 func TestRunInTimeOrder(t *testing.T) {
@@ -63,24 +66,77 @@ func TestSchedulePastClamps(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
+// TestRunBefore pins the one deadline primitive: RunBefore runs every
+// event strictly before the deadline and parks the clock exactly on it,
+// so an action taken next (a mid-run policy switch) lands after all
+// earlier events and before every event at or after the deadline.
+func TestRunBefore(t *testing.T) {
 	var e Engine
-	var got []int
-	e.Schedule(1*time.Second, func() { got = append(got, 1) })
-	e.Schedule(5*time.Second, func() { got = append(got, 5) })
-	e.RunUntil(3 * time.Second)
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("got %v", got)
+	var log []string
+	rec := func(name string) func() { return func() { log = append(log, name) } }
+	e.Schedule(1*time.Second, rec("a@1"))
+	e.Schedule(2*time.Second, rec("b@2"))
+	e.Schedule(4*time.Second, rec("c@4"))
+	e.Schedule(2*time.Second, rec("d@2"))
+	e.Schedule(9*time.Second, rec("f@9"))
+	check := func(step string, want []string, now time.Duration, pending int) {
+		t.Helper()
+		if !reflect.DeepEqual(log, want) {
+			t.Errorf("%s: ran %v, want %v", step, log, want)
+		}
+		if e.Now() != now {
+			t.Errorf("%s: Now = %v, want %v", step, e.Now(), now)
+		}
+		if e.Pending() != pending {
+			t.Errorf("%s: Pending = %d, want %d", step, e.Pending(), pending)
+		}
 	}
-	if e.Now() != 3*time.Second {
-		t.Errorf("Now = %v, want 3s", e.Now())
+
+	// Events exactly at the deadline stay queued.
+	e.RunBefore(2 * time.Second)
+	check("RunBefore(2s)", []string{"a@1"}, 2*time.Second, 4)
+
+	// An event scheduled at the deadline after RunBefore queues behind
+	// the events already there.
+	e.Schedule(2*time.Second, rec("x@2"))
+
+	// Inside the gap between 2 s and 4 s the clock parks on the deadline.
+	e.RunBefore(3 * time.Second)
+	check("RunBefore(3s)", []string{"a@1", "b@2", "d@2", "x@2"}, 3*time.Second, 2)
+
+	// Run drains the rest in (time, sequence) order, including an event
+	// scheduled at the parked clock.
+	e.Schedule(3*time.Second, rec("y@3"))
+	e.Run()
+	all := []string{"a@1", "b@2", "d@2", "x@2", "y@3", "c@4", "f@9"}
+	check("Run", all, 9*time.Second, 0)
+
+	// Past the last event the clock still parks on the deadline.
+	e.Schedule(12*time.Second, rec("z@12"))
+	e.RunBefore(30 * time.Second)
+	check("RunBefore(30s)", append(all, "z@12"), 30*time.Second, 0)
+}
+
+// TestInstrument checks the live gauges against the engine's own
+// state after a partial and a full run.
+func TestInstrument(t *testing.T) {
+	var e Engine
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	for i := 1; i <= 5; i++ {
+		e.Schedule(time.Duration(i)*time.Second, func() {})
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
+	gauges := func() (events, depth, now float64) {
+		g := reg.Snapshot().Gauges
+		return g["sim.des.events"], g["sim.des.queue_depth"], g["sim.des.now_seconds"]
+	}
+	e.RunBefore(3 * time.Second)
+	if ev, d, now := gauges(); ev != 2 || d != 3 || now != 3 {
+		t.Errorf("after RunBefore(3s): events %v, queue_depth %v, now_seconds %v; want 2, 3, 3", ev, d, now)
 	}
 	e.Run()
-	if len(got) != 2 {
-		t.Errorf("remaining event lost: %v", got)
+	if ev, d, now := gauges(); ev != 5 || d != 0 || now != 5 {
+		t.Errorf("after Run: events %v, queue_depth %v, now_seconds %v; want 5, 0, 5", ev, d, now)
 	}
 }
 

@@ -20,8 +20,9 @@
 //     obs/obshttp (the live HTTP endpoint). Only the harness and cmd
 //     layers may use them.
 //
-// All instruments are safe for concurrent use: sharded simulation
-// goroutines record while the HTTP scrape goroutine snapshots.
+// All instruments are safe for concurrent use: a study's engine
+// goroutine, or several concurrent studies sharing one registry
+// (ComparePolicies), record while the HTTP scrape goroutine snapshots.
 package obs
 
 import (

@@ -158,8 +158,8 @@ func TestCounterAndGauge(t *testing.T) {
 }
 
 // TestRegistryGetOrCreate pins the aggregation mechanism: looking a
-// name up twice returns the same instrument, which is how per-shard
-// simulators recording under one name produce run-wide totals.
+// name up twice returns the same instrument, which is how studies
+// recording under one name produce totals across them.
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("a") != r.Counter("a") {

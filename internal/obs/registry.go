@@ -17,7 +17,7 @@ const SnapshotSchema = "ytcdn.metrics/v1"
 // wall-clock instruments registered by the harness and cmd layers,
 // "store.*" for tracestore byte accounting. Lookups get-or-create, so
 // independent subsystems recording under one name share the
-// instrument (how per-shard simulators aggregate into one counter).
+// instrument (how concurrent studies aggregate into one counter).
 //
 // A Registry is safe for concurrent use; a nil *Registry is a valid
 // no-op target for Snapshot-free helpers, but instrument lookups

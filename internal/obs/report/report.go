@@ -48,7 +48,7 @@ func New(name string) *Report {
 	}
 }
 
-// Set records one config key (scale, seed, policy, shards, ...).
+// Set records one config key (scale, seed, policy, days, ...).
 func (r *Report) Set(key, value string) *Report {
 	r.Config[key] = value
 	return r

@@ -8,10 +8,8 @@
 // subnet weight), each drawing from its own forked RNG stream
 // ("subnet/<j>" under the VP's workload parent). The union of the
 // per-subnet processes is distributed exactly like the undecomposed
-// VP process, and — because each subnet's draws depend only on its own
-// stream — the generated request population is bit-identical no matter
-// how the subnets are grouped into generators or placed on simulation
-// engines. That invariance is what makes sub-VP sharding exact.
+// VP process. Each subnet's draws depend only on its own stream, and
+// these streams fix the draw sequence of every pinned trace.
 package workload
 
 import (
@@ -43,7 +41,7 @@ type bucket struct {
 	// subnet indexes the covered subnet in VantagePoint.Subnets.
 	subnet int
 	// g is the subnet's own stream: a "subnet/<j>" fork of the VP's
-	// workload parent, so the draws are identical in every grouping.
+	// workload parent.
 	g *stats.RNG
 	// share is the subnet's fraction of the VP's session volume.
 	share float64
@@ -51,8 +49,7 @@ type bucket struct {
 	clients int
 }
 
-// Generator produces the session stream of one vantage point — or of a
-// subset of its subnets, when built with NewGeneratorSubset — over a
+// Generator produces the session stream of one vantage point over a
 // capture window.
 type Generator struct {
 	vpIndex int
@@ -84,16 +81,6 @@ func (gen *Generator) Instrument(reg *obs.Registry) {
 // the generator never draws from it directly — it forks one
 // "subnet/<j>" child per subnet.
 func NewGenerator(w *topology.World, vpIndex int, cat *content.Catalog, span time.Duration, g *stats.RNG) (*Generator, error) {
-	return NewGeneratorSubset(w, vpIndex, nil, cat, span, g)
-}
-
-// NewGeneratorSubset builds a generator covering only the given subnet
-// indices of vantage point vpIndex (nil means all). Splitting one VP's
-// subnets across several generators — each wired to its own simulation
-// engine — produces exactly the arrivals of a single full generator,
-// because every subnet owns an independent forked stream and a rate
-// share that does not depend on the grouping.
-func NewGeneratorSubset(w *topology.World, vpIndex int, subnets []int, cat *content.Catalog, span time.Duration, g *stats.RNG) (*Generator, error) {
 	if vpIndex < 0 || vpIndex >= len(w.VantagePoints) {
 		return nil, fmt.Errorf("workload: vantage point index %d out of range", vpIndex)
 	}
@@ -101,28 +88,13 @@ func NewGeneratorSubset(w *topology.World, vpIndex int, subnets []int, cat *cont
 		return nil, fmt.Errorf("workload: span must be positive, got %v", span)
 	}
 	vp := w.VantagePoints[vpIndex]
-	if subnets == nil {
-		subnets = make([]int, len(vp.Subnets))
-		for j := range subnets {
-			subnets[j] = j
-		}
-	}
 	gen := &Generator{
 		vpIndex: vpIndex,
 		vp:      vp,
 		cat:     cat,
 		span:    span,
 	}
-	seen := make(map[int]bool, len(subnets))
-	for _, j := range subnets {
-		if j < 0 || j >= len(vp.Subnets) {
-			return nil, fmt.Errorf("workload: subnet index %d out of range for %s", j, vp.Name)
-		}
-		if seen[j] {
-			return nil, fmt.Errorf("workload: subnet index %d listed twice", j)
-		}
-		seen[j] = true
-		sn := vp.Subnets[j]
+	for j, sn := range vp.Subnets {
 		n := int(float64(vp.NumClients) * sn.Weight)
 		if n < 1 {
 			n = 1
@@ -137,20 +109,10 @@ func NewGeneratorSubset(w *topology.World, vpIndex int, subnets []int, cat *cont
 	return gen, nil
 }
 
-// TotalSessions returns the expected number of sessions over the
-// window for the covered subnets, scaled from the VP's weekly target
-// (subnet weights sum to 1, so a full generator returns the VP total).
+// TotalSessions returns the VP-level expected session count over the
+// window, scaled from the VP's weekly target; the bucket shares split
+// it between the subnets.
 func (gen *Generator) TotalSessions() float64 {
-	share := 0.0
-	for _, b := range gen.buckets {
-		share += b.share
-	}
-	return float64(gen.vp.WeeklySessions) * share * gen.span.Hours() / (7 * 24)
-}
-
-// vpSessions returns the VP-level expected session count over the
-// window (the pre-split rate the bucket shares multiply).
-func (gen *Generator) vpSessions() float64 {
 	return float64(gen.vp.WeeklySessions) * gen.span.Hours() / (7 * 24)
 }
 
@@ -158,7 +120,7 @@ func (gen *Generator) vpSessions() float64 {
 func (gen *Generator) ratePerHour(t time.Duration) float64 {
 	w := DiurnalWeight(t, gen.vp.DiurnalPeakHour, gen.vp.DiurnalMinFrac)
 	meanW := gen.vp.DiurnalMinFrac + (1-gen.vp.DiurnalMinFrac)/2
-	return gen.vpSessions() / gen.span.Hours() * w / meanW
+	return gen.TotalSessions() / gen.span.Hours() * w / meanW
 }
 
 // sampleClient draws a client address within the bucket's subnet.

@@ -194,78 +194,3 @@ func TestGeneratorVideoDistributionSkewed(t *testing.T) {
 		t.Errorf("top-100 video share = %.3f; catalog skew missing", frac)
 	}
 }
-
-// TestGeneratorSubsetValidation covers NewGeneratorSubset's error
-// paths.
-func TestGeneratorSubsetValidation(t *testing.T) {
-	w, cat := testWorldAndCatalog(t)
-	if _, err := NewGeneratorSubset(w, 0, []int{99}, cat, time.Hour, stats.NewRNG(1)); err == nil {
-		t.Error("out-of-range subnet index must fail")
-	}
-	if _, err := NewGeneratorSubset(w, 0, []int{-1}, cat, time.Hour, stats.NewRNG(1)); err == nil {
-		t.Error("negative subnet index must fail")
-	}
-	if _, err := NewGeneratorSubset(w, 0, []int{0, 0}, cat, time.Hour, stats.NewRNG(1)); err == nil {
-		t.Error("duplicate subnet index must fail")
-	}
-}
-
-// TestGeneratorDecompositionInvariance is the workload-level half of
-// the sub-VP determinism guarantee: generating a vantage point's
-// workload as one full generator, or as any partition of its subnets
-// across several generators, must produce the exact same request
-// population with the exact same timestamps — because every subnet
-// draws from its own "subnet/<j>" fork of the VP parent.
-func TestGeneratorDecompositionInvariance(t *testing.T) {
-	w, cat := testWorldAndCatalog(t)
-	span := 3 * 24 * time.Hour
-	const vp = 0 // US-Campus, 5 subnets
-
-	type stamped struct {
-		at  time.Duration
-		req cdn.Request
-	}
-	collect := func(partition [][]int) map[int][]stamped {
-		// One engine for everything: within a subnet, events stay in
-		// time order regardless of which generator scheduled them.
-		var eng des.Engine
-		bySubnet := make(map[int][]stamped)
-		for _, subnets := range partition {
-			gen, err := NewGeneratorSubset(w, vp, subnets, cat, span, stats.NewRNG(42))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen.Schedule(&eng, func(req cdn.Request) {
-				bySubnet[req.SubnetIdx] = append(bySubnet[req.SubnetIdx], stamped{at: eng.Now(), req: req})
-			})
-		}
-		eng.Run()
-		return bySubnet
-	}
-
-	full := collect([][]int{nil}) // nil = all subnets, one generator
-	for _, partition := range [][][]int{
-		{{0}, {1}, {2}, {3}, {4}}, // fully split
-		{{0, 2, 4}, {1, 3}},       // interleaved grouping
-		{{4, 3}, {0}, {2, 1}},     // reordered within groups
-	} {
-		split := collect(partition)
-		if len(split) != len(full) {
-			t.Fatalf("partition %v: %d subnets with sessions, want %d", partition, len(split), len(full))
-		}
-		for j, want := range full {
-			got := split[j]
-			if len(got) != len(want) {
-				t.Errorf("partition %v subnet %d: %d sessions, want %d", partition, j, len(got), len(want))
-				continue
-			}
-			for i := range got {
-				if got[i].at != want[i].at || got[i].req != want[i].req {
-					t.Errorf("partition %v subnet %d: session %d differs (%v vs %v)",
-						partition, j, i, got[i], want[i])
-					break
-				}
-			}
-		}
-	}
-}

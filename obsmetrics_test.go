@@ -37,17 +37,6 @@ func TestMetricsZeroPerturbation(t *testing.T) {
 			t.Errorf("counter %s is 0 after a full run — instrumentation disconnected?", name)
 		}
 	}
-
-	// The window-0 sharded mode must hold the same bit-identity with
-	// metrics on: shared instruments across shard engines are
-	// recording-only, never coordination.
-	shardedGot := parityRender(t, Options{
-		Scale: 0.05, Span: 7 * 24 * time.Hour,
-		SimShards: 5, Metrics: obs.NewRegistry(),
-	})
-	if shardedGot != string(want) {
-		t.Errorf("metrics-enabled 5-shard window-0 run diverged from the golden")
-	}
 }
 
 // TestMetricsMatchStudy pins instrument values against the study's own
@@ -123,12 +112,14 @@ func TestMetricsDeterministic(t *testing.T) {
 	}
 }
 
-// TestMetricsLiveScrapeWindowed serves /metrics while a 5-shard
-// windowed run is in flight and scrapes it continuously: every scrape
-// must be valid snapshot JSON, and counters must be monotone across
-// scrapes. Run under -race in CI this is the scrape-during-run data
-// race exercise for the whole deterministic plane.
-func TestMetricsLiveScrapeWindowed(t *testing.T) {
+// TestMetricsLiveScrape serves /metrics while a run is in flight and
+// scrapes it continuously: every scrape must be valid snapshot JSON,
+// every scrape taken once sessions are running must carry the engine's
+// live gauges, and neither sim.cdn.sessions nor sim.des.events may
+// decrease across scrapes. Run under -race in CI this is the
+// scrape-during-run data race exercise for the whole deterministic
+// plane.
+func TestMetricsLiveScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := obshttp.Serve("127.0.0.1:0", reg)
 	if err != nil {
@@ -141,27 +132,16 @@ func TestMetricsLiveScrapeWindowed(t *testing.T) {
 	go func() {
 		_, err := Run(Options{
 			Scale: 0.05, Span: 7 * 24 * time.Hour, Seed: 3,
-			SimShards: 5, SyncWindow: time.Minute,
 			Metrics: reg,
 		})
 		done <- err
 	}()
 
-	var scrapes int
+	var scrapes, live int
 	var lastSessions int64
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scrapes == 0 {
-				t.Error("run finished before a single scrape landed")
-			}
-			t.Logf("%d live scrapes, final sim.cdn.sessions=%d", scrapes, lastSessions)
-			return
-		default:
-		}
+	var lastEvents float64
+	scrape := func() {
+		t.Helper()
 		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatalf("scrape %d: %v", scrapes, err)
@@ -175,17 +155,52 @@ func TestMetricsLiveScrapeWindowed(t *testing.T) {
 			t.Fatalf("scrape %d invalid: %v\n%s", scrapes, err, body)
 		}
 		var s struct {
-			Counters map[string]int64 `json:"counters"`
+			Counters map[string]int64   `json:"counters"`
+			Gauges   map[string]float64 `json:"gauges"`
 		}
 		if err := json.Unmarshal(body, &s); err != nil {
 			t.Fatalf("scrape %d: %v", scrapes, err)
 		}
-		if got := s.Counters["sim.cdn.sessions"]; got < lastSessions {
-			t.Fatalf("scrape %d: sim.cdn.sessions went backwards: %d -> %d", scrapes, lastSessions, got)
-		} else {
-			lastSessions = got
+		sessions := s.Counters["sim.cdn.sessions"]
+		if sessions < lastSessions {
+			t.Fatalf("scrape %d: sim.cdn.sessions went backwards: %d -> %d", scrapes, lastSessions, sessions)
 		}
+		lastSessions = sessions
+		// Sessions run inside engine events, and the engine is
+		// instrumented before it runs its first event.
+		if sessions > 0 {
+			live++
+			for _, name := range []string{"sim.des.events", "sim.des.queue_depth", "sim.des.now_seconds"} {
+				if _, ok := s.Gauges[name]; !ok {
+					t.Fatalf("scrape %d: gauge %s missing with %d sessions run", scrapes, name, sessions)
+				}
+			}
+		}
+		events := s.Gauges["sim.des.events"]
+		if events < lastEvents {
+			t.Fatalf("scrape %d: sim.des.events went backwards: %v -> %v", scrapes, lastEvents, events)
+		}
+		lastEvents = events
 		scrapes++
+	}
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One more scrape of the finished run, which must carry the
+			// gauges and the final event count.
+			scrape()
+			if lastSessions == 0 || lastEvents == 0 {
+				t.Errorf("finished run: sim.cdn.sessions %d, sim.des.events %v; want both > 0", lastSessions, lastEvents)
+			}
+			t.Logf("%d scrapes (%d after sessions started), final sim.cdn.sessions=%d, sim.des.events=%v",
+				scrapes, live, lastSessions, lastEvents)
+			return
+		default:
+		}
+		scrape()
 		time.Sleep(20 * time.Millisecond)
 	}
 }

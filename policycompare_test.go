@@ -226,36 +226,3 @@ func TestOptionsPolicyConflict(t *testing.T) {
 		t.Error("Options.Policy plus Selector.Policy must be rejected")
 	}
 }
-
-// TestComparePoliciesShardedParity is the sub-VP sharding coverage for
-// the comparison harness: every built-in policy run at SimShards > 1
-// with SyncWindow 0 — at either sharding granularity — must produce a
-// comparison table bit-identical to the unsharded one. Selection
-// metrics, mechanism counters and flow totals all ride through the
-// sharded merge unchanged, so sharded comparisons are trustworthy
-// drop-in replacements for sequential ones.
-func TestComparePoliciesShardedParity(t *testing.T) {
-	ref, err := ComparePolicies(cmpOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		shards int
-		by     ShardBy
-	}{
-		{shards: 5, by: ShardByVP},
-		{shards: 5, by: ShardBySubnet},
-	} {
-		base := cmpOpts()
-		base.SimShards = cfg.shards
-		base.ShardBy = cfg.by
-		got, err := ComparePolicies(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d by=%s: sharded comparison diverged from unsharded\n--- got ---\n%s\n--- want ---\n%s",
-				cfg.shards, cfg.by, got.Render(), ref.Render())
-		}
-	}
-}

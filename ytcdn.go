@@ -93,10 +93,8 @@ type Options struct {
 	Store *StoreOptions
 	// ExtraSink, when non-nil, additionally receives every flow record
 	// as it is emitted (e.g. a capture.WriterSink streaming to disk).
-	// It must be safe for concurrent use when the same sink is shared
-	// by concurrent studies (RunMany) and when a single study runs
-	// windowed shards (SimShards > 1 with SyncWindow > 0), where shard
-	// goroutines record concurrently.
+	// One study records from a single goroutine; a sink shared by
+	// concurrent studies (RunMany) must be safe for concurrent use.
 	ExtraSink capture.Sink
 	// Parallelism bounds the worker pool of the analysis harness
 	// returned by Study.Experiments (per-server CBG geolocation, the
@@ -104,24 +102,6 @@ type Options struct {
 	// strictly sequential; 0 or negative means one worker per core.
 	// The computed tables and figures are bit-identical either way.
 	Parallelism int
-	// SimShards splits the simulation itself across engines (the
-	// monitored networks couple only through the selection engine,
-	// which is concurrency-safe). 0 or 1 means one engine for
-	// everything; values above the number of shardable units (vantage
-	// points, or subnets with ShardBySubnet) are clamped. With
-	// SyncWindow == 0 the sharded run is bit-identical to the unsharded
-	// one at any shard count and either ShardBy granularity; pair it
-	// with a positive SyncWindow for wall-clock speedup.
-	SimShards int
-	// ShardBy selects the unit SimShards distributes across engines.
-	// The default (ShardByVP) places whole vantage points; ShardBySubnet
-	// splits below the vantage point, placing per-subnet buckets — the
-	// right choice when one heavy VP (millions of users behind one ISP)
-	// would otherwise pin a single engine. Because every subnet owns its
-	// own workload and player RNG streams, both granularities produce
-	// bit-identical results at SyncWindow == 0; at a positive window,
-	// ShardBySubnet simply balances better. Ignored unless SimShards > 1.
-	ShardBy ShardBy
 	// Metrics, when non-nil, instruments the run: the deterministic
 	// core publishes sim-time counters, gauges and histograms
 	// ("sim.*" / "store.*" names) into the registry as it executes,
@@ -136,31 +116,7 @@ type Options struct {
 	// see experiments.Profiler. obs/profile.NewProfiler builds one.
 	// Profiling never changes computed results.
 	Profiler experiments.Profiler
-	// SyncWindow bounds how far one simulation shard may run ahead of
-	// another (see des.ShardedRunner). 0 — the default — is the exact
-	// mode: shards advance through a sequential k-way merge that is
-	// bit-identical to a single engine. A positive window runs shards
-	// concurrently in lockstep windows of that length: policies may
-	// observe DC/server loads that are stale by up to the window,
-	// which perturbs individual redirect decisions slightly (aggregate
-	// tables stay within tolerance) in exchange for near-linear
-	// speedup. A positive window requires SimShards > 1.
-	SyncWindow time.Duration
 }
-
-// ShardBy names the unit of simulation sharding.
-type ShardBy string
-
-// Sharding granularities. The zero value means ShardByVP.
-const (
-	// ShardByVP assigns whole vantage points to engines (VP i → shard
-	// i mod SimShards).
-	ShardByVP ShardBy = "vp"
-	// ShardBySubnet assigns per-subnet buckets to engines round-robin
-	// in (VP, subnet) order, so a single heavy vantage point spreads
-	// across all engines.
-	ShardBySubnet ShardBy = "subnet"
-)
 
 // PolicySwitch schedules a mid-run selection-policy change.
 type PolicySwitch struct {
@@ -197,17 +153,11 @@ type Study struct {
 
 	// Selection holds the ground-truth selection outcomes of the run
 	// (preferred-DC fraction, served RTT, redirect-chain lengths) —
-	// what ComparePolicies tabulates per policy. For sharded runs it
-	// is the merge of the per-shard metrics.
+	// what ComparePolicies tabulates per policy.
 	Selection cdn.SelectionMetrics
 	// Sessions is the number of sessions executed across all vantage
 	// points.
 	Sessions int
-	// SimShards is the effective shard count the simulation ran with
-	// (Options.SimShards after defaulting and clamping to the number
-	// of shardable units: vantage points, or subnets with
-	// ShardBySubnet).
-	SimShards int
 
 	// Metrics is the registry the run was instrumented into (nil when
 	// Options.Metrics was nil). The post-run analysis keeps recording
@@ -328,44 +278,6 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 	if err := checkSpanScale(opts); err != nil {
 		return nil, err
 	}
-	if opts.SyncWindow < 0 {
-		return nil, fmt.Errorf("ytcdn: SyncWindow %v must be >= 0", opts.SyncWindow)
-	}
-	// A window on a single-engine run is a silent misconfiguration: the
-	// option would be dropped and the caller would believe they measured
-	// a windowed run. Reject it before clamping — asking for more shards
-	// than the topology has units is a different, valid request that
-	// still clamps below.
-	if opts.SimShards <= 1 && opts.SyncWindow > 0 {
-		return nil, fmt.Errorf("ytcdn: SyncWindow %v requires SimShards > 1 (got %d)", opts.SyncWindow, opts.SimShards)
-	}
-	shardBy := opts.ShardBy
-	if shardBy == "" {
-		shardBy = ShardByVP
-	}
-	if shardBy != ShardByVP && shardBy != ShardBySubnet {
-		return nil, fmt.Errorf("ytcdn: unknown ShardBy %q (want %q or %q)", shardBy, ShardByVP, ShardBySubnet)
-	}
-	units := len(w.VantagePoints)
-	if shardBy == ShardBySubnet {
-		units = 0
-		for _, vp := range w.VantagePoints {
-			units += len(vp.Subnets)
-		}
-	}
-	shardCount := opts.SimShards
-	if shardCount < 1 {
-		shardCount = 1
-	}
-	if shardCount > units {
-		shardCount = units
-	}
-	syncWindow := opts.SyncWindow
-	if shardCount == 1 {
-		// Only reachable by clamping (SimShards > units): a single
-		// shard is already exact, so the window degenerates to it.
-		syncWindow = 0
-	}
 
 	var mem *capture.MemSink
 	var writer *tracestore.Writer
@@ -389,92 +301,38 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 		sink = capture.NewTeeSink(sink, opts.ExtraSink)
 	}
 
-	// One engine per shard, one simulator per bucket. Every SUBNET
-	// draws from its own pair of RNG streams ("workload-<vp>/subnet/<j>"
-	// arrivals, "player-<vp>/subnet/<j>" player behaviour), so a
-	// subnet's draw order depends only on its own event sequence — which
-	// is what makes any bucket grouping at any shard count with
-	// SyncWindow == 0 bit-identical to the single-engine run. ShardByVP
-	// groups each VP's subnets into one bucket on engine i mod
-	// SimShards; ShardBySubnet walks (VP, subnet) pairs round-robin, so
-	// one heavy VP's subnets land on distinct engines.
+	// One engine and one simulator for every vantage point. Generators
+	// are wired in VP order, which fixes the event sequence numbers and
+	// so the order of events at equal times.
 	root := stats.NewRNG(opts.Seed)
-	engines := make([]*des.Engine, shardCount)
-	for i := range engines {
-		engines[i] = &des.Engine{}
-	}
-	// groups[e][vp] lists the subnet indices of vp placed on engine e.
-	groups := make([]map[int][]int, shardCount)
-	for e := range groups {
-		groups[e] = make(map[int][]int)
-	}
-	if shardBy == ShardBySubnet {
-		k := 0
-		for i, vp := range w.VantagePoints {
-			for j := range vp.Subnets {
-				e := k % shardCount
-				groups[e][i] = append(groups[e][i], j)
-				k++
-			}
-		}
-	} else {
-		for i := range w.VantagePoints {
-			e := i % shardCount
-			for j := range w.VantagePoints[i].Subnets {
-				groups[e][i] = append(groups[e][i], j)
-			}
-		}
-	}
-	var sims []*cdn.Simulator
-	for e := 0; e < shardCount; e++ {
-		// Deterministic bucket order: VP index ascending.
-		for i := range w.VantagePoints {
-			subnets := groups[e][i]
-			if len(subnets) == 0 {
-				continue
-			}
-			name := w.VantagePoints[i].Name
-			eng := engines[e]
-			sim, err := cdn.NewSimulator(w, cat, sel, eng, sink, playerCfg, root, opts.Span)
-			if err != nil {
-				return nil, fmt.Errorf("ytcdn: %w", err)
-			}
-			sims = append(sims, sim)
-			gen, err := workload.NewGeneratorSubset(w, i, subnets, cat, opts.Span, root.Fork("workload-"+name))
-			if err != nil {
-				return nil, fmt.Errorf("ytcdn: %w", err)
-			}
-			if opts.Metrics != nil {
-				sim.Instrument(opts.Metrics)
-				gen.Instrument(opts.Metrics)
-			}
-			gen.Schedule(eng, sim.SubmitSession)
-		}
-	}
-
-	runner, err := des.NewShardedRunner(syncWindow, engines...)
+	eng := &des.Engine{}
+	sim, err := cdn.NewSimulator(w, cat, sel, eng, sink, playerCfg, root, opts.Span)
 	if err != nil {
 		return nil, fmt.Errorf("ytcdn: %w", err)
 	}
 	if opts.Metrics != nil {
-		runner.Instrument(opts.Metrics)
+		sim.Instrument(opts.Metrics)
+		eng.Instrument(opts.Metrics)
 	}
+	for i, vp := range w.VantagePoints {
+		gen, err := workload.NewGenerator(w, i, cat, opts.Span, root.Fork("workload-"+vp.Name))
+		if err != nil {
+			return nil, fmt.Errorf("ytcdn: %w", err)
+		}
+		if opts.Metrics != nil {
+			gen.Instrument(opts.Metrics)
+		}
+		gen.Schedule(eng, sim.SubmitSession)
+	}
+
 	if sw := opts.PolicySwitch; sw != nil {
 		// Validated above (before the store writer), so the switch
-		// cannot fail mid-run. As a runner barrier it fires with every
-		// shard parked exactly at sw.At, so no shard can observe the
-		// new policy before another has finished the old window.
-		runner.AddBarrier(sw.At, func() { _ = sel.SetPolicy(sw.To) })
+		// cannot fail mid-run. It lands after every event strictly
+		// before sw.At and before any event at or after it.
+		eng.RunBefore(sw.At)
+		_ = sel.SetPolicy(sw.To)
 	}
-
-	runner.Run()
-
-	var selection cdn.SelectionMetrics
-	sessions := 0
-	for _, sim := range sims {
-		selection.Merge(sim.Metrics())
-		sessions += sim.Sessions()
-	}
+	eng.Run()
 
 	var store *tracestore.Reader
 	if mem != nil {
@@ -501,9 +359,8 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 		Span:        opts.Span,
 		Seed:        opts.Seed,
 		Parallelism: opts.Parallelism,
-		Selection:   selection,
-		Sessions:    sessions,
-		SimShards:   shardCount,
+		Selection:   sim.Metrics(),
+		Sessions:    sim.Sessions(),
 		Metrics:     opts.Metrics,
 		mem:         mem,
 		store:       store,
