@@ -66,6 +66,30 @@ func TestSchedulePastClamps(t *testing.T) {
 	}
 }
 
+// TestRunUntil runs the engine up to a deadline that falls between two
+// events: the earlier one runs, the clock parks on the deadline, the
+// later one stays queued until Run.
+func TestRunUntil(t *testing.T) {
+	var e Engine
+	var got []int
+	e.Schedule(1*time.Second, func() { got = append(got, 1) })
+	e.Schedule(5*time.Second, func() { got = append(got, 5) })
+	e.RunBefore(3 * time.Second)
+	if len(got) != 1 || got[0] != 1 {
+		t.Errorf("got %v", got)
+	}
+	if e.Now() != 3*time.Second {
+		t.Errorf("Now = %v, want 3s", e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d", e.Pending())
+	}
+	e.Run()
+	if len(got) != 2 {
+		t.Errorf("remaining event lost: %v", got)
+	}
+}
+
 // TestRunBefore pins the one deadline primitive: RunBefore runs every
 // event strictly before the deadline and parks the clock exactly on it,
 // so an action taken next (a mid-run policy switch) lands after all
@@ -115,6 +139,76 @@ func TestRunBefore(t *testing.T) {
 	e.Schedule(12*time.Second, rec("z@12"))
 	e.RunBefore(30 * time.Second)
 	check("RunBefore(30s)", append(all, "z@12"), 30*time.Second, 0)
+}
+
+// TestMergedBarrierOrdering checks where an action taken right after
+// RunBefore(at) — a barrier, as a policy switch is — lands: after every
+// event strictly before at, before every event at or after it.
+func TestMergedBarrierOrdering(t *testing.T) {
+	var e Engine
+	var log []string
+	rec := func(name string) func() { return func() { log = append(log, name) } }
+	e.Schedule(1*time.Second, rec("a@1"))
+	e.Schedule(2*time.Second, rec("b@2"))
+	e.Schedule(2*time.Second, rec("a@2"))
+	e.Schedule(3*time.Second, rec("b@3"))
+
+	e.RunBefore(2 * time.Second)
+	log = append(log, "bar@2")
+	e.RunBefore(10 * time.Second)
+	log = append(log, "bar@10")
+	e.Run()
+
+	want := []string{"a@1", "bar@2", "b@2", "a@2", "b@3", "bar@10"}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("log = %v, want %v", log, want)
+	}
+}
+
+// TestBarrierInEventGap checks that a barrier sees the clock on its
+// own time, both inside a gap between events and past the last one.
+func TestBarrierInEventGap(t *testing.T) {
+	var e Engine
+	e.Schedule(0, func() {})
+	e.Schedule(100*time.Second, func() {})
+	for _, at := range []time.Duration{50 * time.Second, 200 * time.Second} {
+		e.RunBefore(at)
+		if e.Now() != at {
+			t.Errorf("clock at %v-barrier = %v", at, e.Now())
+		}
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after the last barrier", e.Pending())
+	}
+}
+
+// TestMergedBarrierSchedulesEvents checks that events a barrier
+// schedules run in time order with the queued ones: one earlier than a
+// queued event runs first, and ones scheduled by a barrier past the
+// last event still run before the next barrier.
+func TestMergedBarrierSchedulesEvents(t *testing.T) {
+	var e Engine
+	var log []string
+	rec := func(name string) func() { return func() { log = append(log, name) } }
+	e.Schedule(10*time.Second, rec("a@10"))
+
+	e.RunBefore(5 * time.Second)
+	log = append(log, "bar@5")
+	e.Schedule(7*time.Second, rec("b@7"))
+
+	e.RunBefore(20 * time.Second)
+	log = append(log, "bar@20")
+	e.Schedule(21*time.Second, rec("a@21"))
+	e.Schedule(21*time.Second, rec("b@21"))
+
+	e.RunBefore(30 * time.Second)
+	log = append(log, "bar@30")
+	e.Run()
+
+	want := []string{"bar@5", "b@7", "a@10", "bar@20", "a@21", "b@21", "bar@30"}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("log = %v, want %v", log, want)
+	}
 }
 
 // TestInstrument checks the live gauges against the engine's own
