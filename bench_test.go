@@ -397,10 +397,10 @@ func BenchmarkSimulationWeek(b *testing.B) {
 // mechanisms add.
 func BenchmarkAblationSelectionPolicies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sel := core.DefaultConfig()
-		sel.DNSLoadBalancing = false
-		sel.HotspotRedirection = false
-		s, err := Run(Options{Scale: 0.02, Span: 3 * 24 * time.Hour, Selector: &sel})
+		pol := core.DefaultPaperPolicy()
+		pol.DNSLoadBalancing = false
+		pol.HotspotRedirection = false
+		s, err := Run(Options{Scale: 0.02, Span: 3 * 24 * time.Hour, Policy: pol})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,11 +9,13 @@
 //
 // The input is either a TSV trace file produced by ytcdn-sim, or a
 // disk-backed tracestore directory produced with the -store option of
-// ytcdn-experiments / the public API. A TSV file is loaded into
-// memory; a store directory is analyzed fully streaming — summaries
-// and classification in one bounded-memory pass per dataset, and the
-// flows-per-session tally through the start-ordered scan with only the
-// currently open sessions' counts in memory.
+// ytcdn-experiments / the public API. Both run one analysis: per
+// dataset, one pass for the summary and the video/control
+// classification, then one start-ordered pass tallying flows per
+// session with only the currently open sessions' counts in memory. A
+// TSV file is loaded into memory and stable-sorted by flow start; a
+// store directory is streamed, its start order coming from the store's
+// merge scan.
 //
 // Usage:
 //
@@ -27,6 +29,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/analysis"
@@ -71,27 +74,9 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
-// row is the per-dataset output line shared by both input modes.
-type row struct {
-	sum      analysis.TraceSummary
-	video    int
-	control  int
-	sessions int
-	single   float64
-}
-
-func printHeader(w io.Writer) {
-	fmt.Fprintf(w, "%-12s %9s %10s %9s %9s | %7s %7s | %9s %7s\n",
-		"dataset", "flows", "GB", "servers", "clients", "video", "control", "sessions", "1-flow")
-}
-
-func printRow(w io.Writer, name string, r row) {
-	fmt.Fprintf(w, "%-12s %9d %10.2f %9d %9d | %7d %7d | %9d %6.1f%%\n",
-		name, r.sum.Flows, float64(r.sum.Bytes)/1e9, r.sum.Servers, r.sum.Clients,
-		r.video, r.control, r.sessions, r.single*100)
-}
-
-// analyzeTSV loads a WriterSink-format trace file into memory.
+// analyzeTSV loads a WriterSink-format trace file into memory and
+// sorts each dataset by flow start, keeping file order among equal
+// starts as the store's scan keeps emission order.
 func analyzeTSV(w io.Writer, path string, gap time.Duration) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -102,75 +87,54 @@ func analyzeTSV(w io.Writer, path string, gap time.Duration) error {
 	if err != nil {
 		return err
 	}
-	src := capture.MapSource(traces)
-	printHeader(w)
-	for _, name := range src.Datasets() {
-		recs := traces[name]
-		video, control := analysis.SplitFlows(recs)
-		sessions := analysis.Sessionize(recs, gap)
-		hist := analysis.FlowsPerSessionHistogram(sessions, 10)
-		single := 0.0
-		if len(hist) > 0 {
-			single = hist[0]
-		}
-		printRow(w, name, row{
-			sum:      analysis.Summarize(recs),
-			video:    len(video),
-			control:  len(control),
-			sessions: len(sessions),
-			single:   single,
-		})
+	for _, recs := range traces {
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
 	}
-	return nil
+	src := capture.MapSource(traces)
+	return analyze(w, src, src.Iter, gap)
 }
 
-// analyzeStore streams a tracestore directory: one summary pass per
-// dataset plus one start-ordered pass tallying flows per session, so
-// neither the trace nor any session's flows are materialized.
+// analyzeStore streams a tracestore directory, so neither the trace
+// nor any session's flows are materialized.
 func analyzeStore(w io.Writer, dir string, gap time.Duration) error {
 	r, err := tracestore.OpenReader(dir)
 	if err != nil {
 		return err
 	}
-	printHeader(w)
 	for _, name := range r.Datasets() {
 		if r.Truncated(name) {
 			fmt.Fprintf(os.Stderr, "ytcdn-analyze: %s: shard truncated, analyzing the %d recovered records\n",
 				name, r.Records(name))
 		}
+	}
+	return analyze(w, r, r.ScanByStart, gap)
+}
+
+// analyze prints one row per dataset of src. byStart opens a dataset's
+// records ordered by start time, the order the session tally needs.
+func analyze(w io.Writer, src capture.TraceSource, byStart func(string) capture.Iterator, gap time.Duration) error {
+	fmt.Fprintf(w, "%-12s %9s %10s %9s %9s | %7s %7s | %9s %7s\n",
+		"dataset", "flows", "GB", "servers", "clients", "video", "control", "sessions", "1-flow")
+	for _, name := range src.Datasets() {
 		// One pass covers the Table-I summary and the video/control
 		// classification together.
-		var out row
-		servers := make(map[uint32]struct{})
-		clients := make(map[uint32]struct{})
-		it := r.Iter(name)
-		for {
-			rec, ok := it.Next()
-			if !ok {
-				break
+		video := 0
+		sum, err := analysis.SummarizeIter(capture.FilterIter(src.Iter(name), func(r capture.FlowRecord) bool {
+			if analysis.IsVideoFlow(r) {
+				video++
 			}
-			out.sum.Flows++
-			out.sum.Bytes += rec.Bytes
-			servers[uint32(rec.Server)] = struct{}{}
-			clients[uint32(rec.Client)] = struct{}{}
-			if analysis.IsVideoFlow(rec) {
-				out.video++
-			} else {
-				out.control++
-			}
-		}
-		if err := it.Err(); err != nil {
-			return err
-		}
-		out.sum.Servers = len(servers)
-		out.sum.Clients = len(clients)
-		tallies, err := analysis.SessionTalliesIter(r.ScanByStart(name), []time.Duration{gap}, 10)
+			return true
+		}))
 		if err != nil {
 			return err
 		}
-		out.sessions = tallies[0].Sessions()
-		out.single = tallies[0].Histogram()[0]
-		printRow(w, name, out)
+		tallies, err := analysis.SessionTalliesIter(byStart(name), []time.Duration{gap}, 10)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-12s %9d %10.2f %9d %9d | %7d %7d | %9d %6.1f%%\n",
+			name, sum.Flows, float64(sum.Bytes)/1e9, sum.Servers, sum.Clients,
+			video, sum.Flows-video, tallies[0].Sessions(), tallies[0].Histogram()[0]*100)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/ytcdn-sim/ytcdn"
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
+	"github.com/ytcdn-sim/ytcdn/internal/tracestore"
 )
 
 // rowsByDataset splits the analyzer's output into its header and one
@@ -30,53 +31,97 @@ func rowsByDataset(t *testing.T, out string) (string, map[string]string) {
 	return lines[0], rows
 }
 
-// TestStoreMatchesTSV writes one study both as a TSV trace and as a
-// trace store, and requires the in-memory and the streaming analysis to
-// print the same row for every dataset.
+// TestStoreMatchesTSV writes the same records both as a TSV trace and
+// as a trace store, and requires both inputs to print the same row for
+// every dataset at every gap. The records are one study's, and a
+// hand-built pair of flows of one (client, VideoID) that both start at
+// 10 s, written in that order: the first ends at 20 s, the second at
+// 5 s, before it starts. The pair is one session at every gap, because
+// the first flow's end covers the second's start; a sessionizer that
+// re-sorts equal starts by end splits it at gaps below 5 s.
 func TestStoreMatchesTSV(t *testing.T) {
 	dir := t.TempDir()
-	storeDir := filepath.Join(dir, "store")
-	tsvPath := filepath.Join(dir, "traces.tsv")
-	f, err := os.Create(tsvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ws := capture.NewWriterSink(f)
-	if _, err := ytcdn.Run(ytcdn.Options{
-		Scale:     0.02,
-		Span:      2 * 24 * time.Hour,
-		Store:     &ytcdn.StoreOptions{Dir: storeDir},
-		ExtraSink: ws,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ws.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	writeTSV := func(name string, record func(capture.Sink) error) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ws := capture.NewWriterSink(f)
+		if err := record(ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
 
-	for _, gap := range []time.Duration{time.Second, time.Minute} {
-		var tsv, store bytes.Buffer
-		if err := analyzeTSV(&tsv, tsvPath, gap); err != nil {
-			t.Fatal(err)
+	studyStore := filepath.Join(dir, "study-store")
+	studyTSV := writeTSV("study.tsv", func(ws capture.Sink) error {
+		_, err := ytcdn.Run(ytcdn.Options{
+			Scale:     0.02,
+			Span:      2 * 24 * time.Hour,
+			Store:     &ytcdn.StoreOptions{Dir: studyStore},
+			ExtraSink: ws,
+		})
+		return err
+	})
+
+	pairStore := filepath.Join(dir, "pair-store")
+	pairTSV := writeTSV("pair.tsv", func(ws capture.Sink) error {
+		sw, err := tracestore.NewWriter(pairStore, tracestore.Options{})
+		if err != nil {
+			return err
 		}
-		if err := analyzeStore(&store, storeDir, gap); err != nil {
-			t.Fatal(err)
+		client, server := ipnet.MustParseAddr("10.0.0.1"), ipnet.MustParseAddr("173.194.0.1")
+		for _, end := range []time.Duration{20 * time.Second, 5 * time.Second} {
+			r := capture.FlowRecord{
+				Client: client, Server: server, Start: 10 * time.Second, End: end,
+				Bytes: 1 << 20, VideoID: "abcdefghijk", Resolution: "360p",
+			}
+			sw.Record("EU1-ADSL", r)
+			ws.Record("EU1-ADSL", r)
 		}
-		tsvHeader, tsvRows := rowsByDataset(t, tsv.String())
-		storeHeader, storeRows := rowsByDataset(t, store.String())
-		if tsvHeader != storeHeader {
-			t.Errorf("T=%v: headers differ:\n tsv   %q\n store %q", gap, tsvHeader, storeHeader)
-		}
-		if len(tsvRows) != len(storeRows) {
-			t.Fatalf("T=%v: %d datasets from the TSV, %d from the store", gap, len(tsvRows), len(storeRows))
-		}
-		for name, want := range tsvRows {
-			if got := storeRows[name]; got != want {
-				t.Errorf("T=%v %s:\n tsv   %q\n store %q", gap, name, want, got)
+		return sw.Close()
+	})
+
+	// sessions, when set, is the EU1-ADSL session count both inputs
+	// must print.
+	for _, in := range []struct{ name, tsv, store, sessions string }{
+		{"study", studyTSV, studyStore, ""},
+		{"end before start", pairTSV, pairStore, "1"},
+	} {
+		for _, gap := range []time.Duration{0, time.Second, time.Minute} {
+			var tsv, store bytes.Buffer
+			if err := analyzeTSV(&tsv, in.tsv, gap); err != nil {
+				t.Fatal(err)
+			}
+			if err := analyzeStore(&store, in.store, gap); err != nil {
+				t.Fatal(err)
+			}
+			tsvHeader, tsvRows := rowsByDataset(t, tsv.String())
+			storeHeader, storeRows := rowsByDataset(t, store.String())
+			if tsvHeader != storeHeader {
+				t.Errorf("%s T=%v: headers differ:\n tsv   %q\n store %q", in.name, gap, tsvHeader, storeHeader)
+			}
+			if len(tsvRows) != len(storeRows) {
+				t.Fatalf("%s T=%v: %d datasets from the TSV, %d from the store", in.name, gap, len(tsvRows), len(storeRows))
+			}
+			for name, want := range tsvRows {
+				if got := storeRows[name]; got != want {
+					t.Errorf("%s T=%v %s:\n tsv   %q\n store %q", in.name, gap, name, want, got)
+				}
+			}
+			if in.sessions != "" {
+				if f := strings.Fields(tsvRows["EU1-ADSL"]); len(f) < 10 || f[9] != in.sessions {
+					t.Errorf("%s T=%v: EU1-ADSL row %q, want %s sessions", in.name, gap, tsvRows["EU1-ADSL"], in.sessions)
+				}
 			}
 		}
 	}

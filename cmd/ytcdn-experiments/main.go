@@ -107,9 +107,7 @@ func main() {
 		}
 		return
 	}
-	if *policy != "paper" {
-		opts.Policy = pol
-	}
+	opts.Policy = pol
 	simDone := session.Phase("simulation")
 	study, err := ytcdn.Run(opts)
 	simDone()

@@ -45,7 +45,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "calibrating CBG on %d landmarks...\n", len(w.Landmarks))
 	start := time.Now()
-	cross := prober.CrossRTTMatrix(5)
+	cross := prober.CrossRTTMatrix(5, 1)
 	cbg, err := geoloc.Calibrate(prober.LandmarkInfos(), func(i, j int) time.Duration { return cross[i][j] })
 	if err != nil {
 		log.Fatal(err)

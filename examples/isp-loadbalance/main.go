@@ -54,9 +54,9 @@ func main() {
 	fmt.Printf("\nmean local fraction: night %.2f, evening peak %.2f (paper: ~1.0 vs ~0.3)\n", night, day)
 
 	// Ablation: switch DNS-level load balancing off.
-	sel := core.DefaultConfig()
-	sel.DNSLoadBalancing = false
-	ablated, err := ytcdn.Run(ytcdn.Options{Scale: 0.15, Span: 7 * 24 * time.Hour, Selector: &sel})
+	pol := core.DefaultPaperPolicy()
+	pol.DNSLoadBalancing = false
+	ablated, err := ytcdn.Run(ytcdn.Options{Scale: 0.15, Span: 7 * 24 * time.Hour, Policy: pol})
 	if err != nil {
 		log.Fatal(err)
 	}

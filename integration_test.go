@@ -356,9 +356,9 @@ func TestPaperClaimFirstAccessPenalty(t *testing.T) {
 // internal DC then absorbs everything and the diurnal signature
 // disappears.
 func TestAblationNoDNSLoadBalancing(t *testing.T) {
-	sel := core.DefaultConfig()
-	sel.DNSLoadBalancing = false
-	ablated, err := Run(Options{Scale: 0.02, Span: 3 * 24 * time.Hour, Selector: &sel})
+	pol := core.DefaultPaperPolicy()
+	pol.DNSLoadBalancing = false
+	ablated, err := Run(Options{Scale: 0.02, Span: 3 * 24 * time.Hour, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,9 +370,9 @@ func TestAblationNoDNSLoadBalancing(t *testing.T) {
 
 // TestAblationNoHotspot turns mechanism (iii) off.
 func TestAblationNoHotspot(t *testing.T) {
-	sel := core.DefaultConfig()
-	sel.HotspotRedirection = false
-	ablated, err := Run(Options{Scale: 0.02, Span: 3 * 24 * time.Hour, Selector: &sel})
+	pol := core.DefaultPaperPolicy()
+	pol.HotspotRedirection = false
+	ablated, err := Run(Options{Scale: 0.02, Span: 3 * 24 * time.Hour, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,17 +26,11 @@ type ASBreakdown struct {
 	TotalBytes int64
 }
 
-// BreakdownByAS attributes a trace's servers and bytes to the paper's
-// four AS buckets via whois lookups. clientAS is the AS of the
-// monitored network (for the "Same AS" bucket).
-func BreakdownByAS(recs []capture.FlowRecord, reg *asdb.Registry, clientAS asdb.ASN) ASBreakdown {
-	bd, _ := BreakdownByASIter(capture.IterSlice(recs), reg, clientAS)
-	return bd
-}
-
-// BreakdownByASIter is the streaming BreakdownByAS: one pass over the
-// iterator, memory bounded by the distinct server set. Each server's
-// bucket is looked up once per pass.
+// BreakdownByASIter attributes a trace's servers and bytes to the
+// paper's four AS buckets via whois lookups, in one pass over the
+// iterator with memory bounded by the distinct server set. clientAS is
+// the AS of the monitored network (for the "Same AS" bucket). Each
+// server's bucket is looked up once per pass.
 func BreakdownByASIter(it capture.Iterator, reg *asdb.Registry, clientAS asdb.ASN) (ASBreakdown, error) {
 	const (
 		google = iota
@@ -92,25 +86,11 @@ func BreakdownByASIter(it capture.Iterator, reg *asdb.Registry, clientAS asdb.AS
 	}, it.Err()
 }
 
-// GoogleFilter returns the subset of a trace served from the Google AS
-// or from the monitored network's own AS (the paper's §IV filtering:
-// "we only focus on accesses to video servers located in the Google
-// AS; for the EU2 dataset, we include accesses to the data center
-// located inside the corresponding ISP").
-func GoogleFilter(recs []capture.FlowRecord, reg *asdb.Registry, clientAS asdb.ASN) []capture.FlowRecord {
-	out, _ := GoogleFilterIter(capture.IterSlice(recs), reg, clientAS)
-	return out
-}
-
-// GoogleFilterIter is the materializing GoogleFilter over a stream: it
-// retains only the filtered subset. Consumers that can aggregate on the
-// fly should wrap the stream with GoogleIter instead and keep nothing.
-func GoogleFilterIter(it capture.Iterator, reg *asdb.Registry, clientAS asdb.ASN) ([]capture.FlowRecord, error) {
-	return capture.Collect(GoogleIter(it, reg, clientAS))
-}
-
-// GoogleIter applies the §IV Google filter lazily: the returned
-// iterator yields exactly the records GoogleFilter would keep, one
+// GoogleIter applies the paper's §IV filter lazily, keeping only
+// flows served from the Google AS or from the monitored network's own
+// AS ("we only focus on accesses to video servers located in the
+// Google AS; for the EU2 dataset, we include accesses to the data
+// center located inside the corresponding ISP"). It consumes one
 // upstream record at a time, so nothing is materialized. Each server
 // is looked up once per iterator; the memo is bounded by the distinct
 // server set.
@@ -141,24 +121,9 @@ type ContinentCounts struct {
 	Others       int
 }
 
-// CountServersByContinent classifies each distinct server address by
-// its estimated location (Table III).
-func CountServersByContinent(recs []capture.FlowRecord, locs map[ipnet.Addr]geo.Point) ContinentCounts {
-	seen := make(map[ipnet.Addr]struct{})
-	var addrs []ipnet.Addr
-	for _, r := range recs {
-		if _, ok := seen[r.Server]; ok {
-			continue
-		}
-		seen[r.Server] = struct{}{}
-		addrs = append(addrs, r.Server)
-	}
-	return CountAddrsByContinent(addrs, locs)
-}
-
-// CountAddrsByContinent is CountServersByContinent over an
-// already-deduplicated address set — the shape the streaming harness
-// caches (distinct servers are bounded; the trace is not).
+// CountAddrsByContinent classifies each server address of a
+// deduplicated set by its estimated location (Table III). Addresses
+// without a location are skipped.
 func CountAddrsByContinent(addrs []ipnet.Addr, locs map[ipnet.Addr]geo.Point) ContinentCounts {
 	var out ContinentCounts
 	for _, a := range addrs {
@@ -206,17 +171,11 @@ type PreferredResult struct {
 	PreferredIsMinRTT bool
 }
 
-// FindPreferred identifies the preferred data center of a trace from
-// byte volumes, annotating each cluster with min RTT (from rttMs, in
-// milliseconds per server address) and distance from vpLoc.
-func FindPreferred(videoFlows []capture.FlowRecord, m *DCMap, rttMs map[ipnet.Addr]float64, vpLoc geo.Point) PreferredResult {
-	res, _ := FindPreferredIter(capture.IterSlice(videoFlows), m, rttMs, vpLoc)
-	return res
-}
-
-// FindPreferredIter is the streaming FindPreferred: the per-DC byte
-// and flow accounting consumes the iterator in one pass with memory
-// bounded by the cluster count.
+// FindPreferredIter identifies the preferred data center of a trace
+// of video flows from byte volumes, annotating each cluster with min
+// RTT (from rttMs, in milliseconds per server address) and distance
+// from vpLoc. The per-DC byte and flow accounting consumes the iterator
+// in one pass with memory bounded by the cluster count.
 func FindPreferredIter(it capture.Iterator, m *DCMap, rttMs map[ipnet.Addr]float64, vpLoc geo.Point) (PreferredResult, error) {
 	bytes := make([]int64, m.NumClusters())
 	flows := make([]int, m.NumClusters())

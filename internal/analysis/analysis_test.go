@@ -24,6 +24,27 @@ func rec(client, server string, start, end time.Duration, bytes int64, video str
 	}
 }
 
+// collect drains an iterator, failing the test on a stream error.
+func collect(t *testing.T, it capture.Iterator) []capture.FlowRecord {
+	t.Helper()
+	recs, err := capture.Collect(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// sessionize runs StreamSessions over recs in start order and returns
+// the sessions in emission order.
+func sessionize(t *testing.T, recs []capture.FlowRecord, gap time.Duration) []Session {
+	t.Helper()
+	var out []Session
+	if err := StreamSessions(sortedIter(recs), gap, func(s Session) { out = append(out, s) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSplitFlows(t *testing.T) {
 	recs := []capture.FlowRecord{
 		rec("10.0.0.1", "1.1.1.1", 0, time.Second, 500, "v1"),
@@ -31,11 +52,11 @@ func TestSplitFlows(t *testing.T) {
 		rec("10.0.0.1", "1.1.1.1", 0, time.Second, 1000, "v1"),
 		rec("10.0.0.1", "1.1.1.1", 0, time.Second, 5_000_000, "v1"),
 	}
-	video, control := SplitFlows(recs)
-	if len(video) != 2 || len(control) != 2 {
-		t.Fatalf("split = %d video, %d control; want 2,2", len(video), len(control))
+	video := collect(t, VideoIter(capture.IterSlice(recs)))
+	if len(video) != 2 || video[0].Bytes != 1000 || video[1].Bytes != 5_000_000 {
+		t.Fatalf("video flows = %+v; want the 1000-byte and 5 MB flows", video)
 	}
-	for _, r := range control {
+	for _, r := range recs[:2] {
 		if IsVideoFlow(r) {
 			t.Error("control flow classified as video")
 		}
@@ -48,22 +69,12 @@ func TestSummarize(t *testing.T) {
 		rec("10.0.0.2", "1.1.1.2", 0, time.Second, 200, "v2"),
 		rec("10.0.0.1", "1.1.1.1", 0, time.Second, 300, "v3"),
 	}
-	s := Summarize(recs)
+	s, err := SummarizeIter(capture.IterSlice(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Flows != 3 || s.Bytes != 600 || s.Servers != 2 || s.Clients != 2 {
-		t.Errorf("Summarize = %+v", s)
-	}
-}
-
-func TestSpan(t *testing.T) {
-	recs := []capture.FlowRecord{
-		rec("10.0.0.1", "1.1.1.1", 0, 3*time.Hour, 100, "v1"),
-		rec("10.0.0.1", "1.1.1.1", time.Hour, 2*time.Hour, 100, "v1"),
-	}
-	if got := Span(recs); got != 3*time.Hour {
-		t.Errorf("Span = %v", got)
-	}
-	if Span(nil) != 0 {
-		t.Error("empty span must be 0")
+		t.Errorf("SummarizeIter = %+v", s)
 	}
 }
 
@@ -73,7 +84,7 @@ func TestSessionizeGroupsRedirectChains(t *testing.T) {
 		rec("10.0.0.1", "1.1.1.1", 0, 50*time.Millisecond, 400, "v1"),
 		rec("10.0.0.1", "2.2.2.2", 250*time.Millisecond, 60*time.Second, 5e6, "v1"),
 	}
-	sessions := Sessionize(recs, time.Second)
+	sessions := sessionize(t, recs, time.Second)
 	if len(sessions) != 1 {
 		t.Fatalf("sessions = %d, want 1", len(sessions))
 	}
@@ -90,10 +101,10 @@ func TestSessionizeSplitsOnGap(t *testing.T) {
 		rec("10.0.0.1", "1.1.1.1", 0, time.Second, 5e6, "v1"),
 		rec("10.0.0.1", "1.1.1.1", 3*time.Second, 5*time.Second, 5e6, "v1"),
 	}
-	if got := len(Sessionize(recs, time.Second)); got != 2 {
+	if got := len(sessionize(t, recs, time.Second)); got != 2 {
 		t.Errorf("T=1s sessions = %d, want 2", got)
 	}
-	if got := len(Sessionize(recs, 5*time.Second)); got != 1 {
+	if got := len(sessionize(t, recs, 5*time.Second)); got != 1 {
 		t.Errorf("T=5s sessions = %d, want 1", got)
 	}
 }
@@ -104,7 +115,7 @@ func TestSessionizeSeparatesClientsAndVideos(t *testing.T) {
 		rec("10.0.0.2", "1.1.1.1", 0, time.Second, 5e6, "v1"),
 		rec("10.0.0.1", "1.1.1.1", 0, time.Second, 5e6, "v2"),
 	}
-	if got := len(Sessionize(recs, time.Second)); got != 3 {
+	if got := len(sessionize(t, recs, time.Second)); got != 3 {
 		t.Errorf("sessions = %d, want 3", got)
 	}
 }
@@ -117,7 +128,7 @@ func TestSessionizeOverlappingFlows(t *testing.T) {
 		rec("10.0.0.1", "2.2.2.2", 10*time.Second, 12*time.Second, 5e6, "v1"),
 		rec("10.0.0.1", "2.2.2.2", 99*time.Second, 120*time.Second, 5e6, "v1"),
 	}
-	if got := len(Sessionize(recs, time.Second)); got != 1 {
+	if got := len(sessionize(t, recs, time.Second)); got != 1 {
 		t.Errorf("sessions = %d, want 1 (latest-end tracking)", got)
 	}
 }
@@ -133,9 +144,9 @@ func TestSessionizeMonotoneInT(t *testing.T) {
 		if len(recs) == 0 {
 			return true
 		}
-		n1 := len(Sessionize(recs, time.Second))
-		n2 := len(Sessionize(recs, 10*time.Second))
-		n3 := len(Sessionize(recs, 100*time.Second))
+		n1 := len(sessionize(t, recs, time.Second))
+		n2 := len(sessionize(t, recs, 10*time.Second))
+		n3 := len(sessionize(t, recs, 100*time.Second))
 		return n1 >= n2 && n2 >= n3 && n3 >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -155,7 +166,7 @@ func TestSessionizeConservesFlows(t *testing.T) {
 			recs = append(recs, rec(client, "1.1.1.1", start, start+time.Second, 5e6, "v1"))
 		}
 		total := 0
-		for _, s := range Sessionize(recs, time.Second) {
+		for _, s := range sessionize(t, recs, time.Second) {
 			total += len(s.Flows)
 		}
 		return total == len(recs)
@@ -172,11 +183,15 @@ func TestFlowsPerSessionHistogram(t *testing.T) {
 		{Flows: make([]capture.FlowRecord, 2)},
 		{Flows: make([]capture.FlowRecord, 15)},
 	}
-	hist := FlowsPerSessionHistogram(sessions, 10)
-	if hist[0] != 0.5 || hist[1] != 0.25 || hist[9] != 0.25 {
-		t.Errorf("hist = %v", hist)
+	tally := NewSessionTally(10)
+	for _, s := range sessions {
+		tally.Add(s, nil, 0)
 	}
-	if len(FlowsPerSessionHistogram(nil, 10)) != 10 {
+	hist := tally.Histogram()
+	if tally.Sessions() != 4 || hist[0] != 0.5 || hist[1] != 0.25 || hist[9] != 0.25 {
+		t.Errorf("sessions = %d, hist = %v", tally.Sessions(), hist)
+	}
+	if len(NewSessionTally(10).Histogram()) != 10 {
 		t.Error("empty histogram must still have buckets")
 	}
 }
@@ -244,7 +259,10 @@ func TestBreakdownByAS(t *testing.T) {
 		rec("10.0.0.1", "3.1.1.1", 0, 1, 50, "v"),
 		rec("10.0.0.1", "4.1.1.1", 0, 1, 50, "v"),
 	}
-	bd := BreakdownByAS(recs, reg, 5483)
+	bd, err := BreakdownByASIter(capture.IterSlice(recs), reg, 5483)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bd.Google.ByteFrac != 0.7 || bd.YouTubeEU.ByteFrac != 0.2 ||
 		bd.SameAS.ByteFrac != 0.05 || bd.Others.ByteFrac != 0.05 {
 		t.Errorf("byte fractions: %+v", bd)
@@ -266,9 +284,9 @@ func TestGoogleFilter(t *testing.T) {
 		rec("10.0.0.1", "3.1.1.1", 0, 1, 50, "v"),  // same AS: keep
 		rec("10.0.0.1", "9.1.1.1", 0, 1, 50, "v"),  // unrouted: drop
 	}
-	got := GoogleFilter(recs, reg, 5483)
-	if len(got) != 2 {
-		t.Fatalf("filtered = %d, want 2", len(got))
+	got := collect(t, GoogleIter(capture.IterSlice(recs), reg, 5483))
+	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[2] {
+		t.Fatalf("filtered = %+v, want the Google and same-AS flows", got)
 	}
 }
 
@@ -278,14 +296,13 @@ func TestCountServersByContinent(t *testing.T) {
 		ipnet.MustParseAddr("1.1.2.1"): geo.Milan.Point,
 		ipnet.MustParseAddr("1.1.3.1"): geo.Tokyo.Point,
 	}
-	recs := []capture.FlowRecord{
-		rec("10.0.0.1", "1.1.1.1", 0, 1, 1, "v"),
-		rec("10.0.0.1", "1.1.1.1", 0, 1, 1, "v"), // duplicate server
-		rec("10.0.0.1", "1.1.2.1", 0, 1, 1, "v"),
-		rec("10.0.0.1", "1.1.3.1", 0, 1, 1, "v"),
-		rec("10.0.0.1", "8.8.8.8", 0, 1, 1, "v"), // no location
+	addrs := []ipnet.Addr{
+		ipnet.MustParseAddr("1.1.1.1"),
+		ipnet.MustParseAddr("1.1.2.1"),
+		ipnet.MustParseAddr("1.1.3.1"),
+		ipnet.MustParseAddr("8.8.8.8"), // no location
 	}
-	c := CountServersByContinent(recs, locs)
+	c := CountAddrsByContinent(addrs, locs)
 	if c.NorthAmerica != 1 || c.Europe != 1 || c.Others != 1 {
 		t.Errorf("counts = %+v", c)
 	}
@@ -306,7 +323,10 @@ func TestFindPreferredDominant(t *testing.T) {
 		ipnet.MustParseAddr("1.1.1.1"): 3,
 		ipnet.MustParseAddr("2.2.2.1"): 9,
 	}
-	res := FindPreferred(video, m, rtts, geo.Turin.Point)
+	res, err := FindPreferredIter(capture.IterSlice(video), m, rtts, geo.Turin.Point)
+	if err != nil {
+		t.Fatal(err)
+	}
 	milan, _ := m.DCOf(ipnet.MustParseAddr("1.1.1.1"))
 	if res.Preferred != milan {
 		t.Errorf("preferred = %d, want Milan cluster %d", res.Preferred, milan)
@@ -338,7 +358,10 @@ func TestFindPreferredEU2Rule(t *testing.T) {
 		ipnet.MustParseAddr("1.1.1.1"): 2,
 		ipnet.MustParseAddr("2.2.2.1"): 6,
 	}
-	res := FindPreferred(video, m, rtts, geo.Budapest.Point)
+	res, err := FindPreferredIter(capture.IterSlice(video), m, rtts, geo.Budapest.Point)
+	if err != nil {
+		t.Fatal(err)
+	}
 	budapest, _ := m.DCOf(ipnet.MustParseAddr("1.1.1.1"))
 	if res.Preferred != budapest {
 		t.Errorf("preferred = %d, want Budapest (min-RTT of dominant pair)", res.Preferred)
@@ -347,7 +370,10 @@ func TestFindPreferredEU2Rule(t *testing.T) {
 
 func TestFindPreferredEmpty(t *testing.T) {
 	m := BuildDCMap(map[ipnet.Addr]geo.Point{}, 100)
-	res := FindPreferred(nil, m, nil, geo.Turin.Point)
+	res, err := FindPreferredIter(capture.IterSlice(nil), m, nil, geo.Turin.Point)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Preferred != -1 {
 		t.Errorf("preferred of empty trace = %d, want -1", res.Preferred)
 	}
@@ -390,7 +416,11 @@ func TestBreakdownSessionsPatterns(t *testing.T) {
 			rec("10.0.0.1", "1.1.1.1", 2, 3, 5e6, "d"),
 		}},
 	}
-	one, two := BreakdownSessions(sessions, m, pref)
+	tally := NewSessionTally(0)
+	for _, s := range sessions {
+		tally.Add(s, m, pref)
+	}
+	one, two := tally.Breakdown()
 	if one.Preferred != 0.25 || one.NonPreferred != 0.25 {
 		t.Errorf("single breakdown = %+v", one)
 	}
@@ -411,7 +441,10 @@ func TestHourlyNonPreferred(t *testing.T) {
 		rec("10.0.0.1", "2.2.2.1", 20*time.Minute, 21*time.Minute, 5e6, "b"),
 		rec("10.0.0.1", "1.1.1.1", 70*time.Minute, 71*time.Minute, 5e6, "c"),
 	}
-	fracs, all, nonPref := HourlyNonPreferred(flows, m, pref, 2*time.Hour)
+	fracs, all, nonPref, err := HourlyNonPreferredIter(capture.IterSlice(flows), m, pref, 2*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(fracs) != 2 {
 		t.Fatalf("fracs = %v", fracs)
 	}
@@ -440,7 +473,10 @@ func TestBySubnet(t *testing.T) {
 		rec("10.0.0.3", "2.2.2.1", 0, 1, 5e6, "c"),
 		rec("10.0.1.1", "2.2.2.1", 0, 1, 5e6, "d"),
 	}
-	shares := BySubnet(flows, m, pref, subnets)
+	shares, err := BySubnetIter(capture.IterSlice(flows), m, pref, subnets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if shares[0].AllFrac != 0.75 || shares[1].AllFrac != 0.25 {
 		t.Errorf("all shares: %+v", shares)
 	}
@@ -462,7 +498,10 @@ func TestNonPreferredPerVideo(t *testing.T) {
 		rec("10.0.0.1", "2.2.2.1", 0, 1, 5e6, "once"),
 		rec("10.0.0.1", "1.1.1.1", 0, 1, 5e6, "never"),
 	}
-	counts := NonPreferredPerVideo(flows, m, pref)
+	counts, err := NonPreferredPerVideoIter(capture.IterSlice(flows), m, pref)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(counts) != 2 {
 		t.Fatalf("counts = %+v", counts)
 	}
@@ -486,7 +525,10 @@ func TestServerLoadStats(t *testing.T) {
 		flows = append(flows, rec("10.0.0.1", "1.1.1.1", 0, 1, 5e6, "a"))
 	}
 	flows = append(flows, rec("10.0.0.1", "1.1.1.2", 0, 1, 5e6, "b"))
-	avg, max := ServerLoadStats(flows, m, pref, time.Hour)
+	avg, max, err := ServerLoadStatsIter(capture.IterSlice(flows), m, pref, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if max[0] != 10 {
 		t.Errorf("max = %v", max)
 	}
@@ -514,7 +556,10 @@ func TestSessionsAtServer(t *testing.T) {
 		// Does not touch the target at all.
 		{Flows: []capture.FlowRecord{rec("10.0.0.3", "2.2.2.1", 0, 1, 5e6, "c")}},
 	}
-	p := SessionsAtServer(sessions, m, pref, target, time.Hour)
+	p := NewServerSessionPattern(time.Hour)
+	for _, s := range sessions {
+		p.Add(s, m, pref, target)
+	}
 	if p.AllPreferred.Total() != 1 || p.FirstPrefOnly.Total() != 1 || p.Others.Total() != 0 {
 		t.Errorf("pattern totals = %v %v %v",
 			p.AllPreferred.Total(), p.FirstPrefOnly.Total(), p.Others.Total())

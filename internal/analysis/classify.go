@@ -6,11 +6,7 @@
 // configured mechanisms.
 package analysis
 
-import (
-	"time"
-
-	"github.com/ytcdn-sim/ytcdn/internal/capture"
-)
+import "github.com/ytcdn-sim/ytcdn/internal/capture"
 
 // VideoFlowThreshold is the paper's flow-classification cut: flows
 // smaller than 1000 bytes are control flows (signalling, redirects),
@@ -22,18 +18,6 @@ func IsVideoFlow(rec capture.FlowRecord) bool {
 	return rec.Bytes >= VideoFlowThreshold
 }
 
-// SplitFlows partitions a trace into video and control flows.
-func SplitFlows(recs []capture.FlowRecord) (video, control []capture.FlowRecord) {
-	for _, r := range recs {
-		if IsVideoFlow(r) {
-			video = append(video, r)
-		} else {
-			control = append(control, r)
-		}
-	}
-	return video, control
-}
-
 // TraceSummary aggregates a dataset the way Table I reports it.
 type TraceSummary struct {
 	Flows   int
@@ -42,15 +26,8 @@ type TraceSummary struct {
 	Clients int
 }
 
-// Summarize computes the Table I row of a trace.
-func Summarize(recs []capture.FlowRecord) TraceSummary {
-	s, _ := SummarizeIter(capture.IterSlice(recs))
-	return s
-}
-
-// SummarizeIter is the streaming Summarize: it consumes the iterator
-// in one pass with memory bounded by the distinct address sets, never
-// materializing the trace.
+// SummarizeIter computes the Table I row of a trace in one pass over
+// the iterator, with memory bounded by the distinct address sets.
 func SummarizeIter(it capture.Iterator) (TraceSummary, error) {
 	servers := make(map[uint32]struct{})
 	clients := make(map[uint32]struct{})
@@ -68,16 +45,4 @@ func SummarizeIter(it capture.Iterator) (TraceSummary, error) {
 	s.Servers = len(servers)
 	s.Clients = len(clients)
 	return s, it.Err()
-}
-
-// Span returns the time extent of a trace (start of first flow to end
-// of last), which the per-hour figures bin over.
-func Span(recs []capture.FlowRecord) time.Duration {
-	var max time.Duration
-	for _, r := range recs {
-		if r.End > max {
-			max = r.End
-		}
-	}
-	return max
 }

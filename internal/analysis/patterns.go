@@ -37,18 +37,9 @@ type TwoFlowBreakdown struct {
 	NonPrefNonPref float64
 }
 
-// BreakdownSessions computes Figs 10a/10b for a session list.
-func BreakdownSessions(sessions []Session, m *DCMap, preferred int) (SingleFlowBreakdown, TwoFlowBreakdown) {
-	tally := NewSessionTally(0)
-	for _, s := range sessions {
-		tally.Add(s, m, preferred)
-	}
-	return tally.Breakdown()
-}
-
-// SessionTally accumulates the per-session aggregates that previously
-// required a materialized []Session: the flows-per-session histogram
-// (Figs 5/6) and the 1-/2-flow preferred-pattern breakdown (Fig 10).
+// SessionTally accumulates per-session aggregates: the
+// flows-per-session histogram (Figs 5/6) and the 1-/2-flow
+// preferred-pattern breakdown (Figs 10a/10b).
 // Feed it one session at a time — e.g. as the emit callback of
 // StreamSessions — so a trace's sessions never need to exist at once;
 // SessionTalliesIter fills one histogram-only tally per gap without
@@ -115,9 +106,10 @@ func (t *SessionTally) count(flows int) {
 // Sessions returns how many sessions were tallied.
 func (t *SessionTally) Sessions() int { return t.n }
 
-// Histogram returns the flows-per-session fractions (FlowsPerSession-
-// Histogram's shape): index i is the fraction of sessions with i+1
-// flows, the last bucket aggregating everything at or beyond it.
+// Histogram returns the flows-per-session fractions: index i is the
+// fraction of sessions with i+1 flows, the last bucket aggregating
+// everything at or beyond it (the paper's ">9" bucket with
+// maxBucket=10).
 func (t *SessionTally) Histogram() []float64 {
 	out := make([]float64, len(t.hist))
 	if t.n == 0 {
@@ -146,18 +138,12 @@ func (t *SessionTally) Breakdown() (SingleFlowBreakdown, TwoFlowBreakdown) {
 	return one, two
 }
 
-// HourlyNonPreferred computes the per-hour fraction of video flows
-// served by non-preferred data centers (Figs 9 and 11). Flows outside
-// any known cluster are ignored, mirroring the paper's Google-AS
-// filter. It returns the per-bin fractions (only bins with traffic)
-// plus the total and non-preferred hourly counts.
-func HourlyNonPreferred(videoFlows []capture.FlowRecord, m *DCMap, preferred int, span time.Duration) (fracs []float64, all, nonPref *stats.TimeBins) {
-	fracs, all, nonPref, _ = HourlyNonPreferredIter(capture.IterSlice(videoFlows), m, preferred, span)
-	return fracs, all, nonPref
-}
-
-// HourlyNonPreferredIter is the streaming HourlyNonPreferred: one pass
-// over the iterator, memory bounded by the hourly bins.
+// HourlyNonPreferredIter computes the per-hour fraction of video flows
+// served by non-preferred data centers (Figs 9 and 11) in one pass
+// over the iterator, with memory bounded by the hourly bins. Flows
+// outside any known cluster are ignored, mirroring the paper's
+// Google-AS filter. It returns the per-bin fractions (only bins with
+// traffic) plus the total and non-preferred hourly counts.
 func HourlyNonPreferredIter(it capture.Iterator, m *DCMap, preferred int, span time.Duration) (fracs []float64, all, nonPref *stats.TimeBins, err error) {
 	if span < time.Hour {
 		span = time.Hour
@@ -203,15 +189,9 @@ type NamedPrefix struct {
 	Prefix ipnet.Prefix
 }
 
-// BySubnet attributes video flows and non-preferred video flows to
-// client subnets (Fig 12).
-func BySubnet(videoFlows []capture.FlowRecord, m *DCMap, preferred int, subnets []NamedPrefix) []SubnetShare {
-	out, _ := BySubnetIter(capture.IterSlice(videoFlows), m, preferred, subnets)
-	return out
-}
-
-// BySubnetIter is the streaming BySubnet: one pass, memory bounded by
-// the subnet list.
+// BySubnetIter attributes video flows and non-preferred video flows to
+// client subnets (Fig 12) in one pass, with memory bounded by the
+// subnet list.
 func BySubnetIter(it capture.Iterator, m *DCMap, preferred int, subnets []NamedPrefix) ([]SubnetShare, error) {
 	all := make([]float64, len(subnets))
 	nonPref := make([]float64, len(subnets))
@@ -263,17 +243,11 @@ type VideoNonPrefCount struct {
 	Total   int
 }
 
-// NonPreferredPerVideo counts, per video, the video flows served from
-// non-preferred DCs (Fig 13's distribution; its top entries feed
-// Fig 14). Only videos with at least one non-preferred access are
-// returned, sorted by decreasing count then VideoID.
-func NonPreferredPerVideo(videoFlows []capture.FlowRecord, m *DCMap, preferred int) []VideoNonPrefCount {
-	out, _ := NonPreferredPerVideoIter(capture.IterSlice(videoFlows), m, preferred)
-	return out
-}
-
-// NonPreferredPerVideoIter is the streaming NonPreferredPerVideo: one
-// pass, memory bounded by the distinct-video set.
+// NonPreferredPerVideoIter counts, per video, the video flows served
+// from non-preferred DCs (Fig 13's distribution; its top entries feed
+// Fig 14) in one pass, with memory bounded by the distinct-video set.
+// Only videos with at least one non-preferred access are returned,
+// sorted by decreasing count then VideoID.
 func NonPreferredPerVideoIter(it capture.Iterator, m *DCMap, preferred int) ([]VideoNonPrefCount, error) {
 	nonPref := make(map[string]int)
 	total := make(map[string]int)
@@ -304,14 +278,9 @@ func NonPreferredPerVideoIter(it capture.Iterator, m *DCMap, preferred int) ([]V
 	return out, it.Err()
 }
 
-// VideoHourlySeries returns the hourly request series of one video:
-// all accesses and non-preferred accesses (one panel of Fig 14).
-func VideoHourlySeries(videoFlows []capture.FlowRecord, m *DCMap, preferred int, videoID string, span time.Duration) (all, nonPref *stats.TimeBins) {
-	all, nonPref, _ = VideoHourlySeriesIter(capture.IterSlice(videoFlows), m, preferred, videoID, span)
-	return all, nonPref
-}
-
-// VideoHourlySeriesIter is the streaming VideoHourlySeries.
+// VideoHourlySeriesIter returns the hourly request series of one
+// video: all accesses and non-preferred accesses (one panel of
+// Fig 14).
 func VideoHourlySeriesIter(it capture.Iterator, m *DCMap, preferred int, videoID string, span time.Duration) (all, nonPref *stats.TimeBins, err error) {
 	if span < time.Hour {
 		span = time.Hour
@@ -338,16 +307,9 @@ func VideoHourlySeriesIter(it capture.Iterator, m *DCMap, preferred int, videoID
 	return all, nonPref, it.Err()
 }
 
-// ServerLoadStats returns, per hour, the average and maximum number of
-// video flows handled by servers of the preferred data center
-// (Fig 15).
-func ServerLoadStats(videoFlows []capture.FlowRecord, m *DCMap, preferred int, span time.Duration) (avg, max []float64) {
-	avg, max, _ = ServerLoadStatsIter(capture.IterSlice(videoFlows), m, preferred, span)
-	return avg, max
-}
-
-// ServerLoadStatsIter is the streaming ServerLoadStats: memory is
-// bounded by (preferred-DC servers × hourly bins).
+// ServerLoadStatsIter returns, per hour, the average and maximum number
+// of video flows handled by servers of the preferred data center
+// (Fig 15). Memory is bounded by (preferred-DC servers × hourly bins).
 func ServerLoadStatsIter(it capture.Iterator, m *DCMap, preferred int, span time.Duration) (avg, max []float64, err error) {
 	if span < time.Hour {
 		span = time.Hour
@@ -449,13 +411,4 @@ func (p ServerSessionPattern) Add(s Session, m *DCMap, preferred int, server ipn
 	default:
 		p.Others.Incr(s.Start())
 	}
-}
-
-// SessionsAtServer computes Fig 16 for one server address.
-func SessionsAtServer(sessions []Session, m *DCMap, preferred int, server ipnet.Addr, span time.Duration) ServerSessionPattern {
-	out := NewServerSessionPattern(span)
-	for _, s := range sessions {
-		out.Add(s, m, preferred, server)
-	}
-	return out
 }

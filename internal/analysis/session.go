@@ -27,81 +27,19 @@ type sessionKey struct {
 	video  string
 }
 
-// Sessionize groups a trace into video sessions: flows with the same
-// (client, VideoID) belong to one session when the gap between the end
-// of one flow and the start of the next is below gap (the paper's T;
-// overlapping flows always group). The result is ordered by session
-// start time, and flows within each session by start time.
-func Sessionize(recs []capture.FlowRecord, gap time.Duration) []Session {
-	groups := make(map[sessionKey][]capture.FlowRecord)
-	for _, r := range recs {
-		k := sessionKey{client: r.Client, video: r.VideoID}
-		groups[k] = append(groups[k], r)
-	}
-
-	var out []Session
-	for k, flows := range groups {
-		sort.Slice(flows, func(i, j int) bool {
-			if flows[i].Start != flows[j].Start {
-				return flows[i].Start < flows[j].Start
-			}
-			return flows[i].End < flows[j].End
-		})
-		cur := Session{Client: k.client, VideoID: k.video}
-		// latestEnd tracks the furthest end seen, so a long flow
-		// swallowing short ones does not split the session.
-		var latestEnd time.Duration
-		for _, f := range flows {
-			if len(cur.Flows) > 0 && f.Start > latestEnd+gap {
-				out = append(out, cur)
-				cur = Session{Client: k.client, VideoID: k.video}
-				latestEnd = 0
-			}
-			cur.Flows = append(cur.Flows, f)
-			if f.End > latestEnd {
-				latestEnd = f.End
-			}
-		}
-		out = append(out, cur)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start() != out[j].Start() {
-			return out[i].Start() < out[j].Start()
-		}
-		if out[i].Client != out[j].Client {
-			return out[i].Client < out[j].Client
-		}
-		return out[i].VideoID < out[j].VideoID
-	})
-	return out
-}
-
-// SessionizeIter is Sessionize over a record stream. It materializes
-// the records first (sessionization in arbitrary order needs the full
-// per-key groups), so its memory is the trace size — use it for
-// compatibility, and StreamSessions for bounded memory over
-// start-ordered input. The result is identical to Sessionize on the
-// collected records.
-func SessionizeIter(it capture.Iterator, gap time.Duration) ([]Session, error) {
-	recs, err := capture.Collect(it)
-	if err != nil {
-		return nil, err
-	}
-	return Sessionize(recs, gap), nil
-}
-
-// StreamSessions is the bounded-memory sessionizer: it consumes an
-// iterator whose records are ordered by start time (for a disk store,
-// tracestore.Reader.ScanByStart) and invokes emit for every completed
-// session. Memory is bounded by the sessions open at any instant —
-// those whose temporal window can still accept a flow — never the
-// whole trace.
+// StreamSessions groups a trace into video sessions (paper §VI-A): it
+// consumes an iterator whose records are ordered by start time (for a
+// disk store, tracestore.Reader.ScanByStart) and invokes emit for every
+// completed session. Flows with the same (client, VideoID) belong to
+// one session while each flow starts within gap (the paper's T) of the
+// furthest end seen so far, so overlapping flows always group and a
+// long flow swallowing short ones does not split the session. Flows
+// within a session are in input order. Memory is bounded by the
+// sessions open at any instant — those whose temporal window can still
+// accept a flow — never the whole trace.
 //
-// The session partition matches Sessionize: flows with the same
-// (client, VideoID) group while each flow starts within gap of the
-// furthest end seen. Sessions are emitted as they close (ordered by
-// closing time, with deterministic tie-breaks), not by session start;
-// callers needing the globally sorted slice should use SessionizeIter.
+// Sessions are emitted as they close (ordered by closing time, with
+// deterministic tie-breaks), not by session start.
 //
 // A session closes either inline, when its next flow starts past its
 // window, or at a sweep every sweepEvery records, which emits every
@@ -440,25 +378,4 @@ func (q *deadlineQueue[T]) pop() deadlineEntry[T] {
 	}
 	*q = h
 	return top
-}
-
-// FlowsPerSessionHistogram returns the fraction of sessions having
-// 1, 2, ..., maxBucket flows; the last bucket aggregates everything
-// >= maxBucket (the paper's ">9" bucket with maxBucket=10).
-func FlowsPerSessionHistogram(sessions []Session, maxBucket int) []float64 {
-	hist := make([]float64, maxBucket)
-	if len(sessions) == 0 {
-		return hist
-	}
-	for _, s := range sessions {
-		n := len(s.Flows)
-		if n > maxBucket {
-			n = maxBucket
-		}
-		hist[n-1]++
-	}
-	for i := range hist {
-		hist[i] /= float64(len(sessions))
-	}
-	return hist
 }

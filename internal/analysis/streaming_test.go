@@ -42,20 +42,6 @@ func randomTrace(seed int64, n int) []capture.FlowRecord {
 	return out
 }
 
-// TestSummarizeIterMatchesSlice pins the delegation: the streaming and
-// slice paths are one implementation.
-func TestSummarizeIterMatchesSlice(t *testing.T) {
-	recs := randomTrace(1, 500)
-	want := Summarize(recs)
-	got, err := SummarizeIter(capture.IterSlice(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("SummarizeIter = %+v, want %+v", got, want)
-	}
-}
-
 // failingIter yields a few records then fails, to check error
 // propagation through the streaming aggregations.
 type failingIter struct {
@@ -81,11 +67,15 @@ func TestStreamingAggregationsPropagateErrors(t *testing.T) {
 	if _, err := SummarizeIter(&failingIter{recs: recs}); !errors.Is(err, errStream) {
 		t.Errorf("SummarizeIter err = %v", err)
 	}
-	if _, err := GoogleFilterIter(&failingIter{recs: recs}, testRegistry(t), 7018); !errors.Is(err, errStream) {
-		t.Errorf("GoogleFilterIter err = %v", err)
+	if _, err := capture.Collect(GoogleIter(&failingIter{recs: recs}, testRegistry(t), 7018)); !errors.Is(err, errStream) {
+		t.Errorf("GoogleIter err = %v", err)
 	}
-	if _, err := SessionizeIter(&failingIter{recs: recs}, time.Second); !errors.Is(err, errStream) {
-		t.Errorf("SessionizeIter err = %v", err)
+	sorted := collect(t, sortedIter(recs))
+	if err := StreamSessions(&failingIter{recs: sorted}, time.Second, func(Session) {}); !errors.Is(err, errStream) {
+		t.Errorf("StreamSessions err = %v", err)
+	}
+	if _, err := SessionTalliesIter(&failingIter{recs: sorted}, []time.Duration{time.Second}, 10); !errors.Is(err, errStream) {
+		t.Errorf("SessionTalliesIter err = %v", err)
 	}
 	if err := StreamSessions(sortedIter(recs), time.Second, func(Session) {}); err != nil {
 		t.Errorf("StreamSessions over clean input: %v", err)
@@ -100,8 +90,46 @@ func sortedIter(recs []capture.FlowRecord) capture.Iterator {
 	return capture.IterSlice(sorted)
 }
 
-// canonicalize sorts sessions (and nothing inside them) the way
-// Sessionize orders its result, so partitions can be compared.
+// Sessionize is the batch sessionizer StreamSessions replaced, kept as
+// an oracle for its session partition: it groups a trace in any order
+// by (client, VideoID), sorts each group by (start, end), and splits
+// wherever a flow starts more than gap past the furthest end seen. The
+// result is ordered by session start time, then client and VideoID.
+func Sessionize(recs []capture.FlowRecord, gap time.Duration) []Session {
+	groups := make(map[sessionKey][]capture.FlowRecord)
+	for _, r := range recs {
+		k := sessionKey{client: r.Client, video: r.VideoID}
+		groups[k] = append(groups[k], r)
+	}
+
+	var out []Session
+	for k, flows := range groups {
+		sort.Slice(flows, func(i, j int) bool {
+			if flows[i].Start != flows[j].Start {
+				return flows[i].Start < flows[j].Start
+			}
+			return flows[i].End < flows[j].End
+		})
+		cur := Session{Client: k.client, VideoID: k.video}
+		var latestEnd time.Duration
+		for _, f := range flows {
+			if len(cur.Flows) > 0 && f.Start > latestEnd+gap {
+				out = append(out, cur)
+				cur = Session{Client: k.client, VideoID: k.video}
+				latestEnd = 0
+			}
+			cur.Flows = append(cur.Flows, f)
+			if f.End > latestEnd {
+				latestEnd = f.End
+			}
+		}
+		out = append(out, cur)
+	}
+	return canonicalize(out)
+}
+
+// canonicalize sorts sessions (and nothing inside them) by start time,
+// then client and VideoID, so partitions can be compared.
 func canonicalize(sessions []Session) []Session {
 	out := make([]Session, len(sessions))
 	copy(out, sessions)
@@ -187,27 +215,5 @@ func TestStreamSessionsBoundedOpenSet(t *testing.T) {
 	}
 	if z.peakOpen > sweepEvery+1 {
 		t.Fatalf("peak open sessions %d, want <= %d", z.peakOpen, sweepEvery+1)
-	}
-}
-
-func TestGoogleFilterIterMatchesSlice(t *testing.T) {
-	reg := testRegistry(t)
-	recs := []capture.FlowRecord{
-		rec("10.0.0.1", "1.1.0.1", 0, time.Second, 5000, "v1"), // Google: keep
-		rec("10.0.0.1", "8.8.8.8", 0, time.Second, 5000, "v2"), // unrouted: drop
-		rec("10.0.0.1", "3.2.0.1", 0, time.Second, 5000, "v3"), // same AS: keep
-	}
-	want := GoogleFilter(recs, reg, 7018)
-	got, err := GoogleFilterIter(capture.IterSlice(recs), reg, 7018)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || len(got) != len(want) {
-		t.Fatalf("filter: %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("record %d differs", i)
-		}
 	}
 }

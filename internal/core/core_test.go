@@ -75,10 +75,10 @@ func closestToMapReference(sel *Selector, id topology.LDNSID, candidates []topol
 
 func TestNewSelectorValidation(t *testing.T) {
 	r := newRig(t, DefaultConfig())
-	if _, err := NewSelector(r.w, r.pl, Config{MaxRedirects: 0, SpillCandidates: 1}); err == nil {
+	if _, err := NewSelector(r.w, r.pl, Config{MaxRedirects: 0}); err == nil {
 		t.Error("MaxRedirects=0 must be rejected")
 	}
-	if _, err := NewSelector(r.w, r.pl, Config{MaxRedirects: 1, SpillCandidates: 0}); err == nil {
+	if _, err := NewSelector(r.w, r.pl, Config{MaxRedirects: 1, Policy: &PaperPolicy{SpillCandidates: 0}}); err == nil {
 		t.Error("SpillCandidates=0 must be rejected")
 	}
 }
@@ -173,7 +173,9 @@ func TestResolveDNSSpillsUnderLoad(t *testing.T) {
 
 func TestResolveDNSNoSpillWhenDisabled(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DNSLoadBalancing = false
+	pol := DefaultPaperPolicy()
+	pol.DNSLoadBalancing = false
+	cfg.Policy = pol
 	r := newRig(t, cfg)
 	g := stats.NewRNG(3)
 	eu2 := r.vp(topology.DatasetEU2)
@@ -297,7 +299,9 @@ func TestHotspotRedirection(t *testing.T) {
 
 func TestHotspotDisabled(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.HotspotRedirection = false
+	pol := DefaultPaperPolicy()
+	pol.HotspotRedirection = false
+	cfg.Policy = pol
 	r := newRig(t, cfg)
 	us := r.vp(topology.DatasetUSCampus)
 	ldns := us.Subnets[0].LDNS
@@ -361,8 +365,8 @@ func TestPlacementPullIdempotent(t *testing.T) {
 	dc := r.w.GoogleDCs()[0]
 	r.pl.Pull(dc, 500)
 	r.pl.Pull(dc, 500)
-	if r.pl.Pulls() != 1 || r.pl.PulledCount() != 1 {
-		t.Errorf("Pulls = %d, PulledCount = %d, want 1,1", r.pl.Pulls(), r.pl.PulledCount())
+	if r.pl.PulledCount() != 1 {
+		t.Errorf("PulledCount = %d, want 1", r.pl.PulledCount())
 	}
 }
 

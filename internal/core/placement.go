@@ -106,9 +106,6 @@ type Placement struct {
 	// system put it).
 	// guarded by mu
 	forced map[content.VideoID][]topology.DataCenterID
-	// pulls counts pull-through insertions (exposed for ablations).
-	// guarded by mu
-	pulls int
 }
 
 type pullKey struct {
@@ -240,19 +237,8 @@ func (p *Placement) Has(dc topology.DataCenterID, v content.VideoID, home geo.Co
 func (p *Placement) Pull(dc topology.DataCenterID, v content.VideoID) {
 	k := pullKey{dc, v}
 	p.mu.Lock()
-	if _, ok := p.pulled[k]; !ok {
-		p.pulled[k] = struct{}{}
-		p.pulls++
-	}
+	p.pulled[k] = struct{}{}
 	p.mu.Unlock()
-}
-
-// Pulls returns the number of pull-through insertions (exposed for
-// ablations).
-func (p *Placement) Pulls() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.pulls
 }
 
 // PulledCount returns the number of distinct (dc, video) pull-through

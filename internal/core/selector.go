@@ -17,32 +17,15 @@ type Config struct {
 	// MaxRedirects bounds an application-layer redirect chain.
 	MaxRedirects int
 	// Policy is the selection policy the engine delegates to. Nil
-	// means the paper's behaviour: a PaperPolicy assembled from the
-	// three legacy ablation fields below.
+	// means the paper's behaviour, DefaultPaperPolicy; the paper's
+	// ablations are PaperPolicy values with a mechanism switched off.
 	Policy SelectionPolicy
-	// DNSLoadBalancing enables adaptive spilling away from an
-	// overloaded preferred DC. Disabling it is the §VII-A ablation.
-	// Consumed by the default PaperPolicy; ignored when Policy is set.
-	DNSLoadBalancing bool
-	// HotspotRedirection enables server-level overload redirects.
-	// Disabling it is the §VII-C hot-spot ablation. Consumed by the
-	// default PaperPolicy; ignored when Policy is set.
-	HotspotRedirection bool
-	// SpillCandidates is how many next-best DCs a spilled resolution
-	// considers. Consumed by the default PaperPolicy; ignored when
-	// Policy is set.
-	SpillCandidates int
 }
 
 // DefaultConfig returns the engine configuration matching the paper's
 // observed behaviour.
 func DefaultConfig() Config {
-	return Config{
-		MaxRedirects:       3,
-		DNSLoadBalancing:   true,
-		HotspotRedirection: true,
-		SpillCandidates:    3,
-	}
+	return Config{MaxRedirects: 3}
 }
 
 // Decision is a content server's answer to a video request.
@@ -125,11 +108,7 @@ func NewSelector(w *topology.World, placement *Placement, cfg Config) (*Selector
 	}
 	policy := cfg.Policy
 	if policy == nil {
-		policy = &PaperPolicy{
-			DNSLoadBalancing:   cfg.DNSLoadBalancing,
-			HotspotRedirection: cfg.HotspotRedirection,
-			SpillCandidates:    cfg.SpillCandidates,
-		}
+		policy = DefaultPaperPolicy()
 	}
 	if err := ValidatePolicy(policy); err != nil {
 		return nil, err

@@ -56,11 +56,11 @@ func buildInput(t *testing.T) Input {
 	}
 	eng.Run()
 
-	traces := make(map[string][]capture.FlowRecord)
+	traces := make(capture.MapSource)
 	for _, name := range topology.DatasetNames() {
 		traces[name] = sink.Trace(name)
 	}
-	return Input{World: w, Catalog: cat, Placement: pl, Traces: traces, Span: span, Seed: seed}
+	return Input{World: w, Catalog: cat, Placement: pl, Source: traces, Span: span, Seed: seed}
 }
 
 func TestRunAllRendersEveryExperiment(t *testing.T) {

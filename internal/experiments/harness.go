@@ -39,16 +39,14 @@ type Input struct {
 	World     *topology.World
 	Catalog   *content.Catalog
 	Placement *core.Placement
-	// Traces holds in-memory per-dataset records. Ignored when Source
-	// is set.
-	Traces map[string][]capture.FlowRecord
-	// Source, when non-nil, supplies the traces as streams instead of
-	// slices — e.g. a tracestore.Reader over a disk-backed study. The
-	// harness consumes whole-trace passes (Tables I-II, Fig 4, the
-	// server census) through one-segment-at-a-time iterators, and
-	// materializes only the Google-AS subset per dataset, so
-	// paper-scale studies analyze in bounded memory. Results are
-	// bit-identical to the equivalent Traces map.
+	// Source supplies the per-dataset traces as streams: a
+	// capture.MapSource over in-memory records, or a tracestore.Reader
+	// over a disk-backed study. Every pass streams its records, and a
+	// source that can also scan a dataset in start order (the store's
+	// ScanByStart) feeds the sessionizing figures without materializing
+	// anything, so paper-scale studies analyze in bounded memory.
+	// Results are bit-identical across sources holding the same
+	// records.
 	Source capture.TraceSource
 	Span   time.Duration
 	Seed   int64
@@ -75,7 +73,6 @@ type Profiler interface {
 // Harness runs experiments over one study. Safe for concurrent use.
 type Harness struct {
 	in     Input
-	src    capture.TraceSource
 	par    int
 	prober *probe.Prober
 
@@ -143,13 +140,8 @@ type dataset struct {
 // claims fresh videos through this harness's counter, so two
 // harnesses over one Input would interfere.
 func New(in Input) *Harness {
-	src := in.Source
-	if src == nil {
-		src = capture.MapSource(in.Traces)
-	}
 	return &Harness{
 		in:        in,
-		src:       src,
 		par:       par.Normalize(in.Parallelism),
 		prober:    probe.New(in.World, stats.NewRNG(in.Seed).Fork("probe")),
 		campaigns: make(map[string]*cell[map[ipnet.Addr]float64]),
@@ -174,7 +166,7 @@ func (h *Harness) phase(name string) func() {
 func (h *Harness) Parallelism() int { return h.par }
 
 // iter opens a fresh stream over one dataset's records.
-func (h *Harness) iter(name string) capture.Iterator { return h.src.Iter(name) }
+func (h *Harness) iter(name string) capture.Iterator { return h.in.Source.Iter(name) }
 
 // googleIter opens a fresh stream over one dataset's §IV Google-AS
 // subset (lazy filter — nothing is materialized).
@@ -225,7 +217,7 @@ func (h *Harness) googleStartSource(name string) (func() capture.Iterator, error
 			return nil, fmt.Errorf("experiments: no trace for %q", name)
 		}
 		vp := h.in.World.VantagePoints[idx]
-		if s, ok := h.src.(startScanner); ok {
+		if s, ok := h.in.Source.(startScanner); ok {
 			return func() capture.Iterator {
 				return analysis.GoogleIter(s.ScanByStart(name), h.in.World.Registry, vp.AS.Number)
 			}, nil
@@ -244,7 +236,7 @@ func (h *Harness) googleStartSource(name string) (func() capture.Iterator, error
 func (h *Harness) servers() ([]ipnet.Addr, error) {
 	h.serversOnce.Do(func() {
 		seen := make(map[ipnet.Addr]struct{})
-		for _, name := range h.src.Datasets() {
+		for _, name := range h.in.Source.Datasets() {
 			it := h.iter(name)
 			for {
 				r, ok := it.Next()
@@ -291,7 +283,7 @@ func (h *Harness) campaign(vpName string) (map[ipnet.Addr]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		return h.prober.CampaignFromVPParallel(vpName, targets, 10, h.par)
+		return h.prober.CampaignFromVP(vpName, targets, 10, h.par)
 	})
 }
 
@@ -347,7 +339,7 @@ func (h *Harness) geolocate() (map[ipnet.Addr]geoloc.Region, error) {
 	h.geoOnce.Do(func() {
 		defer h.phase("localization")()
 		lms := h.prober.LandmarkInfos()
-		cross := h.prober.CrossRTTMatrixParallel(5, h.par)
+		cross := h.prober.CrossRTTMatrix(5, h.par)
 		cbg, err := geoloc.Calibrate(lms, func(i, j int) time.Duration { return cross[i][j] })
 		if err != nil {
 			h.geoErr = fmt.Errorf("experiments: CBG calibration: %w", err)
@@ -542,7 +534,7 @@ func (h *Harness) DatasetNames() []string {
 
 // hasDataset reports whether the source carries a trace for name.
 func (h *Harness) hasDataset(name string) bool {
-	for _, n := range h.src.Datasets() {
+	for _, n := range h.in.Source.Datasets() {
 		if n == name {
 			return true
 		}

@@ -77,19 +77,12 @@ func (p *Prober) MinRTTFromVP(vpName string, target ipnet.Addr, n int) (time.Dur
 
 // CampaignFromVP measures every target from a vantage point and
 // returns per-address minimum RTTs in milliseconds (the Fig 2 / Fig 7
-// campaigns). It probes sequentially; CampaignFromVPParallel fans the
-// same measurements out over a worker pool.
-func (p *Prober) CampaignFromVP(vpName string, targets []ipnet.Addr, n int) (map[ipnet.Addr]float64, error) {
-	return p.CampaignFromVPParallel(vpName, targets, n, 1)
-}
-
-// CampaignFromVPParallel measures every target from a vantage point,
-// fanning the per-target probes out across a worker pool of the given
-// size (values < 1 mean one worker per core). Each measurement draws
-// noise from a stream forked by (vantage point, target), so the
-// campaign is order-independent: the result map is identical at every
-// pool size, including the sequential CampaignFromVP.
-func (p *Prober) CampaignFromVPParallel(vpName string, targets []ipnet.Addr, n, parallelism int) (map[ipnet.Addr]float64, error) {
+// campaigns). The per-target probes fan out across a worker pool of
+// the given size (1 probes sequentially; values < 1 mean one worker
+// per core). Each measurement draws noise from a stream forked by
+// (vantage point, target), so the campaign is order-independent: the
+// result map is identical at every pool size.
+func (p *Prober) CampaignFromVP(vpName string, targets []ipnet.Addr, n, parallelism int) (map[ipnet.Addr]float64, error) {
 	idx := p.w.VPIndex(vpName)
 	if idx < 0 {
 		return nil, fmt.Errorf("probe: unknown vantage point %q", vpName)
@@ -144,15 +137,10 @@ func (p *Prober) LandmarkPairRTT(i, j, samples int) time.Duration {
 }
 
 // CrossRTTMatrix measures landmark-to-landmark minimum RTTs for CBG
-// calibration.
-func (p *Prober) CrossRTTMatrix(samples int) [][]time.Duration {
-	return p.CrossRTTMatrixParallel(samples, 1)
-}
-
-// CrossRTTMatrixParallel measures the same matrix fanning the
-// independent pair measurements out across a worker pool of the given
-// size. The result is identical at every pool size.
-func (p *Prober) CrossRTTMatrixParallel(samples, parallelism int) [][]time.Duration {
+// calibration, fanning the independent pair measurements out across a
+// worker pool of the given size (values <= 1 measure sequentially).
+// The result is identical at every pool size.
+func (p *Prober) CrossRTTMatrix(samples, parallelism int) [][]time.Duration {
 	n := len(p.w.Landmarks)
 	m := make([][]time.Duration, n)
 	for i := range m {

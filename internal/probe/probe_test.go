@@ -75,14 +75,14 @@ func TestCampaignSkipsUnroutable(t *testing.T) {
 	w := testWorld(t)
 	p := New(w, stats.NewRNG(3))
 	targets := []ipnet.Addr{w.Servers[0].Addr, ipnet.MustParseAddr("9.9.9.9")}
-	out, err := p.CampaignFromVP(topology.DatasetUSCampus, targets, 3)
+	out, err := p.CampaignFromVP(topology.DatasetUSCampus, targets, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 {
 		t.Errorf("campaign answered %d targets, want 1", len(out))
 	}
-	if _, err := p.CampaignFromVP(topology.DatasetUSCampus, []ipnet.Addr{ipnet.MustParseAddr("9.9.9.9")}, 3); err == nil {
+	if _, err := p.CampaignFromVP(topology.DatasetUSCampus, []ipnet.Addr{ipnet.MustParseAddr("9.9.9.9")}, 3, 1); err == nil {
 		t.Error("all-unroutable campaign must error")
 	}
 }
@@ -101,12 +101,12 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 			break
 		}
 	}
-	seq, err := p.CampaignFromVP(topology.DatasetUSCampus, targets, 5)
+	seq, err := p.CampaignFromVP(topology.DatasetUSCampus, targets, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pool := range []int{2, 8, 0} {
-		got, err := p.CampaignFromVPParallel(topology.DatasetUSCampus, targets, 5, pool)
+		got, err := p.CampaignFromVP(topology.DatasetUSCampus, targets, 5, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 func TestCrossRTTMatrixSymmetric(t *testing.T) {
 	w := testWorld(t)
 	p := New(w, stats.NewRNG(4))
-	m := p.CrossRTTMatrix(3)
+	m := p.CrossRTTMatrix(3, 1)
 	n := len(w.Landmarks)
 	if len(m) != n {
 		t.Fatalf("matrix size %d, want %d", len(m), n)

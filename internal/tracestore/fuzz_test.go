@@ -13,6 +13,14 @@ import (
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
+// decodeSegment decodes one segment payload through a fresh buffer,
+// so the records stay valid after the call.
+func decodeSegment(payload []byte, count int) ([]capture.FlowRecord, error) {
+	b := decodeBuf{payload: payload}
+	recs, _, err := b.decode(count)
+	return recs, err
+}
+
 // fuzzRecords builds a small realistic record batch whose encoding
 // seeds the fuzz corpora with genuine segment bytes.
 func fuzzRecords(n int) []capture.FlowRecord {

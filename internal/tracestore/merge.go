@@ -179,118 +179,3 @@ func (it *startIterator) finish(err error) {
 		it.f = nil
 	}
 }
-
-// MergeIterator is a start-time-ordered view across several datasets:
-// a k-way merge of per-dataset ScanByStart streams that also reports
-// which dataset each record came from. Ties break by dataset name so
-// the merged stream is deterministic.
-type MergeIterator struct {
-	arms []mergeArm
-	heap mergeHeap
-	err  error
-	done bool
-}
-
-// mergeArm is one dataset's stream plus its lookahead record.
-type mergeArm struct {
-	dataset string
-	it      capture.Iterator
-	cur     capture.FlowRecord
-}
-
-// mergeHeap orders arm indices by (current start, dataset name).
-type mergeHeap struct {
-	arms []mergeArm
-	idx  []int
-}
-
-func (h mergeHeap) Len() int { return len(h.idx) }
-func (h mergeHeap) Less(a, b int) bool {
-	ra, rb := h.arms[h.idx[a]], h.arms[h.idx[b]]
-	if ra.cur.Start != rb.cur.Start {
-		return ra.cur.Start < rb.cur.Start
-	}
-	return ra.dataset < rb.dataset
-}
-func (h mergeHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *mergeHeap) Push(x any)   { h.idx = append(h.idx, x.(int)) }
-func (h *mergeHeap) Pop() any {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
-}
-
-// MergeByStart merges the given datasets (all of them when none are
-// named) into one start-ordered stream. Memory stays bounded by the
-// per-dataset ScanByStart guarantee: a few decoded segments per shard.
-func (r *Reader) MergeByStart(datasets ...string) *MergeIterator {
-	if len(datasets) == 0 {
-		datasets = r.Datasets()
-	}
-	m := &MergeIterator{}
-	for _, name := range datasets {
-		m.arms = append(m.arms, mergeArm{dataset: name, it: r.ScanByStart(name)})
-	}
-	m.heap.arms = m.arms
-	for i := range m.arms {
-		if m.advance(i) {
-			m.heap.idx = append(m.heap.idx, i)
-		}
-		if m.done {
-			return m
-		}
-	}
-	heap.Init(&m.heap)
-	return m
-}
-
-// advance pulls the next lookahead record into arm i, reporting
-// whether the arm is still live.
-func (m *MergeIterator) advance(i int) bool {
-	rec, ok := m.arms[i].it.Next()
-	if !ok {
-		if err := m.arms[i].it.Err(); err != nil {
-			m.fail(err)
-		}
-		return false
-	}
-	m.arms[i].cur = rec
-	return true
-}
-
-// Next returns the next record in global start order with its dataset.
-func (m *MergeIterator) Next() (dataset string, rec capture.FlowRecord, ok bool) {
-	if m.done || m.heap.Len() == 0 {
-		m.done = true
-		return "", capture.FlowRecord{}, false
-	}
-	i := m.heap.idx[0]
-	dataset, rec = m.arms[i].dataset, m.arms[i].cur
-	if m.advance(i) {
-		heap.Fix(&m.heap, 0)
-	} else {
-		if m.done { // a stream failed mid-merge
-			return "", capture.FlowRecord{}, false
-		}
-		heap.Pop(&m.heap)
-	}
-	return dataset, rec, true
-}
-
-// Err returns the first stream error.
-func (m *MergeIterator) Err() error { return m.err }
-
-// fail closes every arm after the first error.
-func (m *MergeIterator) fail(err error) {
-	if m.err == nil {
-		m.err = err
-	}
-	m.done = true
-	for _, arm := range m.arms {
-		if c, ok := arm.it.(interface{ Close() error }); ok {
-			c.Close()
-		}
-	}
-}

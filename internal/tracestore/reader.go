@@ -153,7 +153,7 @@ func indexShard(path string) (*rshard, error) {
 			break
 		}
 		// Each record costs at least one payload byte (see
-		// decodeSegment), so a larger count is a corrupted header.
+		// decodeBuf.decode), so a larger count is a corrupted header.
 		if h.count > h.payloadLen {
 			return nil, fmt.Errorf("tracestore: %s at %d: segment count %d impossible for %d payload bytes",
 				path, off, h.count, h.payloadLen)
@@ -369,13 +369,6 @@ func (it *scanIterator) finish(err error) {
 		}
 		it.f = nil
 	}
-}
-
-// Trace materializes a full dataset in stored order — the
-// compatibility path for callers that need a slice. Large stores
-// should prefer Iter.
-func (r *Reader) Trace(dataset string) ([]capture.FlowRecord, error) {
-	return capture.Collect(r.Iter(dataset))
 }
 
 var _ capture.TraceSource = (*Reader)(nil)

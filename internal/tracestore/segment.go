@@ -388,16 +388,5 @@ func assignStringCol(p *payloadReader, recs []capture.FlowRecord, d []string, re
 	}
 }
 
-// decodeSegment reconstructs the records of one segment through a
-// fresh one-shot buffer — the compatibility path for callers that keep
-// several decoded segments alive at once (the start-ordered merge
-// arms) or hand the records out (tests, fuzzing). Streaming callers
-// reuse a decodeBuf instead.
-func decodeSegment(payload []byte, count int) ([]capture.FlowRecord, error) {
-	b := decodeBuf{payload: payload}
-	recs, _, err := b.decode(count)
-	return recs, err
-}
-
 // flowRecordSize is the struct size used by the buffering gauge.
 const flowRecordSize = 64

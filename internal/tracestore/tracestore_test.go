@@ -149,7 +149,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		if got := r.Records(ds); got != int64(len(recs)) {
 			t.Errorf("%s Records = %d, want %d", ds, got, len(recs))
 		}
-		got, err := r.Trace(ds)
+		got, err := capture.Collect(r.Iter(ds))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if segs := r.Segments("US-Campus"); segs != 8 {
 		t.Errorf("US-Campus segments = %d, want 8", segs)
 	}
-	if recs, err := r.Trace("missing"); err != nil || recs != nil {
+	if recs, err := capture.Collect(r.Iter("missing")); err != nil || recs != nil {
 		t.Errorf("missing dataset: %v, %v", recs, err)
 	}
 	if r.BufferedBytes() != 0 {
@@ -255,48 +255,6 @@ func sortTies(recs []capture.FlowRecord) {
 	}
 }
 
-func TestMergeByStart(t *testing.T) {
-	dir := t.TempDir()
-	byDS := map[string][]capture.FlowRecord{
-		"a": genRecords(6, 500),
-		"b": genRecords(7, 700),
-	}
-	writeStore(t, dir, 64, byDS)
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := r.MergeByStart()
-	var prev capture.FlowRecord
-	var prevDS string
-	counts := map[string]int{}
-	n := 0
-	for {
-		ds, rec, ok := m.Next()
-		if !ok {
-			break
-		}
-		if n > 0 {
-			if rec.Start < prev.Start {
-				t.Fatalf("merge order violated at %d", n)
-			}
-			// Equal-start runs must list datasets in name order.
-			if rec.Start == prev.Start && ds < prevDS {
-				t.Fatalf("tie-break violated at %d: %s after %s", n, ds, prevDS)
-			}
-		}
-		prev, prevDS = rec, ds
-		counts[ds]++
-		n++
-	}
-	if err := m.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if counts["a"] != 500 || counts["b"] != 700 {
-		t.Errorf("per-dataset counts = %v", counts)
-	}
-}
-
 func TestCrashTruncation(t *testing.T) {
 	dir := t.TempDir()
 	const segRecords = 100
@@ -328,7 +286,7 @@ func TestCrashTruncation(t *testing.T) {
 		if !r.Truncated("ds") {
 			t.Errorf("chop %d: truncation not reported", chop)
 		}
-		got, err := r.Trace("ds")
+		got, err := capture.Collect(r.Iter("ds"))
 		if err != nil {
 			t.Fatalf("chop %d: %v", chop, err)
 		}
@@ -424,7 +382,7 @@ func TestCorruptPayloadDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Trace("ds"); err == nil {
+	if _, err := capture.Collect(r.Iter("ds")); err == nil {
 		t.Error("corrupt payload must surface an error")
 	}
 }

@@ -172,8 +172,6 @@ func TestPolicySwitchMidRun(t *testing.T) {
 	}
 
 	switched := base
-	switched.Policy = nil
-	switched.Selector = &core.Config{MaxRedirects: 3, Policy: core.ProximityOnly{}}
 	switched.PolicySwitch = &PolicySwitch{At: base.Span / 2, To: &core.LeastLoadedDC{}}
 	study, err := Run(switched)
 	if err != nil {
@@ -214,15 +212,5 @@ func TestPolicySwitchValidation(t *testing.T) {
 		if _, err := Run(opts); err == nil {
 			t.Errorf("PolicySwitch %+v must be rejected", sw)
 		}
-	}
-}
-
-// TestOptionsPolicyConflict rejects double policy configuration.
-func TestOptionsPolicyConflict(t *testing.T) {
-	opts := Options{Scale: 0.002, Span: 24 * time.Hour}
-	opts.Policy = core.ProximityOnly{}
-	opts.Selector = &core.Config{MaxRedirects: 3, Policy: core.ProximityOnly{}}
-	if _, err := Run(opts); err == nil {
-		t.Error("Options.Policy plus Selector.Policy must be rejected")
 	}
 }

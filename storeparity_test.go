@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/core"
 	"github.com/ytcdn-sim/ytcdn/internal/topology"
 )
 
@@ -114,9 +115,11 @@ func TestStoreStudyTraceAccessors(t *testing.T) {
 }
 
 // TestRejectsNegativeSpanAndScale pins the option checks that must
-// run before anything touches disk. A negative Span used to be caught
-// only by the simulator, after the store writer had replaced the
-// store's shard files; a negative Scale returned an empty study.
+// run before anything touches disk: every option error Run and
+// RunWorld return must leave an existing store byte-identical. A
+// negative Span used to be caught only by the simulator, after the
+// store writer had replaced the store's shard files; a negative Scale
+// returned an empty study.
 func TestRejectsNegativeSpanAndScale(t *testing.T) {
 	dir := t.TempDir()
 	good := Options{Scale: 0.002, Span: 24 * time.Hour, Store: &StoreOptions{Dir: dir}}
@@ -148,8 +151,12 @@ func TestRejectsNegativeSpanAndScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Options){
-		"negative span":  func(o *Options) { o.Span = -time.Hour },
-		"negative scale": func(o *Options) { o.Scale = -0.002 },
+		"negative span":         func(o *Options) { o.Span = -time.Hour },
+		"negative scale":        func(o *Options) { o.Scale = -0.002 },
+		"invalid policy":        func(o *Options) { o.Policy = &core.PaperPolicy{SpillCandidates: 0} },
+		"switch to nil":         func(o *Options) { o.PolicySwitch = &PolicySwitch{At: time.Hour, To: nil} },
+		"switch at span end":    func(o *Options) { o.PolicySwitch = &PolicySwitch{At: o.Span, To: core.ProximityOnly{}} },
+		"negative segment size": func(o *Options) { o.Store = &StoreOptions{Dir: dir, SegmentRecords: -1} },
 	} {
 		opts := good
 		mutate(&opts)
@@ -175,9 +182,9 @@ func TestRejectsNegativeSpanAndScale(t *testing.T) {
 // Google subset — must never buffer more than a small constant number
 // of decoded segments per dataset. The bound is expressed against the
 // decoded size of the full trace: if someone reintroduces a
-// materializing pass (Collect, GoogleFilterIter, Sessionize over a
-// collected slice) through the reader, the peak jumps to ~100% and
-// this test fails loudly.
+// materializing pass (a capture.Collect of a dataset, or sessions
+// built from a collected slice) through the reader, the peak jumps to
+// ~100% and this test fails loudly.
 func TestAnalysisBoundedMemory(t *testing.T) {
 	const segRecords = 2048
 	opts := Options{Scale: 0.05, Span: 7 * 24 * time.Hour, Parallelism: 4}

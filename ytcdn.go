@@ -65,17 +65,15 @@ type Options struct {
 	// Span is the capture window (default: one week, like the paper).
 	// A negative value is an error.
 	Span time.Duration
-	// Topology, Catalog, Selector and Player override subsystem
-	// configurations; zero values mean calibrated defaults.
-	Topology *topology.PaperConfig
-	Catalog  *content.Config
-	Selector *core.Config
-	Player   *cdn.Config
 	// Policy is the server-selection policy the engine delegates to.
 	// Nil means the paper's reverse-engineered behaviour
-	// (core.PaperPolicy, configured by the Selector ablation flags);
-	// see BuiltinPolicies for the other built-ins. Setting both
-	// Policy and Selector.Policy is rejected.
+	// (core.DefaultPaperPolicy); see BuiltinPolicies for the other
+	// built-ins. The paper's ablations are a PaperPolicy with one
+	// mechanism switched off — for §VII-A, DNS load balancing:
+	//
+	//	pol := core.DefaultPaperPolicy()
+	//	pol.DNSLoadBalancing = false
+	//	opts.Policy = pol
 	Policy core.SelectionPolicy
 	// PolicySwitch, when non-nil, swaps the selection policy mid-run —
 	// the scenario the paper stumbled into when Google changed the
@@ -189,15 +187,7 @@ func Run(opts Options) (*Study, error) {
 		return nil, err
 	}
 
-	topoCfg := topology.PaperConfig{}
-	if opts.Topology != nil {
-		topoCfg = *opts.Topology
-	}
-	topoCfg.Scale = opts.Scale
-	if topoCfg.Seed == 0 {
-		topoCfg.Seed = opts.Seed
-	}
-	w, err := topology.BuildPaperWorld(topoCfg)
+	w, err := topology.BuildPaperWorld(topology.PaperConfig{Scale: opts.Scale, Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("ytcdn: %w", err)
 	}
@@ -207,8 +197,7 @@ func Run(opts Options) (*Study, error) {
 // RunWorld runs a study against a caller-built (and possibly modified)
 // world — for example with altered preferred-DC overrides to model the
 // assignment-policy change the paper observed in its February 2011
-// follow-up dataset. Options.Topology is ignored; Seed, Scale and Span
-// default as in Run.
+// follow-up dataset. Seed, Scale and Span default as in Run.
 func RunWorld(w *topology.World, opts Options) (*Study, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 20100904
@@ -220,11 +209,7 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 		opts.Span = 7 * 24 * time.Hour
 	}
 
-	catCfg := content.DefaultConfig()
-	if opts.Catalog != nil {
-		catCfg = *opts.Catalog
-	}
-	cat, err := content.NewCatalog(catCfg)
+	cat, err := content.NewCatalog(content.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("ytcdn: %w", err)
 	}
@@ -235,26 +220,13 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 	}
 
 	selCfg := core.DefaultConfig()
-	if opts.Selector != nil {
-		selCfg = *opts.Selector
-	}
-	if opts.Policy != nil {
-		if selCfg.Policy != nil {
-			return nil, fmt.Errorf("ytcdn: Options.Policy and Options.Selector.Policy both set")
-		}
-		selCfg.Policy = opts.Policy
-	}
+	selCfg.Policy = opts.Policy
 	sel, err := core.NewSelector(w, placement, selCfg)
 	if err != nil {
 		return nil, fmt.Errorf("ytcdn: %w", err)
 	}
 	if opts.Metrics != nil {
 		sel.Instrument(opts.Metrics)
-	}
-
-	playerCfg := cdn.DefaultConfig()
-	if opts.Player != nil {
-		playerCfg = *opts.Player
 	}
 
 	// Validate the scenario timeline before the store writer below
@@ -306,7 +278,7 @@ func RunWorld(w *topology.World, opts Options) (*Study, error) {
 	// so the order of events at equal times.
 	root := stats.NewRNG(opts.Seed)
 	eng := &des.Engine{}
-	sim, err := cdn.NewSimulator(w, cat, sel, eng, sink, playerCfg, root, opts.Span)
+	sim, err := cdn.NewSimulator(w, cat, sel, eng, sink, cdn.DefaultConfig(), root, opts.Span)
 	if err != nil {
 		return nil, fmt.Errorf("ytcdn: %w", err)
 	}
