@@ -1,154 +1,122 @@
-// Command ytcdn-lint is the repo's determinism & concurrency lint
-// suite (internal/lint) packaged two ways:
-//
-// As a vet tool, speaking cmd/go's unit-checker protocol, so the
-// custom analyzers run under the standard vet driver with its
-// per-package caching:
-//
-//	go build -o bin/ytcdn-lint ./cmd/ytcdn-lint
-//	go vet -vettool=$(pwd)/bin/ytcdn-lint ./...
-//
-// As a standalone command over package patterns, in which case it
-// first runs plain `go vet` (the standard analyzers) and then re-runs
-// the vet driver with itself as the vettool — custom and standard
-// checks in one invocation:
+// Command ytcdn-lint runs the repo's determinism and concurrency lint
+// suite (internal/lint) over package patterns:
 //
 //	go run ./cmd/ytcdn-lint ./...
 //
-// Standalone runs also include the interprocedural module analyzers
-// (detreach, lockorder, goleak), which build a whole-module call graph
-// and therefore cannot run under the per-package vet protocol. `-list`
-// names every analyzer; `-graph` dumps the call graph instead of
-// linting.
+// It loads and type-checks the matching module packages once and runs
+// all ten analyzers over them: seven per package, and the three
+// interprocedural ones (detreach, lockorder, goleak) over a
+// whole-module call graph, which is only complete for whole-module
+// loads (`./...`). Each unsuppressed finding prints to stderr as
+// `file:line:col: [analyzer] message`. Standard vet is not part of it;
+// run `go vet ./...` for that.
 //
-// Analyzers can be disabled individually (-detmap=false etc.), both
-// standalone and through `go vet -vettool=... -rngshare=false`.
+//	-json   print every finding, surviving and suppressed, as one JSON
+//	        array on stdout instead
+//	-graph  dump the whole-module call graph to stdout instead of linting
+//	-list   name every analyzer with its scope and a one-line summary
+//
 // Findings are suppressed line by line with `//lint:ok <analyzer>
 // <reason>`; the reason is mandatory.
 //
-// Exit codes, in every mode: 0 clean, 1 driver or load error, 2 at
-// least one unsuppressed finding.
+// Exit codes: 0 clean, 1 usage, driver or load error, 2 at least one
+// unsuppressed finding.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
+	"go/token"
 	"os"
-	"os/exec"
 	"strings"
 
 	"github.com/ytcdn-sim/ytcdn/internal/lint"
 )
+
+const (
+	exitClean    = 0
+	exitError    = 1
+	exitFindings = 2
+)
+
+const usage = "usage: ytcdn-lint [-json|-graph|-list] <package patterns>"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
 func run(args []string) int {
-	enabled := make(map[string]bool)
-	for _, a := range lint.Analyzers() {
-		enabled[a.Name] = true
-	}
-	for _, a := range lint.ModuleAnalyzers() {
-		enabled[a.Name] = true
-	}
-	customOnly := false
-	jsonOut := false
-	graphOut := false
-
-	var cfgFile string
+	jsonOut, graphOut := false, false
 	var patterns []string
-	var toggles []string
 	for _, arg := range args {
 		switch {
-		case arg == "-flags":
-			return printFlags()
-		case arg == "-V=full" || arg == "-V":
-			return printVersion()
 		case arg == "-list":
 			return printList()
-		case arg == "-custom-only" || arg == "-custom-only=true":
-			customOnly = true
-		case arg == "-json" || arg == "-json=true":
+		case arg == "-json":
 			jsonOut = true
-		case arg == "-graph" || arg == "-graph=true":
+		case arg == "-graph":
 			graphOut = true
 		case strings.HasPrefix(arg, "-"):
-			name, value, ok := parseToggle(arg)
-			if !ok || !setEnabled(enabled, name, value) {
-				fmt.Fprintf(os.Stderr, "ytcdn-lint: unknown flag %s\n", arg)
-				return lint.ExitError
-			}
-			toggles = append(toggles, arg)
-		case strings.HasSuffix(arg, ".cfg"):
-			cfgFile = arg
+			fmt.Fprintf(os.Stderr, "ytcdn-lint: unknown flag %s\n%s\n", arg, usage)
+			return exitError
 		default:
 			patterns = append(patterns, arg)
 		}
 	}
-
-	var analyzers []*lint.Analyzer
-	for _, a := range lint.Analyzers() {
-		if enabled[a.Name] {
-			analyzers = append(analyzers, a)
-		}
-	}
-	var moduleAnalyzers []*lint.ModuleAnalyzer
-	for _, a := range lint.ModuleAnalyzers() {
-		if enabled[a.Name] {
-			moduleAnalyzers = append(moduleAnalyzers, a)
-		}
-	}
-
-	if cfgFile != "" {
-		// Under the vet protocol only the per-package analyzers run;
-		// the module analyzers need the whole class hierarchy at once.
-		return lint.RunVetUnit(cfgFile, analyzers, os.Stderr, jsonOut)
-	}
 	if len(patterns) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: ytcdn-lint [-json] [-graph] [-list] [-custom-only] [-<analyzer>=false ...] <package patterns>")
-		return lint.ExitError
+		fmt.Fprintln(os.Stderr, usage)
+		return exitError
 	}
-	if graphOut {
-		return dumpGraph(patterns)
-	}
-	if jsonOut {
-		return standaloneJSON(patterns, analyzers, moduleAnalyzers)
-	}
-	return standalone(patterns, toggles, customOnly, moduleAnalyzers)
-}
 
-// dumpGraph loads the patterns, builds the whole-module call graph,
-// and writes the deterministic dump to stdout — the CI artifact that
-// lets a reviewer diff reachability across commits.
-func dumpGraph(patterns []string) int {
 	units, err := lint.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
-		return lint.ExitError
+		return exitError
 	}
-	var sb strings.Builder
-	lint.BuildGraph(units).Dump(&sb)
-	os.Stdout.WriteString(sb.String())
-	return lint.ExitClean
+	if graphOut {
+		// The deterministic dump is a CI artifact that lets a reviewer
+		// diff reachability across commits.
+		var sb strings.Builder
+		lint.BuildGraph(units).Dump(&sb)
+		os.Stdout.WriteString(sb.String())
+		return exitClean
+	}
+
+	kept, silenced := lint.Check(units, lint.Analyzers())
+	fset := token.NewFileSet() // stays empty when no package matched
+	if len(units) > 0 {
+		fset = units[0].Fset
+	}
+	if jsonOut {
+		data, err := json.MarshalIndent(lint.FindingsJSON(fset, kept, silenced), "", "\t")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
+			return exitError
+		}
+		os.Stdout.Write(data)
+		fmt.Println()
+	} else {
+		for _, d := range kept {
+			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
+		}
+	}
+	if len(kept) > 0 {
+		return exitFindings
+	}
+	return exitClean
 }
 
-// printList names every analyzer in the suite with its version and a
-// one-line summary, module-level analyzers marked as such.
+// printList names every analyzer in the suite with its scope and a
+// one-line summary.
 func printList() int {
-	versions := lint.AnalyzerVersions()
-	line := func(name, doc, scope string) {
-		fmt.Printf("%-12s %-10s %-8s %s\n", name, versions[name], scope, firstSentence(doc))
-	}
 	for _, a := range lint.Analyzers() {
-		line(a.Name, a.Doc, "package")
+		scope := "package"
+		if a.RunModule != nil {
+			scope = "module"
+		}
+		fmt.Printf("%-12s %-8s %s\n", a.Name, scope, firstSentence(a.Doc))
 	}
-	for _, a := range lint.ModuleAnalyzers() {
-		line(a.Name, a.Doc, "module")
-	}
-	return lint.ExitClean
+	return exitClean
 }
 
 func firstSentence(doc string) string {
@@ -157,192 +125,4 @@ func firstSentence(doc string) string {
 		return doc[:i]
 	}
 	return doc
-}
-
-// runModuleAnalyzers loads the patterns once and runs the
-// interprocedural suite, printing findings in the vet format. It
-// returns the findings count, or -1 on a load failure.
-func runModuleAnalyzers(patterns []string, analyzers []*lint.ModuleAnalyzer) int {
-	if len(analyzers) == 0 {
-		return 0
-	}
-	units, err := lint.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
-		return -1
-	}
-	if len(units) == 0 {
-		return 0
-	}
-	kept, _ := lint.RunModuleAll(units, analyzers)
-	for _, d := range kept {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", units[0].Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	return len(kept)
-}
-
-// standaloneJSON runs the custom suite in-process over the patterns
-// and prints every finding — surviving and suppressed — as one JSON
-// array on stdout. The standard go vet analyzers are skipped in this
-// mode: the machine-readable contract covers the custom suite, and a
-// consumer wanting vet's own findings runs `go vet -json` alongside.
-func standaloneJSON(patterns []string, analyzers []*lint.Analyzer, moduleAnalyzers []*lint.ModuleAnalyzer) int {
-	units, err := lint.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
-		return lint.ExitError
-	}
-	findings := []lint.JSONFinding{}
-	failing := 0
-	for _, u := range units {
-		kept, silenced := lint.RunAll(u.Fset, u.Files, u.Pkg, u.Info, analyzers)
-		failing += len(kept)
-		findings = append(findings, lint.FindingsJSON(u.Fset, kept, silenced)...)
-	}
-	if len(units) > 0 && len(moduleAnalyzers) > 0 {
-		kept, silenced := lint.RunModuleAll(units, moduleAnalyzers)
-		failing += len(kept)
-		findings = append(findings, lint.FindingsJSON(units[0].Fset, kept, silenced)...)
-	}
-	data, err := json.MarshalIndent(findings, "", "\t")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
-		return lint.ExitError
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
-	if failing > 0 {
-		return lint.ExitDiagnostics
-	}
-	return lint.ExitClean
-}
-
-// standalone drives the vet front end twice — once bare for the
-// standard analyzers, once with this binary as the vettool for the
-// per-package custom suite — then runs the module analyzers in
-// process (they need the whole module, which the per-unit vet
-// protocol never supplies).
-func standalone(patterns, toggles []string, customOnly bool, moduleAnalyzers []*lint.ModuleAnalyzer) int {
-	self, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
-		return lint.ExitError
-	}
-	exit := 0
-	if !customOnly {
-		if code := runGoVet(nil, "", patterns); code != 0 {
-			exit = code
-		}
-	}
-	if code := runGoVet(toggles, self, patterns); code != 0 && exit == 0 {
-		exit = code
-	}
-	switch n := runModuleAnalyzers(patterns, moduleAnalyzers); {
-	case n < 0:
-		if exit == 0 {
-			exit = lint.ExitError
-		}
-	case n > 0:
-		if exit == 0 {
-			exit = lint.ExitDiagnostics
-		}
-	}
-	return exit
-}
-
-func runGoVet(toggles []string, vettool string, patterns []string) int {
-	args := []string{"vet"}
-	if vettool != "" {
-		args = append(args, "-vettool="+vettool)
-	}
-	args = append(args, toggles...)
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
-		}
-		fmt.Fprintf(os.Stderr, "ytcdn-lint: go vet: %v\n", err)
-		return lint.ExitError
-	}
-	return 0
-}
-
-func parseToggle(arg string) (name string, value, ok bool) {
-	arg = strings.TrimPrefix(arg, "-")
-	name, val, found := strings.Cut(arg, "=")
-	if !found {
-		return name, true, true
-	}
-	switch val {
-	case "true":
-		return name, true, true
-	case "false":
-		return name, false, true
-	}
-	return "", false, false
-}
-
-func setEnabled(enabled map[string]bool, name string, value bool) bool {
-	if _, ok := enabled[name]; !ok {
-		return false
-	}
-	enabled[name] = value
-	return true
-}
-
-// printFlags implements the `-flags` handshake: cmd/go asks an
-// external vettool which flags it accepts, as JSON, before passing any
-// through.
-func printFlags() int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	flags := []jsonFlag{}
-	for _, a := range lint.Analyzers() {
-		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: "enable the " + a.Name + " analyzer (default true): " + a.Doc})
-	}
-	// Module analyzers don't run under the vet protocol, but accepting
-	// their toggles keeps one flag set valid in every mode.
-	for _, a := range lint.ModuleAnalyzers() {
-		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: "enable the " + a.Name + " module analyzer in standalone modes (default true): " + a.Doc})
-	}
-	// Declaring json here lets `go vet -vettool=... -json` forward the
-	// flag to the per-unit invocations (JSONL on stderr).
-	flags = append(flags, jsonFlag{Name: "json", Bool: true, Usage: "emit findings as machine-readable JSON"})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		return lint.ExitError
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
-	return lint.ExitClean
-}
-
-// printVersion implements the `-V=full` handshake: cmd/go keys its
-// per-package vet cache on this line, so it must change whenever the
-// binary does — hence the content hash.
-func printVersion() int {
-	self, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
-		return lint.ExitError
-	}
-	f, err := os.Open(self)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
-		return lint.ExitError
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
-		return lint.ExitError
-	}
-	fmt.Printf("ytcdn-lint version devel buildID=%x\n", h.Sum(nil))
-	return lint.ExitClean
 }

@@ -104,8 +104,7 @@ func TestHotAllocAnnotationErrors(t *testing.T) {
 	if len(units) != 1 {
 		t.Fatalf("got %d units, want 1", len(units))
 	}
-	u := units[0]
-	diags := lint.Run(u.Fset, u.Files, u.Pkg, u.Info, []*lint.Analyzer{lint.HotAlloc})
+	diags, _ := lint.Check(units, []*lint.Analyzer{lint.HotAlloc})
 	wants := []string{
 		`unknown //perf: directive "fast"`,
 		"stale //perf:hot",
@@ -152,8 +151,7 @@ func TestSuppressionNeedsReason(t *testing.T) {
 	if len(units) != 1 {
 		t.Fatalf("got %d units, want 1", len(units))
 	}
-	u := units[0]
-	diags := lint.Run(u.Fset, u.Files, u.Pkg, u.Info, []*lint.Analyzer{lint.DetMap})
+	diags, _ := lint.Check(units, []*lint.Analyzer{lint.DetMap})
 	var reasonless, finding bool
 	for _, d := range diags {
 		switch {

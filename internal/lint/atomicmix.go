@@ -46,9 +46,6 @@ func runAtomicMix(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, fd := range enclosingFuncs(f) {
 			checkAtomicMix(pass, fd, fields, exempt)
 		}
@@ -62,9 +59,6 @@ func collectAtomicFields(pass *Pass) (map[*types.Var]atomicFieldUse, map[ast.Nod
 	fields := map[*types.Var]atomicFieldUse{}
 	exempt := map[ast.Node]bool{}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !isAtomicCall(pass.Info, call) {

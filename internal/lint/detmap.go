@@ -23,9 +23,6 @@ var DetMap = &Analyzer{
 
 func runDetMap(pass *Pass) {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, fd := range enclosingFuncs(f) {
 			forEachMapRangeIssue(pass.Info, fd, pass.Reportf)
 		}

@@ -25,13 +25,12 @@ import (
 //
 // The reachable set's boundary — every call that leaves the module —
 // is pinned in testdata/detreach.golden; see DetReachFrontier.
-var DetReach = &ModuleAnalyzer{
+var DetReach = &Analyzer{
 	Name: "detreach",
 	Doc: "require every function reachable from a deterministic-plane entry " +
 		"point to be determinism-pure (no transitive wall clock, ambient RNG, " +
 		"unforked RNG construction, or order-sensitive map iteration)",
-	Version: 1,
-	Run:     runDetReach,
+	RunModule: runDetReach,
 }
 
 // detReachEntryPoints documents the root set in one place; the logic

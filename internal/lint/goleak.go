@@ -31,12 +31,11 @@ import (
 // callee's parameter variable, not the caller's, and will not match —
 // capture it in a closure or hang it on a shared struct field to make
 // the evidence visible.
-var GoLeak = &ModuleAnalyzer{
+var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc: "flag goroutines with no join evidence (no Done on a Waited " +
 		"WaitGroup, no channel handshake tying their lifetime to a collector)",
-	Version: 1,
-	Run:     runGoLeak,
+	RunModule: runGoLeak,
 }
 
 // joinFacts is what a goroutine (or any function) does that can serve

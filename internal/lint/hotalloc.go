@@ -31,9 +31,6 @@ var HotAlloc = &Analyzer{
 
 func runHotAlloc(pass *Pass) {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		checkPerfAnnotations(pass, f)
 		for _, fd := range enclosingFuncs(f) {
 			contracts := perfContracts(fd)

@@ -1,17 +1,19 @@
 // Package lint is the repo's static layer: a small, dependency-free
 // analysis framework (in the spirit of golang.org/x/tools/go/analysis,
-// which this module deliberately does not depend on) plus the seven
+// which this module deliberately does not depend on) plus the ten
 // analyzers that encode the invariants every parity suite in this
-// repository leans on — map-iteration determinism, RNG purity, RNG
-// stream ownership, mutex guard discipline, the observability plane
-// split, and the hot-path performance contracts (allocation discipline
-// in //perf:-annotated functions, no mixed atomic/plain field access).
+// repository leans on. Seven work on one package at a time:
+// map-iteration determinism, RNG purity, RNG stream ownership, mutex
+// guard discipline, the observability plane split, and the hot-path
+// performance contracts (allocation discipline in //perf:-annotated
+// functions, no mixed atomic/plain field access). Three work on the
+// whole module through its call graph (see module.go): transitive
+// determinism purity, lock order, and goroutine joins.
 //
-// The framework runs one package at a time over parsed, type-checked
-// source. It is driven two ways: by cmd/ytcdn-lint speaking the
-// `go vet -vettool` unit-checker protocol (see unitchecker.go), and by
-// the in-process loader used by the analysistest-style fixture tests
-// (see load.go and the linttest package).
+// There is one driver. Load parses and type-checks module packages
+// from source, and Check runs analyzers over them; cmd/ytcdn-lint, the
+// fixture tests (see the linttest package) and TestTreeClean all go
+// through these two calls.
 //
 // Findings are suppressed line by line with
 //
@@ -30,40 +32,24 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	"github.com/ytcdn-sim/ytcdn/internal/lint/callgraph"
 )
 
-// Analyzer is one named check over a type-checked package.
+// Analyzer is one named check. Exactly one of Run and RunModule is
+// set: Run sees one type-checked package at a time, RunModule the
+// whole loaded module plus its call graph.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //lint:ok
 	// suppression directives.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Version is bumped on any behavior change, so -json artifacts are
-	// diffable across analyzer revisions. The zero value renders as 1.
-	Version int
-	// Run inspects the package and reports findings through the pass.
+	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-}
-
-// AnalyzerVersions maps every registered analyzer (package-level and
-// module-level) to its "name/vN" version tag, the value the -json
-// analyzer_version field carries.
-func AnalyzerVersions() map[string]string {
-	out := make(map[string]string)
-	tag := func(name string, v int) {
-		if v == 0 {
-			v = 1
-		}
-		out[name] = fmt.Sprintf("%s/v%d", name, v)
-	}
-	for _, a := range Analyzers() {
-		tag(a.Name, a.Version)
-	}
-	for _, a := range ModuleAnalyzers() {
-		tag(a.Name, a.Version)
-	}
-	return out
+	// RunModule inspects the whole module and reports findings through
+	// the pass.
+	RunModule func(*ModulePass)
 }
 
 // Pass carries one package's parsed and type-checked source to an
@@ -96,18 +82,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// InTestFile reports whether pos sits in a _test.go file. All
-// analyzers skip test files: the dynamic suites already execute tests
-// under the race detector and with fixed seeds, and test-local
-// shortcuts (wall-clock timing in benchmarks, ad-hoc RNGs) are part of
-// their job. The static layer polices the production paths.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// Analyzers returns the full suite in deterministic order.
+// Analyzers returns the full suite in deterministic order: the seven
+// per-package analyzers, then the three module analyzers.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetMap, RNGPurity, RNGShare, LockGuard, ObsPlane, HotAlloc, AtomicMix}
+	return []*Analyzer{
+		DetMap, RNGPurity, RNGShare, LockGuard, ObsPlane, HotAlloc, AtomicMix,
+		DetReach, LockOrder, GoLeak,
+	}
 }
 
 // suppressionRe matches a //lint:ok directive. Group 1 is the analyzer
@@ -151,25 +132,42 @@ type SuppressedDiagnostic struct {
 	Reason string
 }
 
-// Run executes the analyzers over one package and returns the
-// surviving diagnostics sorted by position. Suppressions are applied
-// here: a finding whose line (or the line above it) carries a
-// //lint:ok directive naming the same analyzer is dropped, and a
-// directive naming an analyzer in this run but missing its reason is
-// reported as a finding of that analyzer.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Diagnostic {
-	kept, _ := RunAll(fset, files, pkg, info, analyzers)
-	return kept
-}
-
-// RunAll is Run plus the findings that reasoned directives silenced —
-// the -json output reports both, so downstream tooling can audit the
-// suppression inventory as well as the live findings.
-func RunAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, []SuppressedDiagnostic) {
+// Check runs the analyzers over units, which must share one FileSet
+// as the units of one Load call do, and returns the surviving
+// diagnostics plus the findings that reasoned //lint:ok directives
+// silenced, both sorted by position. Per-package analyzers run unit by
+// unit; the call graph is built once, and only if a module analyzer
+// runs. Suppressions are applied once over all files: a finding whose
+// line (or the line above it) carries a //lint:ok directive naming the
+// same analyzer is silenced, and a directive naming a running analyzer
+// but missing its reason is reported as a finding of that analyzer.
+func Check(units []*Unit, analyzers []*Analyzer) (kept []Diagnostic, silenced []SuppressedDiagnostic) {
+	if len(units) == 0 {
+		return nil, nil
+	}
+	fset := units[0].Fset
+	var files []*ast.File
 	var diags []Diagnostic
+	for _, u := range units {
+		files = append(files, u.Files...)
+		for _, a := range analyzers {
+			if a.Run != nil {
+				pass := &Pass{Analyzer: a, Fset: fset, Files: u.Files, Pkg: u.Pkg, Info: u.Info}
+				a.Run(pass)
+				diags = append(diags, pass.diags...)
+			}
+		}
+	}
+	var graph *callgraph.Graph
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info}
-		a.Run(pass)
+		if a.RunModule == nil {
+			continue
+		}
+		if graph == nil {
+			graph = BuildGraph(units)
+		}
+		pass := &ModulePass{Analyzer: a, Fset: fset, Units: units, Graph: graph}
+		a.RunModule(pass)
 		diags = append(diags, pass.diags...)
 	}
 
@@ -180,10 +178,9 @@ func RunAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *ty
 	return finishRun(fset, files, running, diags)
 }
 
-// finishRun applies the suppression protocol shared by the per-package
-// and module paths: report reasonless directives naming a running
-// analyzer, silence findings covered by reasoned directives, and sort
-// both lists by position.
+// finishRun applies the suppression protocol: report reasonless
+// directives naming a running analyzer, silence findings covered by
+// reasoned directives, and sort both lists by position.
 func finishRun(fset *token.FileSet, files []*ast.File, running map[string]bool, diags []Diagnostic) ([]Diagnostic, []SuppressedDiagnostic) {
 	sups := collectSuppressions(fset, files)
 	for _, s := range sups {

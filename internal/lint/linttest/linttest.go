@@ -34,26 +34,10 @@ type expectation struct {
 
 // Run loads the fixture module rooted at dir, analyzes the packages
 // matching patterns with a, and reports any mismatch between the
-// diagnostics and the fixture's // want expectations.
+// diagnostics and the // want expectations of all loaded files. A
+// module analyzer sees every loaded package at once, so its fixtures
+// are whole modules loaded with "./...".
 func Run(t *testing.T, dir string, a *lint.Analyzer, patterns ...string) {
-	t.Helper()
-	units, err := lint.Load(dir, patterns...)
-	if err != nil {
-		t.Fatalf("loading fixture %s %v: %v", dir, patterns, err)
-	}
-	if len(units) == 0 {
-		t.Fatalf("fixture %s %v matched no packages", dir, patterns)
-	}
-	for _, u := range units {
-		checkUnit(t, u, a)
-	}
-}
-
-// RunModule is Run for a module analyzer: the fixture module is loaded
-// whole, analyzed once (the call graph sees every package), and the
-// diagnostics are diffed against the // want expectations of all
-// loaded files together.
-func RunModule(t *testing.T, dir string, a *lint.ModuleAnalyzer, patterns ...string) {
 	t.Helper()
 	units, err := lint.Load(dir, patterns...)
 	if err != nil {
@@ -69,37 +53,9 @@ func RunModule(t *testing.T, dir string, a *lint.ModuleAnalyzer, patterns ...str
 		}
 	}
 	fset := units[0].Fset
-	diags, _ := lint.RunModuleAll(units, []*lint.ModuleAnalyzer{a})
+	diags, _ := lint.Check(units, []*lint.Analyzer{a})
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		matched := false
-		for _, w := range wants {
-			if w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
-				w.hit = true
-				matched = true
-			}
-		}
-		if !matched {
-			t.Errorf("%s: unexpected diagnostic: [%s] %s", pos, d.Analyzer, d.Message)
-		}
-	}
-	for _, w := range wants {
-		if !w.hit {
-			t.Errorf("%s:%d: expected a diagnostic matching %q, got none", w.file, w.line, w.re)
-		}
-	}
-}
-
-func checkUnit(t *testing.T, u *lint.Unit, a *lint.Analyzer) {
-	t.Helper()
-	var wants []*expectation
-	for _, f := range u.Files {
-		wants = append(wants, fileWants(u, f)...)
-	}
-
-	diags := lint.Run(u.Fset, u.Files, u.Pkg, u.Info, []*lint.Analyzer{a})
-	for _, d := range diags {
-		pos := u.Fset.Position(d.Pos)
 		matched := false
 		for _, w := range wants {
 			if w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {

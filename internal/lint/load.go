@@ -16,7 +16,7 @@ import (
 	"path/filepath"
 )
 
-// Unit is one parsed, type-checked package ready for Run.
+// Unit is one parsed, type-checked package ready for Check.
 type Unit struct {
 	ImportPath string
 	Fset       *token.FileSet
@@ -40,10 +40,13 @@ type listPkg struct {
 // Load loads the module packages matching patterns under dir, using
 // the go toolchain to produce compiler export data for every
 // dependency (`go list -json -export -deps`) and the standard
-// library's gc importer to consume it. This is the in-process
-// counterpart of the `go vet -vettool` protocol, used by the
-// standalone driver's fixtures and the linttest runner; it needs no
-// dependencies beyond the toolchain itself.
+// library's gc importer to consume it; it needs no dependencies beyond
+// the toolchain itself. Load type-checks each package's GoFiles, which
+// never include _test.go files, so the analyzers never see test code.
+// That is deliberate: the dynamic suites already execute tests under
+// the race detector and with fixed seeds, and test-local shortcuts
+// (wall-clock timing in benchmarks, ad-hoc RNGs) are part of their
+// job. The static layer polices the production paths.
 func Load(dir string, patterns ...string) ([]*Unit, error) {
 	args := append([]string{"list", "-json", "-export", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -100,7 +103,7 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 		if p.Standard || p.Module == nil {
 			continue
 		}
-		u, err := checkPackage(fset, imp, p.ImportPath, p.Dir, p.GoFiles, "")
+		u, err := checkPackage(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -128,14 +131,10 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // checkPackage parses and type-checks one package from source.
-func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string, goVersion string) (*Unit, error) {
+func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Unit, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %v", err)
 		}
@@ -150,9 +149,8 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := &types.Config{
-		Importer:  imp,
-		GoVersion: goVersion,
-		Sizes:     types.SizesFor("gc", build.Default.GOARCH),
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
 	}
 	pkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {

@@ -43,9 +43,6 @@ func runLockGuard(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, fd := range enclosingFuncs(f) {
 			checkFuncGuards(pass, fd, guards)
 		}

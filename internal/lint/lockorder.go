@@ -31,12 +31,11 @@ import (
 // run on their own schedule and are skipped. Intentional
 // hand-off patterns (a locked return transferring ownership) are
 // expressed with a reasoned //lint:ok directive.
-var LockOrder = &ModuleAnalyzer{
+var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "flag lock-acquisition-order cycles (AB/BA deadlocks, transitively " +
 		"through calls) and locks not released on every return path",
-	Version: 1,
-	Run:     runLockOrder,
+	RunModule: runLockOrder,
 }
 
 func runLockOrder(p *ModulePass) {

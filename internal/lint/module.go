@@ -2,37 +2,20 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 
 	"github.com/ytcdn-sim/ytcdn/internal/lint/callgraph"
 )
 
-// ModuleAnalyzer is one named check over the whole loaded module. Where
-// an Analyzer sees one package at a time, a ModuleAnalyzer sees every
-// unit plus the call graph over them — the shape interprocedural
-// checks (detreach, lockorder, goleak) need. Module analyzers cannot
-// run under the per-unit `go vet -vettool` protocol; they are driven
-// by the standalone cmd/ytcdn-lint modes, the fixture tests, and
-// TestTreeClean, always over whole-module loads (`./...`) — a partial
-// load would truncate the class hierarchy and silently weaken CHA.
-type ModuleAnalyzer struct {
-	// Name identifies the analyzer in diagnostics and //lint:ok
-	// directives.
-	Name string
-	// Doc is a one-paragraph description of the invariant enforced.
-	Doc string
-	// Version is bumped on any behavior change, so -json artifacts are
-	// diffable across analyzer revisions.
-	Version int
-	// Run inspects the module and reports findings through the pass.
-	Run func(*ModulePass)
-}
-
 // ModulePass carries the loaded module and its call graph to a module
-// analyzer and collects its diagnostics.
+// analyzer (one with RunModule set) and collects its diagnostics. Where
+// a Pass sees one package at a time, a ModulePass sees every unit plus
+// the call graph over them, the shape interprocedural checks
+// (detreach, lockorder, goleak) need. Run them over whole-module loads
+// (`./...`): a partial load truncates the class hierarchy and silently
+// weakens CHA.
 type ModulePass struct {
-	Analyzer *ModuleAnalyzer
+	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Units    []*Unit
 	Graph    *callgraph.Graph
@@ -49,12 +32,6 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ModuleAnalyzers returns the interprocedural suite in deterministic
-// order.
-func ModuleAnalyzers() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{DetReach, LockOrder, GoLeak}
-}
-
 // BuildGraph constructs the whole-module call graph over units (which
 // must share one FileSet, as units from a single Load call do).
 func BuildGraph(units []*Unit) *callgraph.Graph {
@@ -66,34 +43,4 @@ func BuildGraph(units []*Unit) *callgraph.Graph {
 		pkgs = append(pkgs, callgraph.Pkg{Files: u.Files, Pkg: u.Pkg, Info: u.Info})
 	}
 	return callgraph.Build(units[0].Fset, pkgs)
-}
-
-// RunModuleAll executes the module analyzers over the loaded units and
-// returns surviving diagnostics plus the findings reasoned //lint:ok
-// directives silenced, both sorted by position. Suppression semantics
-// are identical to the per-package path: same directive syntax, same
-// mandatory reason, same line/line-above placement.
-func RunModuleAll(units []*Unit, analyzers []*ModuleAnalyzer) ([]Diagnostic, []SuppressedDiagnostic) {
-	if len(units) == 0 {
-		return nil, nil
-	}
-	fset := units[0].Fset
-	graph := BuildGraph(units)
-
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &ModulePass{Analyzer: a, Fset: fset, Units: units, Graph: graph}
-		a.Run(pass)
-		diags = append(diags, pass.diags...)
-	}
-
-	var files []*ast.File
-	for _, u := range units {
-		files = append(files, u.Files...)
-	}
-	running := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		running[a.Name] = true
-	}
-	return finishRun(fset, files, running, diags)
 }

@@ -13,13 +13,13 @@ import (
 // reproduce the shapes they exist to catch.
 
 func TestDetReachFixture(t *testing.T) {
-	linttest.RunModule(t, "testdata/detreach", lint.DetReach, "./...")
+	linttest.Run(t, "testdata/detreach", lint.DetReach, "./...")
 }
 
 func TestLockOrderFixture(t *testing.T) {
-	linttest.RunModule(t, "testdata/lockorder", lint.LockOrder, "./...")
+	linttest.Run(t, "testdata/lockorder", lint.LockOrder, "./...")
 }
 
 func TestGoLeakFixture(t *testing.T) {
-	linttest.RunModule(t, "testdata/goleak", lint.GoLeak, "./...")
+	linttest.Run(t, "testdata/goleak", lint.GoLeak, "./...")
 }

@@ -62,9 +62,6 @@ func runObsPlane(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		if inCore {
 			for _, imp := range f.Imports {
 				ipath, err := strconv.Unquote(imp.Path.Value)

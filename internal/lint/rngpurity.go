@@ -9,8 +9,9 @@ import (
 // rngPurityScope lists the package-path suffixes rngpurity polices:
 // everything whose output feeds the bit-identical parity suites. The
 // stats package itself is exempt (it is the sanctioned wrapper around
-// math/rand), as are cmd/ mains and _test.go files (benchmark timing
-// legitimately reads the wall clock).
+// math/rand), as are cmd/ mains. _test.go files, where benchmark timing
+// legitimately reads the wall clock, never reach the analyzer: Load
+// type-checks only a package's GoFiles.
 var rngPurityScope = []string{
 	"internal/cdn",
 	"internal/des",
@@ -47,9 +48,6 @@ func runRNGPurity(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {

@@ -23,9 +23,6 @@ var RNGShare = &Analyzer{
 
 func runRNGShare(pass *Pass) {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, fd := range enclosingFuncs(f) {
 			checkFuncRNGShare(pass, fd)
 		}

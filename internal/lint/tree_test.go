@@ -28,23 +28,14 @@ func TestTreeClean(t *testing.T) {
 	if len(units) == 0 {
 		t.Fatal("loaded no packages")
 	}
+	kept, silenced := Check(units, Analyzers())
+	fset := units[0].Fset
+	for _, d := range kept {
+		t.Errorf("%s: [%s] %s", fset.Position(d.Pos), d.Analyzer, d.Message)
+	}
 	got := make(map[[2]string]int)
-	for _, u := range units {
-		kept, silenced := RunAll(u.Fset, u.Files, u.Pkg, u.Info, Analyzers())
-		for _, d := range kept {
-			t.Errorf("%s: [%s] %s", u.Fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
-		for _, s := range silenced {
-			key := [2]string{filepath.Base(u.Fset.Position(s.Pos).Filename), s.Analyzer}
-			got[key]++
-		}
-	}
-	keptMod, silencedMod := RunModuleAll(units, ModuleAnalyzers())
-	for _, d := range keptMod {
-		t.Errorf("%s: [%s] %s", units[0].Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	for _, s := range silencedMod {
-		key := [2]string{filepath.Base(units[0].Fset.Position(s.Pos).Filename), s.Analyzer}
+	for _, s := range silenced {
+		key := [2]string{filepath.Base(fset.Position(s.Pos).Filename), s.Analyzer}
 		got[key]++
 	}
 	for key, n := range treeSuppressions {
