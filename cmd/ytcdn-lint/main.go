@@ -4,7 +4,7 @@
 //	go run ./cmd/ytcdn-lint ./...
 //
 // It loads and type-checks the matching module packages once and runs
-// all ten analyzers over them: seven per package, and the three
+// all nine analyzers over them: six per package, and the three
 // interprocedural ones (detreach, lockorder, goleak) over a
 // whole-module call graph, which is only complete for whole-module
 // loads (`./...`). Each unsuppressed finding prints to stderr as

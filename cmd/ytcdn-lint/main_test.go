@@ -117,7 +117,7 @@ func TestListOutput(t *testing.T) {
 	text := string(out)
 	for _, name := range []string{
 		"detmap", "rngpurity", "rngshare", "lockguard", "obsplane",
-		"hotalloc", "atomicmix", "detreach", "lockorder", "goleak",
+		"hotalloc", "detreach", "lockorder", "goleak",
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, text)

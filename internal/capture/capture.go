@@ -165,11 +165,11 @@ var _ TraceSource = MapSource(nil)
 const chunkRecords = 512
 
 // MemSink accumulates records per dataset in memory, in chunks of
-// chunkRecords records. It is safe for concurrent use, so it survives
-// being tee'd from studies running in parallel.
+// chunkRecords records. One goroutine records; once it is done, any
+// number may read (Trace, Iter, Datasets, TotalRecords), as the
+// analysis harness's workers do. MemSink takes no lock, so reading
+// while a goroutine records is a data race.
 type MemSink struct {
-	mu sync.Mutex
-	// guarded by mu
 	byDataset map[string]*memTrace
 }
 
@@ -188,7 +188,6 @@ func NewMemSink() *MemSink {
 
 // Record implements Sink.
 func (m *MemSink) Record(dataset string, rec FlowRecord) {
-	m.mu.Lock()
 	t := m.byDataset[dataset]
 	if t == nil {
 		t = &memTrace{}
@@ -201,15 +200,12 @@ func (m *MemSink) Record(dataset string, rec FlowRecord) {
 	}
 	t.chunks[last] = append(t.chunks[last], rec)
 	t.n++
-	m.mu.Unlock()
 }
 
 // Trim shrinks each dataset's last chunk to its length, releasing the
 // unused tail of a partly filled chunk. Call it once recording is
 // done; a later Record starts a fresh chunk.
 func (m *MemSink) Trim() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, t := range m.byDataset {
 		last := len(t.chunks) - 1
 		if c := t.chunks[last]; len(c) < cap(c) {
@@ -224,8 +220,6 @@ func (m *MemSink) Trim() {
 // never recorded returns nil. Iter streams the records without the
 // copy.
 func (m *MemSink) Trace(dataset string) []FlowRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	t := m.byDataset[dataset]
 	if t == nil {
 		return nil
@@ -239,8 +233,6 @@ func (m *MemSink) Trace(dataset string) []FlowRecord {
 
 // Datasets returns the dataset names seen so far, sorted.
 func (m *MemSink) Datasets() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.byDataset))
 	for name := range m.byDataset {
 		out = append(out, name)
@@ -253,8 +245,6 @@ func (m *MemSink) Datasets() []string {
 // It iterates a snapshot of the records captured so far, without
 // copying them: records recorded after the call are not seen.
 func (m *MemSink) Iter(dataset string) Iterator {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	t := m.byDataset[dataset]
 	if t == nil {
 		return &chunkIterator{}
@@ -286,8 +276,6 @@ var _ TraceSource = (*MemSink)(nil)
 
 // TotalRecords returns the record count across datasets.
 func (m *MemSink) TotalRecords() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
 	for _, t := range m.byDataset {
 		n += t.n

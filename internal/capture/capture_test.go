@@ -3,7 +3,6 @@ package capture
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -45,52 +44,6 @@ func TestMemSink(t *testing.T) {
 	}
 	if m.Trace("missing") != nil {
 		t.Error("missing dataset must return nil")
-	}
-}
-
-// TestMemSinkConcurrentRecord exercises the sink from many goroutines,
-// with a reader iterating alongside; meaningful under -race, and the
-// totals must still add up.
-func TestMemSinkConcurrentRecord(t *testing.T) {
-	m := NewMemSink()
-	const workers, perWorker = 8, 500
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		go func() {
-			defer wg.Done()
-			ds := "ds1"
-			if w%2 == 1 {
-				ds = "ds2"
-			}
-			for i := 0; i < perWorker; i++ {
-				m.Record(ds, sampleRecord())
-			}
-		}()
-	}
-	// A reader iterating while the writers record sees a snapshot that
-	// only grows.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		seen := 0
-		for seen < workers/2*perWorker {
-			recs, err := Collect(m.Iter("ds1"))
-			if err != nil || len(recs) < seen {
-				t.Errorf("snapshot of %d records after one of %d (err %v)", len(recs), seen, err)
-				return
-			}
-			seen = len(recs)
-		}
-	}()
-	wg.Wait()
-	<-done
-	if got := m.TotalRecords(); got != workers*perWorker {
-		t.Errorf("TotalRecords = %d, want %d", got, workers*perWorker)
-	}
-	if len(m.Trace("ds1")) != workers/2*perWorker || len(m.Trace("ds2")) != workers/2*perWorker {
-		t.Errorf("per-dataset counts wrong: %d / %d", len(m.Trace("ds1")), len(m.Trace("ds2")))
 	}
 }
 

@@ -16,13 +16,13 @@ import (
 // flows. The simulation itself updates them from one goroutine, so
 // its decisions always see the current load.
 type LoadTracker struct {
-	counts []int64
+	counts []atomic.Int64
 	label  string
 }
 
 // NewLoadTracker creates a tracker for n entities.
 func NewLoadTracker(label string, n int) *LoadTracker {
-	return &LoadTracker{counts: make([]int64, n), label: label}
+	return &LoadTracker{counts: make([]atomic.Int64, n), label: label}
 }
 
 // Acquire increments the load of entity i.
@@ -30,7 +30,7 @@ func NewLoadTracker(label string, n int) *LoadTracker {
 //perf:hot
 //perf:inline
 //perf:noalloc
-func (lt *LoadTracker) Acquire(i int) { atomic.AddInt64(&lt.counts[i], 1) }
+func (lt *LoadTracker) Acquire(i int) { lt.counts[i].Add(1) }
 
 // Release decrements the load of entity i.
 //
@@ -38,7 +38,7 @@ func (lt *LoadTracker) Acquire(i int) { atomic.AddInt64(&lt.counts[i], 1) }
 //perf:inline
 //perf:noalloc
 func (lt *LoadTracker) Release(i int) {
-	if atomic.AddInt64(&lt.counts[i], -1) < 0 {
+	if lt.counts[i].Add(-1) < 0 {
 		lt.negative(i)
 	}
 }
@@ -57,13 +57,13 @@ func (lt *LoadTracker) negative(i int) {
 //
 //perf:inline
 //perf:noalloc
-func (lt *LoadTracker) Load(i int) int { return int(atomic.LoadInt64(&lt.counts[i])) }
+func (lt *LoadTracker) Load(i int) int { return int(lt.counts[i].Load()) }
 
 // Total returns the summed load across entities.
 func (lt *LoadTracker) Total() int {
 	sum := int64(0)
 	for i := range lt.counts {
-		sum += atomic.LoadInt64(&lt.counts[i])
+		sum += lt.counts[i].Load()
 	}
 	return int(sum)
 }

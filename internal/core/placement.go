@@ -18,7 +18,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/geo"
@@ -83,10 +82,10 @@ type OriginPolicy struct {
 // Placement tracks which Google data centers hold which videos.
 // Replicated videos (below the catalog's tail rank) are everywhere;
 // tail videos start at CopiesPerVideo origin DCs and spread by
-// pull-through as they get requested. Placement is safe for concurrent
-// use: the mutable state (pull-through set, forced origins, the pull
-// counter) sits behind a read/write mutex, so goroutines sharing one
-// placement can look up and pull videos concurrently.
+// pull-through as they get requested. Placement takes no lock: one
+// goroutine at a time uses it. During a run that is the engine
+// goroutine deciding through the Selector; afterwards the PlanetLab
+// experiment, which the harness serializes.
 type Placement struct {
 	catalog *content.Catalog
 	policy  OriginPolicy
@@ -94,17 +93,11 @@ type Placement struct {
 	dcsByContinent map[geo.Continent][]topology.DataCenterID
 	continents     []geo.Continent // deterministic iteration order
 
-	// mu guards everything that mutates after construction; the
-	// guarded fields below carry machine-checked annotations (see
-	// internal/lint's lockguard analyzer).
-	mu sync.RWMutex
 	// pulled records (dc, video) pairs added by pull-through.
-	// guarded by mu
 	pulled map[pullKey]struct{}
 	// forced overrides the hashed origin set for specific videos
 	// (controlled experiments: a fresh upload lands where the ingest
 	// system put it).
-	// guarded by mu
 	forced map[content.VideoID][]topology.DataCenterID
 }
 
@@ -183,10 +176,7 @@ func (p *Placement) Origins(v content.VideoID, home geo.Continent, foreignProb f
 	if !p.catalog.IsTail(v) {
 		return nil
 	}
-	p.mu.RLock()
-	dcs, ok := p.forced[v]
-	p.mu.RUnlock()
-	if ok {
+	if dcs, ok := p.forced[v]; ok {
 		return append([]topology.DataCenterID(nil), dcs...)
 	}
 	cont := p.OriginContinent(v, home, foreignProb, weights)
@@ -218,10 +208,7 @@ func (p *Placement) Has(dc topology.DataCenterID, v content.VideoID, home geo.Co
 	if !p.catalog.IsTail(v) {
 		return true
 	}
-	p.mu.RLock()
-	_, ok := p.pulled[pullKey{dc, v}]
-	p.mu.RUnlock()
-	if ok {
+	if _, ok := p.pulled[pullKey{dc, v}]; ok {
 		return true
 	}
 	for _, o := range p.Origins(v, home, foreignProb, weights) {
@@ -235,29 +222,20 @@ func (p *Placement) Has(dc topology.DataCenterID, v content.VideoID, home geo.Co
 // Pull records that dc fetched v (pull-through caching). Subsequent
 // Has calls return true for (dc, v).
 func (p *Placement) Pull(dc topology.DataCenterID, v content.VideoID) {
-	k := pullKey{dc, v}
-	p.mu.Lock()
-	p.pulled[k] = struct{}{}
-	p.mu.Unlock()
+	p.pulled[pullKey{dc, v}] = struct{}{}
 }
 
 // PulledCount returns the number of distinct (dc, video) pull-through
 // entries.
-func (p *Placement) PulledCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.pulled)
-}
+func (p *Placement) PulledCount() int { return len(p.pulled) }
 
 // ForceOrigins pins a tail video's origin set, overriding the hashed
 // assignment. Used by controlled experiments that upload a fresh video
 // to a known ingest location (paper §VII-C). The slice is copied, so
 // later caller-side mutations do not leak into the placement.
 func (p *Placement) ForceOrigins(v content.VideoID, dcs []topology.DataCenterID) {
-	p.mu.Lock()
 	if p.forced == nil {
 		p.forced = make(map[content.VideoID][]topology.DataCenterID)
 	}
 	p.forced[v] = append([]topology.DataCenterID(nil), dcs...)
-	p.mu.Unlock()
 }

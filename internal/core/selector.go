@@ -71,16 +71,16 @@ func (r RedirectReason) String() string {
 // and the mechanism counters — and delegates every actual decision to
 // its SelectionPolicy through a restricted PolicyView.
 //
-// The Selector is safe for concurrent use. The live /metrics gauges
-// (see Instrument) read its load trackers and mechanism counters from
-// the scrape goroutine mid-run, so those are atomic; placement
-// pull-through is mutex-guarded, and the active policy sits behind an
-// atomic pointer so a SetPolicy cannot race an in-flight decision.
+// One goroutine decides: during a run that is the engine goroutine,
+// which also swaps the policy (SetPolicy) between events. The live
+// /metrics gauges (see Instrument) read the load trackers and
+// mechanism counters from the scrape goroutine mid-run, so those, and
+// only those, are atomic.
 type Selector struct {
 	w         *topology.World
 	placement *Placement
 	cfg       Config
-	policy    atomic.Pointer[SelectionPolicy]
+	policy    SelectionPolicy
 
 	// prefByLDNS is the ground-truth preferred DC per local DNS
 	// server: RTT-best unless overridden by assignment policy.
@@ -117,13 +117,13 @@ func NewSelector(w *topology.World, placement *Placement, cfg Config) (*Selector
 		w:          w,
 		placement:  placement,
 		cfg:        cfg,
+		policy:     policy,
 		prefByLDNS: make([]topology.DataCenterID, len(w.LDNSes)),
 		rankByLDNS: make([][]topology.DataCenterID, len(w.LDNSes)),
 		rankIndex:  make([][]int32, len(w.LDNSes)),
 		dcFlows:    NewLoadTracker("dc-flows", len(w.DataCenters)),
 		srvSess:    NewLoadTracker("server-sessions", len(w.Servers)),
 	}
-	s.policy.Store(&policy)
 	google := w.GoogleDCs()
 	for _, ldns := range w.LDNSes {
 		vp := w.VantagePoints[ldns.VantagePoint]
@@ -153,19 +153,19 @@ func NewSelector(w *topology.World, placement *Placement, cfg Config) (*Selector
 }
 
 // Policy returns the active selection policy.
-func (s *Selector) Policy() SelectionPolicy { return *s.policy.Load() }
+func (s *Selector) Policy() SelectionPolicy { return s.policy }
 
 // SetPolicy swaps the active selection policy, modelling the
 // assignment-policy change the paper observed between its 2010 capture
 // and the February 2011 follow-up. Load trackers, placement state and
-// mechanism counters carry over — only future decisions change. The
-// swap is atomic: decisions already holding the old policy finish
-// under it, later decisions see the new one.
+// mechanism counters carry over — only future decisions change. Call
+// it from the goroutine that decides, between decisions: a run swaps
+// the policy between two events.
 func (s *Selector) SetPolicy(p SelectionPolicy) error {
 	if err := ValidatePolicy(p); err != nil {
 		return err
 	}
-	s.policy.Store(&p)
+	s.policy = p
 	return nil
 }
 

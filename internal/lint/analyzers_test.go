@@ -128,18 +128,6 @@ func TestHotAllocAnnotationErrors(t *testing.T) {
 	}
 }
 
-func TestAtomicMixFlagged(t *testing.T) {
-	linttest.Run(t, "testdata/atomicmix", lint.AtomicMix, "./flagged")
-}
-
-func TestAtomicMixClean(t *testing.T) {
-	linttest.Run(t, "testdata/atomicmix", lint.AtomicMix, "./clean")
-}
-
-func TestAtomicMixSuppressed(t *testing.T) {
-	linttest.Run(t, "testdata/atomicmix", lint.AtomicMix, "./suppressed")
-}
-
 // TestSuppressionNeedsReason pins the directive contract: a //lint:ok
 // with no reason is itself reported and does not suppress the finding
 // it sits on.

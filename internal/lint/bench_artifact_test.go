@@ -43,7 +43,7 @@ func TestLintBenchArtifact(t *testing.T) {
 	analysisSecs := time.Since(t2).Seconds()
 
 	rep := report.New("lint-bench").
-		Set("scope", "./... (full module, all ten analyzers through Check; "+
+		Set("scope", "./... (full module, all nine analyzers through Check; "+
 			"analysis_seconds includes Check's own graph build, graph_build_seconds "+
 			"and the node and edge counts come from a separate BuildGraph)").
 		Add("lint.load_seconds", loadSecs, "s").

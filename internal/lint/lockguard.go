@@ -18,10 +18,17 @@ import (
 // value is shared) is exempt. Contract-level escapes — registration
 // phases that are single-threaded by convention, immutable-after-sort
 // reads — are expressed with a reasoned //lint:ok directive.
+//
+// LockGuard also rejects sync/atomic's package-level functions
+// (atomic.AddInt64(&x.f, 1), ...): their operand is a plain variable
+// that any other line may read or write without the atomic. A typed
+// atomic (atomic.Int64, atomic.Pointer[T], ...) cannot be accessed
+// plainly, so the compiler enforces what a mixed-access check would.
 var LockGuard = &Analyzer{
 	Name: "lockguard",
 	Doc: "check that fields annotated `// guarded by <mutex>` are only " +
-		"accessed in functions that lock that mutex",
+		"accessed in functions that lock that mutex, and that shared " +
+		"counters use typed atomics, not sync/atomic's functions",
 	Run: runLockGuard,
 }
 
@@ -39,10 +46,19 @@ type guardedField struct {
 
 func runLockGuard(pass *Pass) {
 	guards := collectGuards(pass)
-	if len(guards) == 0 {
-		return
-	}
 	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+				if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+					pass.Reportf(sel.Pos(), "atomic.%s works on a plain variable that other code may access without it; use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", fn.Name())
+				}
+			}
+			return true
+		})
+		if len(guards) == 0 {
+			continue
+		}
 		for _, fd := range enclosingFuncs(f) {
 			checkFuncGuards(pass, fd, guards)
 		}

@@ -28,8 +28,8 @@ import (
 //	//perf:ok <check> <reason>
 //
 // where <check> is "escape" or "inline"; like //lint:ok, the reason is
-// mandatory. Analyzer-level (hotalloc/atomicmix) findings use the
-// normal //lint:ok directive. hotalloc also polices the annotation
+// mandatory. Analyzer-level (hotalloc) findings use the normal
+// //lint:ok directive. hotalloc also polices the annotation
 // language itself: unknown verbs, contract verbs with trailing text,
 // contract verbs not attached to a function declaration, and reasonless
 // //perf:ok directives are all findings.

@@ -17,7 +17,7 @@ var treeSuppressions = map[[2]string]int{
 }
 
 // TestTreeClean is the whole-repository contract: zero unsuppressed
-// findings from the full suite — the seven per-package analyzers plus
+// findings from the full suite — the six per-package analyzers plus
 // the three interprocedural module analyzers — and exactly the
 // documented suppression inventory, no more, no fewer.
 func TestTreeClean(t *testing.T) {

@@ -6,9 +6,9 @@
 // # Layout
 //
 // A store is a directory with one shard file per dataset
-// ("<escaped-dataset>.shard"). Sharding per dataset means the five
-// monitored networks write concurrently without lock contention: each
-// shard has its own buffer, mutex and file handle.
+// ("<escaped-dataset>.shard"), so each of the five monitored networks
+// is read back on its own. One goroutine writes the whole store: the
+// Writer keeps a buffer and a file handle per shard and takes no lock.
 //
 // A shard file is a small header (magic, format version, the dataset
 // name — the filename is only a sanitized hint) followed by a sequence

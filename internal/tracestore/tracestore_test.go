@@ -12,6 +12,7 @@ import (
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
+	"github.com/ytcdn-sim/ytcdn/internal/obs"
 )
 
 // genRecords produces a deterministic pseudo-random record stream that
@@ -387,29 +388,27 @@ func TestCorruptPayloadDetected(t *testing.T) {
 	}
 }
 
+// TestWriterConcurrentDatasets records four datasets from one
+// goroutine, one record of each in turn, so every shard spills
+// mid-stream between the other shards' records. Each dataset must read
+// back complete, in the store's order, in the expected segments.
 func TestWriterConcurrentDatasets(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, Options{SegmentRecords: 64})
+	const segRecords = 64
+	w, err := NewWriter(dir, Options{SegmentRecords: segRecords})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers, perWorker = 8, 1000
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		k := k
-		go func() {
-			defer wg.Done()
-			ds := fmt.Sprintf("ds-%d", k%4) // two goroutines share each shard
-			recs := genRecords(int64(100+k), perWorker)
-			for _, r := range recs {
-				w.Record(ds, r)
-			}
-		}()
+	const datasets, perDataset = 4, 1000
+	want := make(map[string][]capture.FlowRecord, datasets)
+	for k := 0; k < datasets; k++ {
+		want[fmt.Sprintf("ds-%d", k)] = genRecords(int64(100+k), perDataset)
 	}
-	wg.Wait()
-	if w.TotalRecords() != workers*perWorker {
-		t.Errorf("TotalRecords = %d", w.TotalRecords())
+	for i := 0; i < perDataset; i++ {
+		for k := 0; k < datasets; k++ {
+			ds := fmt.Sprintf("ds-%d", k)
+			w.Record(ds, want[ds][i])
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -418,12 +417,28 @@ func TestWriterConcurrentDatasets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.TotalRecords() != workers*perWorker {
-		t.Errorf("reader TotalRecords = %d", r.TotalRecords())
+	if r.TotalRecords() != datasets*perDataset {
+		t.Errorf("reader TotalRecords = %d, want %d", r.TotalRecords(), datasets*perDataset)
 	}
-	for _, ds := range r.Datasets() {
-		if r.Records(ds) != 2*perWorker {
-			t.Errorf("%s = %d records", ds, r.Records(ds))
+	if got := r.Datasets(); len(got) != datasets {
+		t.Fatalf("Datasets = %v", got)
+	}
+	for ds, recs := range want {
+		if segs := r.Segments(ds); segs != 16 {
+			t.Errorf("%s: %d segments, want 15 full and 1 partial", ds, segs)
+		}
+		got, err := capture.Collect(r.Iter(ds))
+		if err != nil {
+			t.Fatalf("%s: %v", ds, err)
+		}
+		stored := expectStored(recs, segRecords)
+		if len(got) != len(stored) {
+			t.Fatalf("%s: %d records, want %d", ds, len(got), len(stored))
+		}
+		for i := range stored {
+			if got[i] != stored[i] {
+				t.Fatalf("%s record %d: got %+v want %+v", ds, i, got[i], stored[i])
+			}
 		}
 	}
 }
@@ -441,23 +456,42 @@ func TestWriterReplacesStaleStore(t *testing.T) {
 	}
 }
 
+// TestRecordAfterCloseIsSafe pins Close as the end of a writer: later
+// records, into a new dataset or into one whose shard is open, are
+// dropped without creating files, moving the record gauge or reaching
+// the store, and a second Close has nothing left to fail on.
 func TestRecordAfterCloseIsSafe(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, Options{SegmentRecords: 16})
+	const segRecords = 16
+	w, err := NewWriter(dir, Options{SegmentRecords: segRecords})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	w.Instrument(reg)
 	w.Record("ds", genRecords(14, 1)[0])
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	w.Record("other", genRecords(15, 1)[0]) // must not panic or create files
+	for _, rec := range genRecords(16, 2*segRecords+1) {
+		w.Record("ds", rec) // enough to spill twice, were it accepted
+	}
+	if got := reg.Snapshot().Gauges["store.write.records"]; got != 1 {
+		t.Errorf("store.write.records = %v after Close, want 1", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
 	r, err := OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Datasets()) != 1 {
 		t.Errorf("Datasets = %v", r.Datasets())
+	}
+	if r.TotalRecords() != 1 {
+		t.Errorf("store holds %d records, want 1", r.TotalRecords())
 	}
 }
 

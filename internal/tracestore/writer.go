@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
@@ -14,15 +13,16 @@ import (
 )
 
 // Writer is a capture.Sink that spills flow records to a disk store.
-// It keeps one shard per dataset, each with its own buffer, mutex and
-// file, so concurrent datasets (the five monitored networks) record
-// without contending on a shared lock. Write errors are sticky per
-// shard and surfaced by Close.
+// It keeps one shard per dataset, each with its own buffer and file.
+// One goroutine records into a Writer, flushes and closes it, so it
+// takes no lock; only its I/O accounting is atomic, for the metrics
+// scrape that reads it from another goroutine mid-run (see
+// Instrument). Write errors are sticky per shard and surfaced by
+// Close.
 type Writer struct {
 	dir        string
 	segRecords int
 
-	mu     sync.RWMutex // guards the shards map, not the shards
 	shards map[string]*wshard
 	closed bool
 
@@ -35,12 +35,9 @@ type Writer struct {
 
 // wshard is one dataset's write state.
 type wshard struct {
-	mu      sync.Mutex
-	f       *os.File
-	buf     []capture.FlowRecord
-	records int64
-	err     error
-	w       *Writer // owner, for cross-shard accounting
+	f   *os.File
+	buf []capture.FlowRecord
+	err error
 }
 
 // NewWriter creates (or truncates into) a store directory and returns
@@ -73,75 +70,52 @@ func NewWriter(dir string, opts Options) (*Writer, error) {
 	}, nil
 }
 
-// Dir returns the store directory.
-func (w *Writer) Dir() string { return w.dir }
-
-// SegmentRecords returns the per-shard spill threshold.
-func (w *Writer) SegmentRecords() int { return w.segRecords }
-
-// shard returns (creating on first use) the dataset's shard.
-func (w *Writer) shard(dataset string) (*wshard, error) {
-	w.mu.RLock()
-	s, ok := w.shards[dataset]
-	closed := w.closed
-	w.mu.RUnlock()
-	if ok {
-		return s, nil
-	}
-	if closed {
-		return nil, fmt.Errorf("tracestore: Record after Close")
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// shard returns (creating on first use) the dataset's shard. A shard
+// whose file could not be created or headed keeps the error, drops the
+// dataset's records and reports the error at Close.
+func (w *Writer) shard(dataset string) *wshard {
 	if s, ok := w.shards[dataset]; ok {
-		return s, nil
+		return s
 	}
+	s := &wshard{}
+	w.shards[dataset] = s
 	f, err := os.Create(filepath.Join(w.dir, shardFileName(dataset)))
 	if err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
+		s.err = fmt.Errorf("tracestore: %w", err)
+		return s
 	}
 	// Shard header: magic, then the authentic dataset name.
 	hdr := append([]byte(shardMagic), appendUvarintLen(dataset)...)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("tracestore: shard header: %w", err)
+		s.err = fmt.Errorf("tracestore: shard header: %w", err)
+		return s
 	}
-	s = &wshard{f: f, buf: make([]capture.FlowRecord, 0, w.segRecords), w: w}
+	s.f = f
+	s.buf = make([]capture.FlowRecord, 0, w.segRecords)
 	w.bytesWritten.Add(int64(len(hdr)))
-	w.shards[dataset] = s
-	return s, nil
+	return s
 }
 
-// Record implements capture.Sink. A shard whose file has failed drops
-// further records and reports the first error at Close.
+// Record implements capture.Sink. Records after Close are dropped, and
+// so are the records of a shard whose file has failed.
 func (w *Writer) Record(dataset string, rec capture.FlowRecord) {
-	s, err := w.shard(dataset)
-	if err != nil {
-		// The map-level failure (e.g. Create) is rare and unreportable
-		// through the Sink interface; remember it for Close.
-		w.mu.Lock()
-		if w.shards[dataset] == nil {
-			w.shards[dataset] = &wshard{err: err}
-		}
-		w.mu.Unlock()
+	if w.closed {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s := w.shard(dataset)
 	if s.err != nil {
 		return
 	}
 	s.buf = append(s.buf, rec)
-	s.records++
 	w.recordsLive.Add(1)
 	if len(s.buf) >= w.segRecords {
-		s.spillLocked()
+		w.spill(s)
 	}
 }
 
-// spillLocked encodes and appends the buffered records as one segment.
-// Callers hold s.mu.
-func (s *wshard) spillLocked() {
+// spill encodes and appends a shard's buffered records as one segment.
+func (w *Writer) spill(s *wshard) {
 	if len(s.buf) == 0 || s.err != nil {
 		return
 	}
@@ -154,21 +128,10 @@ func (s *wshard) spillLocked() {
 		s.err = fmt.Errorf("tracestore: segment payload: %w", err)
 		return
 	}
-	if s.w != nil {
-		s.w.bytesWritten.Add(int64(len(header) + len(payload)))
-		s.w.segments.Add(1)
-	}
+	w.bytesWritten.Add(int64(len(header) + len(payload)))
+	w.segments.Add(1)
 	s.buf = s.buf[:0]
 }
-
-// BytesWritten returns the shard-file bytes written so far (headers
-// and spilled segments; buffered records are not yet counted). Safe
-// from any goroutine.
-func (w *Writer) BytesWritten() int64 { return w.bytesWritten.Load() }
-
-// SegmentsWritten returns how many segments have been spilled. Safe
-// from any goroutine.
-func (w *Writer) SegmentsWritten() int64 { return w.segments.Load() }
 
 // Instrument publishes the writer's live I/O accounting into reg:
 // "store.write.records", "store.write.bytes" and
@@ -184,44 +147,26 @@ func (w *Writer) Instrument(reg *obs.Registry) {
 // segments without closing the writer. It returns the first error in
 // dataset order.
 func (w *Writer) Flush() error {
-	w.mu.RLock()
-	names := make([]string, 0, len(w.shards))
-	for name := range w.shards {
-		names = append(names, name)
-	}
-	w.mu.RUnlock()
-	sort.Strings(names)
 	var first error
-	for _, name := range names {
-		w.mu.RLock()
+	for _, name := range w.datasets() {
 		s := w.shards[name]
-		w.mu.RUnlock()
-		s.mu.Lock()
-		s.spillLocked()
+		w.spill(s)
 		if s.err != nil && first == nil {
 			first = s.err
 		}
-		s.mu.Unlock()
 	}
 	return first
 }
 
 // Close spills all buffers, syncs and closes every shard file, and
 // returns the first error in dataset order. The writer is unusable
-// afterwards.
+// afterwards: it drops later records, so closing it again has nothing
+// left to write.
 func (w *Writer) Close() error {
 	first := w.Flush()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.closed = true
-	names := make([]string, 0, len(w.shards))
-	for name := range w.shards {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range w.datasets() {
 		s := w.shards[name]
-		s.mu.Lock()
 		if s.err != nil && first == nil {
 			first = s.err
 		}
@@ -234,22 +179,18 @@ func (w *Writer) Close() error {
 			}
 			s.f = nil
 		}
-		s.mu.Unlock()
 	}
 	return first
 }
 
-// TotalRecords returns the number of records accepted so far.
-func (w *Writer) TotalRecords() int64 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	var n int64
-	for _, s := range w.shards {
-		s.mu.Lock()
-		n += s.records
-		s.mu.Unlock()
+// datasets returns the names of the writer's shards, sorted.
+func (w *Writer) datasets() []string {
+	names := make([]string, 0, len(w.shards))
+	for name := range w.shards {
+		names = append(names, name)
 	}
-	return n
+	sort.Strings(names)
+	return names
 }
 
 var _ capture.Sink = (*Writer)(nil)

@@ -116,10 +116,17 @@ func TestMetricsDeterministic(t *testing.T) {
 // scrapes it continuously: every scrape must be valid snapshot JSON,
 // every scrape taken once sessions are running must carry the engine's
 // live gauges, and neither sim.cdn.sessions nor sim.des.events may
-// decrease across scrapes. Run under -race in CI this is the
-// scrape-during-run data race exercise for the whole deterministic
-// plane.
+// decrease across scrapes. The store case also reads the trace store
+// writer's gauges while it records: store.write.records may never
+// decrease, and it must end equal to the study's flow count. Run under
+// -race in CI this is the scrape-during-run data race exercise for the
+// whole deterministic plane.
 func TestMetricsLiveScrape(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { liveScrape(t, nil) })
+	t.Run("store", func(t *testing.T) { liveScrape(t, &StoreOptions{Dir: t.TempDir()}) })
+}
+
+func liveScrape(t *testing.T, store *StoreOptions) {
 	reg := obs.NewRegistry()
 	srv, err := obshttp.Serve("127.0.0.1:0", reg)
 	if err != nil {
@@ -128,18 +135,22 @@ func TestMetricsLiveScrape(t *testing.T) {
 	defer srv.Close()
 	url := "http://" + srv.Addr() + "/metrics"
 
-	done := make(chan error, 1)
+	type result struct {
+		study *Study
+		err   error
+	}
+	done := make(chan result, 1)
 	go func() {
-		_, err := Run(Options{
+		study, err := Run(Options{
 			Scale: 0.05, Span: 7 * 24 * time.Hour, Seed: 3,
-			Metrics: reg,
+			Metrics: reg, Store: store,
 		})
-		done <- err
+		done <- result{study, err}
 	}()
 
 	var scrapes, live int
 	var lastSessions int64
-	var lastEvents float64
+	var lastEvents, lastStored float64
 	scrape := func() {
 		t.Helper()
 		resp, err := http.Get(url)
@@ -181,13 +192,24 @@ func TestMetricsLiveScrape(t *testing.T) {
 			t.Fatalf("scrape %d: sim.des.events went backwards: %v -> %v", scrapes, lastEvents, events)
 		}
 		lastEvents = events
+		if store != nil {
+			// The writer is instrumented before the engine runs.
+			stored, ok := s.Gauges["store.write.records"]
+			if !ok && sessions > 0 {
+				t.Fatalf("scrape %d: gauge store.write.records missing with %d sessions run", scrapes, sessions)
+			}
+			if stored < lastStored {
+				t.Fatalf("scrape %d: store.write.records went backwards: %v -> %v", scrapes, lastStored, stored)
+			}
+			lastStored = stored
+		}
 		scrapes++
 	}
 	for {
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+		case res := <-done:
+			if res.err != nil {
+				t.Fatal(res.err)
 			}
 			// One more scrape of the finished run, which must carry the
 			// gauges and the final event count.
@@ -195,8 +217,11 @@ func TestMetricsLiveScrape(t *testing.T) {
 			if lastSessions == 0 || lastEvents == 0 {
 				t.Errorf("finished run: sim.cdn.sessions %d, sim.des.events %v; want both > 0", lastSessions, lastEvents)
 			}
-			t.Logf("%d scrapes (%d after sessions started), final sim.cdn.sessions=%d, sim.des.events=%v",
-				scrapes, live, lastSessions, lastEvents)
+			if flows := res.study.TotalFlows(); store != nil && int(lastStored) != flows {
+				t.Errorf("finished run: store.write.records = %v, TotalFlows() = %d", lastStored, flows)
+			}
+			t.Logf("%d scrapes (%d after sessions started), final sim.cdn.sessions=%d, sim.des.events=%v, store.write.records=%v",
+				scrapes, live, lastSessions, lastEvents, lastStored)
 			return
 		default:
 		}
