@@ -60,6 +60,18 @@ func TestLockGuardSuppressed(t *testing.T) {
 	linttest.Run(t, "testdata/lockguard", lint.LockGuard, "./suppressed")
 }
 
+// The atomicmix cases: lockguard rejects sync/atomic's package-level
+// functions, so a field reached atomically is a typed atomic and
+// cannot also be reached plainly.
+
+func TestAtomicMixFlagged(t *testing.T) {
+	linttest.Run(t, "testdata/atomicmix", lint.LockGuard, "./flagged")
+}
+
+func TestAtomicMixClean(t *testing.T) {
+	linttest.Run(t, "testdata/atomicmix", lint.LockGuard, "./clean")
+}
+
 func TestObsPlaneFlaggedImport(t *testing.T) {
 	linttest.Run(t, "testdata/obsplane", lint.ObsPlane, "./internal/cdn")
 }

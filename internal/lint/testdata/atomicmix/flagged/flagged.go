@@ -1,4 +1,7 @@
-// Package flagged exercises the atomicmix triggers.
+// Package flagged mixes atomic and plain access to the same fields.
+// lockguard reports the sync/atomic function calls that make the mix
+// possible; once the fields are typed atomics the plain accesses no
+// longer compile.
 package flagged
 
 import "sync/atomic"
@@ -11,35 +14,28 @@ type Gauge struct {
 
 // Inc is the atomic whole-field path.
 func (g *Gauge) Inc() {
-	atomic.AddInt64(&g.n, 1)
+	atomic.AddInt64(&g.n, 1) // want "atomic.AddInt64 works on a plain variable"
 }
 
 // Read reads the atomically-written field plainly, no lock.
 func (g *Gauge) Read() int64 {
-	return g.n // want "plain access races"
+	return g.n
 }
 
 // Reset writes it plainly.
 func (g *Gauge) Reset() {
-	g.n = 0 // want "plain access races"
+	g.n = 0
 }
 
 // Bump is the atomic element path.
 func (g *Gauge) Bump(i int) {
-	atomic.AddInt64(&g.peaks[i], 1)
+	atomic.AddInt64(&g.peaks[i], 1) // want "use a typed atomic"
 }
 
-// Peek reads an element plainly.
+// Peek reads an element atomically.
 func (g *Gauge) Peek(i int) int64 {
-	return g.peaks[i] // want "element access races"
+	return atomic.LoadInt64(&g.peaks[i]) // want "atomic.LoadInt64 works on a plain variable"
 }
 
-// Swap replaces the whole slice out from under concurrent adders.
-func (g *Gauge) Swap(s []int64) {
-	g.peaks = s // want "whole-field write races"
-}
-
-// Size only reads the slice header, which no element atomic touches.
-func (g *Gauge) Size() int {
-	return len(g.peaks)
-}
+// add references one without calling it.
+var add = atomic.AddInt64 // want "atomic.AddInt64"

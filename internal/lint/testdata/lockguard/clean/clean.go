@@ -1,10 +1,7 @@
 // Package clean holds guarded-field access patterns lockguard accepts.
 package clean
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Gauge is an RWMutex-guarded value.
 type Gauge struct {
@@ -49,17 +46,4 @@ func TwoGauges(a, b *Gauge) float64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return a.v + b.v
-}
-
-// Hits counts with typed atomics: no access to them can skip the
-// atomic, so there is nothing to guard.
-type Hits struct {
-	n     atomic.Int64
-	perDC []atomic.Int64
-}
-
-// Inc uses the typed atomics' methods.
-func (h *Hits) Inc(dc int) int64 {
-	h.n.Add(1)
-	return h.perDC[dc].Load()
 }

@@ -1,10 +1,7 @@
 // Package flagged exercises the lockguard triggers.
 package flagged
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Counter is a mutex-guarded counter.
 type Counter struct {
@@ -36,19 +33,3 @@ func WrongMutex(a, b *Counter) {
 	defer a.mu.Unlock()
 	b.n++ // want "guarded by mu"
 }
-
-// Hits counts through sync/atomic's functions on plain fields, which
-// any other line could read or write without the atomic.
-type Hits struct {
-	n     int64
-	perDC []int64
-}
-
-// Inc reaches the plain fields through the package-level functions.
-func (h *Hits) Inc(dc int) int64 {
-	atomic.AddInt64(&h.n, 1)              // want "atomic.AddInt64 works on a plain variable"
-	return atomic.LoadInt64(&h.perDC[dc]) // want "use a typed atomic"
-}
-
-// add references one without calling it.
-var add = atomic.AddInt64 // want "atomic.AddInt64"
