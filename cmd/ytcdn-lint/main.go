@@ -4,12 +4,11 @@
 //	go run ./cmd/ytcdn-lint ./...
 //
 // It loads and type-checks the matching module packages once and runs
-// all nine analyzers over them: six per package, and the three
-// interprocedural ones (detreach, lockorder, goleak) over a
-// whole-module call graph, which is only complete for whole-module
-// loads (`./...`). Each unsuppressed finding prints to stderr as
-// `file:line:col: [analyzer] message`. Standard vet is not part of it;
-// run `go vet ./...` for that.
+// all seven analyzers over them: six per package, and the
+// interprocedural detreach over a whole-module call graph, which is
+// only complete for whole-module loads (`./...`). Each unsuppressed
+// finding prints to stderr as `file:line:col: [analyzer] message`.
+// Standard vet is not part of it; run `go vet ./...` for that.
 //
 //	-json   print every finding, surviving and suppressed, as one JSON
 //	        array on stdout instead

@@ -115,13 +115,17 @@ func TestListOutput(t *testing.T) {
 		t.Fatalf("ytcdn-lint -list: %v\n%s", err, out)
 	}
 	text := string(out)
-	for _, name := range []string{
+	names := []string{
 		"detmap", "rngpurity", "rngshare", "lockguard", "obsplane",
-		"hotalloc", "detreach", "lockorder", "goleak",
-	} {
+		"hotalloc", "detreach",
+	}
+	for _, name := range names {
 		if !strings.Contains(text, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, text)
 		}
+	}
+	if lines := strings.Count(text, "\n"); lines != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", lines, len(names), text)
 	}
 	for _, want := range []string{"module", "package"} {
 		if !strings.Contains(text, want) {
@@ -135,7 +139,7 @@ func TestListOutput(t *testing.T) {
 func TestGraphDump(t *testing.T) {
 	bin := buildLint(t)
 	cmd := exec.Command(bin, "-graph", "./...")
-	cmd.Dir = fixtureDir(t, "goleak")
+	cmd.Dir = fixtureDir(t, "callgraph")
 	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("ytcdn-lint -graph: %v\n%s", err, out)
@@ -144,22 +148,22 @@ func TestGraphDump(t *testing.T) {
 	if !strings.HasPrefix(text, "ytcdn callgraph v1:") {
 		t.Errorf("-graph output missing header:\n%.200s", text)
 	}
-	if !strings.Contains(text, "(*example.com/goleakfix.worker).Start") {
+	if !strings.Contains(text, "func example.com/callgraphfix.Lifecycle") {
 		t.Errorf("-graph output missing fixture node:\n%s", text)
 	}
-	if !strings.Contains(text, "go (*example.com/goleakfix.worker).run") {
+	if !strings.Contains(text, "go example.com/callgraphfix.spinning") {
 		t.Errorf("-graph output missing go-kind edge:\n%s", text)
 	}
 }
 
-// TestModuleAnalyzerJSON runs -json over the lockorder fixture: the
+// TestModuleAnalyzerJSON runs -json over the detreach fixture: the
 // module analyzer's findings must appear in the same array as the
 // per-package suite's, with the suppressed inventory, and the process
 // must exit 2.
 func TestModuleAnalyzerJSON(t *testing.T) {
 	bin := buildLint(t)
 	cmd := exec.Command(bin, "-json", "./...")
-	cmd.Dir = fixtureDir(t, "lockorder")
+	cmd.Dir = fixtureDir(t, "detreach")
 	out, err := cmd.Output()
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
@@ -177,25 +181,29 @@ func TestModuleAnalyzerJSON(t *testing.T) {
 	if err := json.Unmarshal(out, &findings); err != nil {
 		t.Fatalf("parsing -json output: %v\n%s", err, out)
 	}
-	var live, suppressed int
+	var live, suppressed, perPackage int
 	for _, f := range findings {
-		if f.Analyzer != "lockorder" {
+		if f.Analyzer != "detreach" {
+			perPackage++
 			continue
 		}
 		if f.Suppressed {
 			suppressed++
 			if f.SuppressReason == "" {
-				t.Errorf("suppressed lockorder finding without a reason: %+v", f)
+				t.Errorf("suppressed detreach finding without a reason: %+v", f)
 			}
 		} else {
 			live++
 		}
 	}
 	if live == 0 {
-		t.Error("no live lockorder findings from the fixture")
+		t.Error("no live detreach findings from the fixture")
 	}
 	if suppressed == 0 {
-		t.Error("no suppressed lockorder findings from the fixture")
+		t.Error("no suppressed detreach findings from the fixture")
+	}
+	if perPackage == 0 {
+		t.Error("no per-package findings in the same array as detreach's")
 	}
 }
 
@@ -208,7 +216,7 @@ func TestModuleAnalyzerStandalone(t *testing.T) {
 	for _, tc := range []struct {
 		fixture, pattern, want string
 	}{
-		{"goleak", "./...", "[goleak] goroutine has no join evidence"},
+		{"detreach", "./...", "[detreach] wall clock on the deterministic plane: time.Now"},
 		{"hotalloc", "./flagged", "[hotalloc] map literal allocates"},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -231,7 +239,7 @@ func TestUsageErrors(t *testing.T) {
 	bin := buildLint(t)
 	for _, flag := range []string{"-detmap=false", "-custom-only"} {
 		cmd := exec.Command(bin, flag, "./...")
-		cmd.Dir = fixtureDir(t, "goleak")
+		cmd.Dir = fixtureDir(t, "detreach")
 		out, err := cmd.CombinedOutput()
 		if code := exitCode(t, err); code != 1 {
 			t.Errorf("%s: want exit code 1 (usage), got %d\n%s", flag, code, out)

@@ -208,10 +208,8 @@ func TestWarmMakesExperimentsCheap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range h.DatasetNames() {
-		h.mu.Lock()
-		c, ok := h.perDS[name]
-		h.mu.Unlock()
-		if !ok {
+		c := &h.cells(name).dataset
+		if c.val == nil && c.err == nil {
 			t.Errorf("dataset %s not warmed", name)
 			continue
 		}

@@ -7,7 +7,7 @@
 // CBG calibration and per-server geolocation, per-dataset
 // sessionization — so the full suite runs each step once. It is safe
 // for concurrent use: each artifact is guarded by a sync.Once (or a
-// per-key once cell), and the embarrassingly parallel stages — CBG
+// per-dataset once cell), and the embarrassingly parallel stages — CBG
 // localization of every server, the per-VP ping campaigns, the five
 // per-dataset analysis pipelines — fan out across a bounded worker
 // pool sized by Input.Parallelism. Because all measurement noise comes
@@ -87,13 +87,9 @@ type Harness struct {
 	regions   map[ipnet.Addr]geoloc.Region
 	locations map[ipnet.Addr]geo.Point
 
-	mu sync.Mutex // guards the cell maps
+	mu sync.Mutex // guards perDS
 	// guarded by mu
-	campaigns map[string]*cell[map[ipnet.Addr]float64]
-	// guarded by mu
-	perDS map[string]*cell[*dataset]
-	// guarded by mu
-	starts map[string]*cell[func() capture.Iterator]
+	perDS map[string]*datasetCells
 
 	plMu sync.Mutex // serializes PlanetLab runs (they mutate the placement)
 	// plRuns counts PlanetLab invocations (each uploads a fresh video).
@@ -112,6 +108,27 @@ type cell[T any] struct {
 func (c *cell[T]) do(compute func() (T, error)) (T, error) {
 	c.once.Do(func() { c.val, c.err = compute() })
 	return c.val, c.err
+}
+
+// datasetCells holds one dataset's once-cells: its vantage point's
+// ping campaign, its analysis artifacts, and its start-ordered Google
+// stream factory.
+type datasetCells struct {
+	campaign cell[map[ipnet.Addr]float64]
+	dataset  cell[*dataset]
+	starts   cell[func() capture.Iterator]
+}
+
+// cells returns (creating on first use) the once-cells of one dataset.
+func (h *Harness) cells(name string) *datasetCells {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	c, ok := h.perDS[name]
+	if !ok {
+		c = &datasetCells{}
+		h.perDS[name] = c
+	}
+	return c
 }
 
 // dataset caches per-trace analysis artifacts. No flow slice is
@@ -141,12 +158,10 @@ type dataset struct {
 // harnesses over one Input would interfere.
 func New(in Input) *Harness {
 	return &Harness{
-		in:        in,
-		par:       par.Normalize(in.Parallelism),
-		prober:    probe.New(in.World, stats.NewRNG(in.Seed).Fork("probe")),
-		campaigns: make(map[string]*cell[map[ipnet.Addr]float64]),
-		perDS:     make(map[string]*cell[*dataset]),
-		starts:    make(map[string]*cell[func() capture.Iterator]),
+		in:     in,
+		par:    par.Normalize(in.Parallelism),
+		prober: probe.New(in.World, stats.NewRNG(in.Seed).Fork("probe")),
+		perDS:  make(map[string]*datasetCells),
 	}
 }
 
@@ -201,14 +216,7 @@ type startScanner interface {
 // re-serves it (the sort is stable, so equal starts keep emission
 // order, matching the store's tie-break).
 func (h *Harness) googleStartSource(name string) (func() capture.Iterator, error) {
-	h.mu.Lock()
-	c, ok := h.starts[name]
-	if !ok {
-		c = &cell[func() capture.Iterator]{}
-		h.starts[name] = c
-	}
-	h.mu.Unlock()
-	return c.do(func() (func() capture.Iterator, error) {
+	return h.cells(name).starts.do(func() (func() capture.Iterator, error) {
 		idx := h.in.World.VPIndex(name)
 		if idx < 0 {
 			return nil, fmt.Errorf("experiments: unknown dataset %q", name)
@@ -260,24 +268,12 @@ func (h *Harness) servers() ([]ipnet.Addr, error) {
 	return h.allServers, h.serversErr
 }
 
-// campaignCell returns the once-cell for a vantage point's campaign.
-func (h *Harness) campaignCell(vpName string) *cell[map[ipnet.Addr]float64] {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c, ok := h.campaigns[vpName]
-	if !ok {
-		c = &cell[map[ipnet.Addr]float64]{}
-		h.campaigns[vpName] = c
-	}
-	return c
-}
-
 // campaign returns (caching) the per-server min-RTT ping results from
 // one vantage point, in milliseconds. The per-target probes fan out
 // across the worker pool; per-pair RNG forking keeps the results
 // bit-identical at any pool size.
 func (h *Harness) campaign(vpName string) (map[ipnet.Addr]float64, error) {
-	return h.campaignCell(vpName).do(func() (map[ipnet.Addr]float64, error) {
+	return h.cells(vpName).campaign.do(func() (map[ipnet.Addr]float64, error) {
 		defer h.phase("probing")()
 		targets, err := h.datasetServers(vpName)
 		if err != nil {
@@ -407,14 +403,7 @@ func (h *Harness) liveLocations() (map[ipnet.Addr]geo.Point, error) {
 // T=1s sessions. Distinct datasets may compute concurrently; repeated
 // calls for one dataset share a single computation.
 func (h *Harness) Dataset(name string) (*dataset, error) {
-	h.mu.Lock()
-	c, ok := h.perDS[name]
-	if !ok {
-		c = &cell[*dataset]{}
-		h.perDS[name] = c
-	}
-	h.mu.Unlock()
-	return c.do(func() (*dataset, error) { return h.buildDataset(name) })
+	return h.cells(name).dataset.do(func() (*dataset, error) { return h.buildDataset(name) })
 }
 
 // buildDataset computes one dataset's artifacts in a handful of

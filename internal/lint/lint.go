@@ -1,14 +1,14 @@
 // Package lint is the repo's static layer: a small, dependency-free
 // analysis framework (in the spirit of golang.org/x/tools/go/analysis,
-// which this module deliberately does not depend on) plus the nine
+// which this module deliberately does not depend on) plus the seven
 // analyzers that encode the invariants every parity suite in this
 // repository leans on. Six work on one package at a time:
 // map-iteration determinism, RNG purity, RNG stream ownership, mutex
-// guard discipline (typed atomics only), the observability plane
-// split, and the hot-path performance contracts (allocation discipline
-// in //perf:-annotated functions). Three work on the whole module
-// through its call graph (see module.go): transitive determinism
-// purity, lock order, and goroutine joins.
+// discipline (guarded fields, deferred unlocks, typed atomics only),
+// the observability plane split, and the hot-path performance
+// contracts (allocation discipline in //perf:-annotated functions).
+// One, detreach, works on the whole module through its call graph
+// (see module.go): transitive determinism purity.
 //
 // There is one driver. Load parses and type-checks module packages
 // from source, and Check runs analyzers over them; cmd/ytcdn-lint, the
@@ -83,11 +83,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Analyzers returns the full suite in deterministic order: the six
-// per-package analyzers, then the three module analyzers.
+// per-package analyzers, then the module analyzer detreach.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetMap, RNGPurity, RNGShare, LockGuard, ObsPlane, HotAlloc,
-		DetReach, LockOrder, GoLeak,
+		DetReach,
 	}
 }
 

@@ -19,7 +19,13 @@ import (
 // phases that are single-threaded by convention, immutable-after-sort
 // reads — are expressed with a reasoned //lint:ok directive.
 //
-// LockGuard also rejects sync/atomic's package-level functions
+// LockGuard also requires every Lock or RLock statement on a
+// sync.Mutex or sync.RWMutex to be followed directly by a defer of its
+// unlock on the same receiver (x.mu.Lock(); defer x.mu.Unlock()), so
+// a lock is released on every return path by construction. A lock
+// that is handed to the caller on purpose takes a reasoned //lint:ok.
+//
+// And it rejects sync/atomic's package-level functions
 // (atomic.AddInt64(&x.f, 1), ...): their operand is a plain variable
 // that any other line may read or write without the atomic. A typed
 // atomic (atomic.Int64, atomic.Pointer[T], ...) cannot be accessed
@@ -27,7 +33,8 @@ import (
 var LockGuard = &Analyzer{
 	Name: "lockguard",
 	Doc: "check that fields annotated `// guarded by <mutex>` are only " +
-		"accessed in functions that lock that mutex, and that shared " +
+		"accessed in functions that lock that mutex, that every Lock is " +
+		"followed directly by its deferred unlock, and that shared " +
 		"counters use typed atomics, not sync/atomic's functions",
 	Run: runLockGuard,
 }
@@ -56,6 +63,7 @@ func runLockGuard(pass *Pass) {
 			}
 			return true
 		})
+		checkDeferredUnlocks(pass, f)
 		if len(guards) == 0 {
 			continue
 		}
@@ -161,4 +169,65 @@ func checkFuncGuards(pass *Pass, fd *ast.FuncDecl, guards map[*types.Var]guarded
 		}
 		return true
 	})
+}
+
+// unlockOf names the unlock that must be deferred after each lock.
+var unlockOf = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
+
+// checkDeferredUnlocks reports every Lock or RLock statement on a sync
+// mutex that the next statement of its list does not pair with a defer
+// of the matching unlock on the same receiver.
+func checkDeferredUnlocks(pass *Pass, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			list = n.Body
+		case *ast.CommClause:
+			list = n.Body
+		default:
+			return true
+		}
+		for i, s := range list {
+			es, ok := s.(*ast.ExprStmt)
+			if !ok {
+				continue
+			}
+			recv, lock := mutexCall(pass.Info, es.X)
+			unlock := unlockOf[lock]
+			if unlock == "" {
+				continue
+			}
+			if i+1 < len(list) {
+				if d, ok := list[i+1].(*ast.DeferStmt); ok {
+					if r, m := mutexCall(pass.Info, d.Call); r == recv && m == unlock {
+						continue
+					}
+				}
+			}
+			pass.Reportf(s.Pos(), "%s.%s() is not followed directly by defer %s.%s(): release a lock by defer so every return path unlocks it", recv, lock, recv, unlock)
+		}
+		return true
+	})
+}
+
+// mutexCall returns the receiver text and method name when e calls a
+// sync.Mutex or sync.RWMutex method (embedded or not).
+func mutexCall(info *types.Info, e ast.Expr) (recv, method string) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return "", ""
+	}
+	method, t := methodName(info, call)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" ||
+		(named.Obj().Name() != "Mutex" && named.Obj().Name() != "RWMutex") {
+		return "", ""
+	}
+	return types.ExprString(call.Fun.(*ast.SelectorExpr).X), method
 }

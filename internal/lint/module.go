@@ -10,10 +10,9 @@ import (
 // ModulePass carries the loaded module and its call graph to a module
 // analyzer (one with RunModule set) and collects its diagnostics. Where
 // a Pass sees one package at a time, a ModulePass sees every unit plus
-// the call graph over them, the shape interprocedural checks
-// (detreach, lockorder, goleak) need. Run them over whole-module loads
-// (`./...`): a partial load truncates the class hierarchy and silently
-// weakens CHA.
+// the call graph over them, the shape an interprocedural check such as
+// detreach needs. Run it over whole-module loads (`./...`): a partial
+// load truncates the class hierarchy and silently weakens CHA.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet

@@ -13,12 +13,11 @@ import (
 var treeSuppressions = map[[2]string]int{
 	{"asdb.go", "lockguard"}: 1, // single-threaded registration by type contract
 	{"des.go", "hotalloc"}:   1, // amortized event-queue growth in push
-	{"obshttp.go", "goleak"}: 1, // /metrics listener is joined by srv.Shutdown inside net/http
 }
 
 // TestTreeClean is the whole-repository contract: zero unsuppressed
 // findings from the full suite — the six per-package analyzers plus
-// the three interprocedural module analyzers — and exactly the
+// the interprocedural module analyzer detreach — and exactly the
 // documented suppression inventory, no more, no fewer.
 func TestTreeClean(t *testing.T) {
 	units, err := Load(filepath.Join("..", ".."), "./...")

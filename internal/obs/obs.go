@@ -1,8 +1,9 @@
 // Package obs is the deterministic half of the observability layer:
-// lock-free counters, gauges and fixed-bucket log histograms that the
-// simulation core updates while it runs, and a registry that renders
-// them as a JSON snapshot for the /metrics endpoint and the end-of-run
-// report.
+// lock-free counters and fixed-bucket log histograms that the
+// simulation core updates while it runs, gauges that are functions
+// (Registry.GaugeFunc) evaluated at snapshot time over state the
+// instrumented code already keeps, and a registry that renders them as
+// a JSON snapshot for the /metrics endpoint and the end-of-run report.
 //
 // The package is split across two planes by construction:
 //
@@ -52,26 +53,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an instantaneous atomic value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-//
-//perf:inline
-//perf:noalloc
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add shifts the gauge by delta.
-//
-//perf:inline
-//perf:noalloc
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the bucket count of a Histogram: bucket 0 holds
 // observations <= 0, bucket k (1..64) holds 2^(k-1) <= v < 2^k.

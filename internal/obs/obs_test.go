@@ -149,11 +149,18 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Errorf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Errorf("gauge = %d, want 7", got)
+	// A gauge is a function over state its owner keeps, evaluated at
+	// every snapshot; registering the name again keeps the latest one.
+	r := NewRegistry()
+	v := 10.0
+	r.GaugeFunc("g", func() float64 { return v })
+	v -= 3
+	if got := r.Snapshot().Gauges["g"]; got != 7 {
+		t.Errorf("gauge = %v, want 7", got)
+	}
+	r.GaugeFunc("g", func() float64 { return 1 })
+	if got := r.Snapshot().Gauges["g"]; got != 1 {
+		t.Errorf("re-registered gauge = %v, want 1", got)
 	}
 }
 
@@ -164,9 +171,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("a") != r.Counter("a") {
 		t.Error("Counter(\"a\") returned distinct instruments")
-	}
-	if r.Gauge("b") != r.Gauge("b") {
-		t.Error("Gauge(\"b\") returned distinct instruments")
 	}
 	if r.Histogram("c") != r.Histogram("c") {
 		t.Error("Histogram(\"c\") returned distinct instruments")
@@ -181,7 +185,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 func TestRegistryNames(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.count")
-	r.Gauge("a.gauge")
+	r.GaugeFunc("a.gauge", func() float64 { return 2 })
 	r.GaugeFunc("m.func", func() float64 { return 1 })
 	r.Histogram("k.hist")
 	got := r.Names()
@@ -202,7 +206,7 @@ func TestRegistryNames(t *testing.T) {
 func TestSnapshotDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sim.cdn.sessions").Add(7)
-	r.Gauge("sim.selector.flows_active").Set(3)
+	r.GaugeFunc("sim.selector.flows_active", func() float64 { return 3 })
 	r.GaugeFunc("wall.process.goroutines", func() float64 { return 5 })
 	r.Histogram("sim.cdn.chain_depth_hops").Observe(2)
 

@@ -33,7 +33,6 @@ func Serve(addr string, reg *obs.Registry) (*Server, error) {
 		return nil, err
 	}
 	srv := &http.Server{Handler: Handler(reg)}
-	//lint:ok goleak the listener is joined by srv.Shutdown in Close, a handshake inside net/http the call graph cannot see
 	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Close
 	return &Server{ln: ln, srv: srv}, nil
 }

@@ -23,7 +23,7 @@ func fixedRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	reg.Counter("sim.cdn.sessions").Add(12)
 	reg.Counter("sim.cdn.chains").Add(34)
-	reg.Gauge("sim.selector.flows_active").Set(5)
+	reg.GaugeFunc("sim.selector.flows_active", func() float64 { return 5 })
 	reg.GaugeFunc("store.write.bytes", func() float64 { return 4096 })
 	h := reg.Histogram("sim.cdn.chain_depth_hops")
 	for _, v := range []int64{1, 1, 2, 3} {

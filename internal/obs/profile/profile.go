@@ -18,25 +18,18 @@ import (
 )
 
 // Profiler accumulates wall-clock time per named pipeline phase and
-// publishes each phase as the gauges "wall.phase.<name>.seconds" and
-// "wall.phase.<name>.calls". It is safe for concurrent use; nested and
-// repeated phases accumulate.
+// publishes each phase as the counters "wall.phase.<name>.nanos" and
+// "wall.phase.<name>.calls" plus the gauge "wall.phase.<name>.seconds".
+// It is safe for concurrent use; nested and repeated phases
+// accumulate. It keeps no state of its own: the registry's
+// get-or-create hands every call of a phase the same counters.
 type Profiler struct {
 	reg *obs.Registry
-
-	mu sync.Mutex
-	// guarded by mu
-	phases map[string]*phaseStat
-}
-
-type phaseStat struct {
-	nanos *obs.Counter
-	calls *obs.Counter
 }
 
 // NewProfiler returns a profiler publishing into reg.
 func NewProfiler(reg *obs.Registry) *Profiler {
-	return &Profiler{reg: reg, phases: make(map[string]*phaseStat)}
+	return &Profiler{reg: reg}
 }
 
 // Phase starts timing the named phase and returns the function that
@@ -50,27 +43,19 @@ func (p *Profiler) Phase(name string) func() {
 	if p == nil {
 		return func() {}
 	}
-	st := p.stat(name)
+	prefix := "wall.phase." + name
+	nanos := p.reg.Counter(prefix + ".nanos")
+	calls := p.reg.Counter(prefix + ".calls")
+	// Every call re-registers the gauge; each closure reads the same
+	// counter, so which one the registry keeps does not matter.
+	p.reg.GaugeFunc(prefix+".seconds", func() float64 {
+		return float64(nanos.Value()) / float64(time.Second)
+	})
 	start := time.Now()
 	return func() {
-		st.nanos.Add(time.Since(start).Nanoseconds())
-		st.calls.Inc()
+		nanos.Add(time.Since(start).Nanoseconds())
+		calls.Inc()
 	}
-}
-
-func (p *Profiler) stat(name string) *phaseStat {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.phases[name]
-	if !ok {
-		nanos := p.reg.Counter("wall.phase." + name + ".nanos")
-		st = &phaseStat{nanos: nanos, calls: p.reg.Counter("wall.phase." + name + ".calls")}
-		p.reg.GaugeFunc("wall.phase."+name+".seconds", func() float64 {
-			return float64(nanos.Value()) / float64(time.Second)
-		})
-		p.phases[name] = st
-	}
-	return st
 }
 
 // RegisterProcessGauges publishes process-level wall-clock gauges:

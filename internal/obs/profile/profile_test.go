@@ -2,6 +2,7 @@ package profile
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,9 @@ func TestNilProfilerPhase(t *testing.T) {
 	done() // must not panic
 }
 
+// TestProfilerAccumulates times one phase repeatedly, then from
+// several goroutines at once as Warm's workers do; under -race the
+// calls counter must end at the total number of timed calls.
 func TestProfilerAccumulates(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := NewProfiler(reg)
@@ -30,6 +34,26 @@ func TestProfilerAccumulates(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["wall.phase.probing.seconds"]; !ok {
 		t.Error("wall.phase.probing.seconds gauge not registered")
+	}
+
+	const workers = 8
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			defer p.Phase("analysis")()
+			reg.Snapshot() // a scrape racing the phase's registration
+		}()
+	}
+	wg.Wait()
+	snap = reg.Snapshot()
+	if got := snap.Counters["wall.phase.analysis.calls"]; got != workers {
+		t.Errorf("concurrent calls = %d, want %d", got, workers)
+	}
+	nanos := snap.Counters["wall.phase.analysis.nanos"]
+	if got := snap.Gauges["wall.phase.analysis.seconds"]; got != float64(nanos)/float64(time.Second) {
+		t.Errorf("seconds gauge %v does not read the nanos counter %d", got, nanos)
 	}
 }
 

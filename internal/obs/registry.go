@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 )
@@ -27,8 +28,6 @@ type Registry struct {
 	// guarded by mu
 	counters map[string]*Counter
 	// guarded by mu
-	gauges map[string]*Gauge
-	// guarded by mu
 	gaugeFuncs map[string]func() float64
 	// guarded by mu
 	histograms map[string]*Histogram
@@ -38,7 +37,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() float64),
 		histograms: make(map[string]*Histogram),
 	}
@@ -54,18 +52,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating on first use) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // GaugeFunc registers a derived gauge evaluated at snapshot time. The
@@ -90,9 +76,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Snapshot is one consistent-enough rendering of every instrument:
-// counters and gauges are atomic loads, histograms summarize whatever
-// observations had landed by the time their buckets were read. Derived
-// gauges (GaugeFunc) are evaluated during the snapshot.
+// counters are atomic loads, histograms summarize whatever
+// observations had landed by the time their buckets were read, and
+// gauges are the GaugeFuncs evaluated during the snapshot.
 type Snapshot struct {
 	Schema     string                       `json:"schema"`
 	Counters   map[string]int64             `json:"counters"`
@@ -103,38 +89,17 @@ type Snapshot struct {
 // Snapshot renders the registry. The maps are fresh copies, safe for
 // the caller to hold while instruments keep moving.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g
-	}
-	funcs := make(map[string]func() float64, len(r.gaugeFuncs))
-	for name, fn := range r.gaugeFuncs {
-		funcs[name] = fn
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for name, h := range r.histograms {
-		hists[name] = h
-	}
-	r.mu.Unlock()
-
 	// Evaluate outside the lock: gauge funcs may themselves snapshot
 	// other state, and instrument reads are atomic.
+	counters, funcs, hists := r.instruments()
 	s := Snapshot{
 		Schema:     SnapshotSchema,
 		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)+len(funcs)),
+		Gauges:     make(map[string]float64, len(funcs)),
 		Histograms: make(map[string]HistogramSnapshot, len(hists)),
 	}
 	for name, c := range counters {
 		s.Counters[name] = c.Value()
-	}
-	for name, g := range gauges {
-		s.Gauges[name] = float64(g.Value())
 	}
 	for name, fn := range funcs {
 		s.Gauges[name] = fn()
@@ -143,6 +108,13 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.SnapshotValues()
 	}
 	return s
+}
+
+// instruments copies the instrument maps under the lock.
+func (r *Registry) instruments() (map[string]*Counter, map[string]func() float64, map[string]*Histogram) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.counters), maps.Clone(r.gaugeFuncs), maps.Clone(r.histograms)
 }
 
 // MarshalJSON renders the snapshot with a fixed field order and sorted
@@ -188,9 +160,6 @@ func (r *Registry) Names() []string {
 	defer r.mu.Unlock()
 	var names []string
 	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
 		names = append(names, n)
 	}
 	for n := range r.gaugeFuncs {

@@ -83,7 +83,7 @@ func TestAddSnapshotFlattens(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("b.count").Add(2)
 	reg.Counter("a.count").Add(1)
-	reg.Gauge("g").Set(9)
+	reg.GaugeFunc("g", func() float64 { return 9 })
 	reg.Histogram("h").Observe(5)
 
 	rep := New("flatten").AddSnapshot(reg.Snapshot())

@@ -5,11 +5,13 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/obs"
 	"github.com/ytcdn-sim/ytcdn/internal/obs/obshttp"
+	"github.com/ytcdn-sim/ytcdn/internal/obs/profile"
 	"github.com/ytcdn-sim/ytcdn/internal/obs/report"
 )
 
@@ -227,5 +229,72 @@ func liveScrape(t *testing.T, store *StoreOptions) {
 		}
 		scrape()
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestNoGoroutineOutlivesRun checks that every goroutine the program
+// starts is joined, on the code that actually runs: the /metrics
+// listener and the progress ticker of one registry, the RunMany
+// fan-out, and the harness's par.ForEach workers (CBG sweep, ping
+// campaigns, per-dataset pipelines) under a profiler at
+// Parallelism 4. Once the ticker is stopped and the server closed, the
+// goroutine count must fall back to where it started.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	reg := obs.NewRegistry()
+	srv, err := obshttp.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopProgress := profile.StartProgress(io.Discard, reg, time.Millisecond)
+
+	opts := Options{
+		Scale: 0.002, Span: 2 * 24 * time.Hour, Parallelism: 4,
+		Metrics: reg, Profiler: profile.NewProfiler(reg),
+	}
+	studies, err := RunMany(Replicates(opts, 2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := studies[0].Experiments().RunAll(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateSnapshotJSON(body); err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"localization", "probing", "analysis"} {
+		if snap.Counters["wall.phase."+phase+".calls"] == 0 {
+			t.Errorf("phase %s never ran", phase)
+		}
+	}
+
+	stopProgress()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines outlive the run, %d before it:\n%s", runtime.NumGoroutine(), before, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
