@@ -15,7 +15,6 @@ import (
 	"github.com/ytcdn-sim/ytcdn/internal/des"
 	"github.com/ytcdn-sim/ytcdn/internal/geo"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
-	"github.com/ytcdn-sim/ytcdn/internal/netmodel"
 	"github.com/ytcdn-sim/ytcdn/internal/obs"
 	"github.com/ytcdn-sim/ytcdn/internal/stats"
 	"github.com/ytcdn-sim/ytcdn/internal/topology"
@@ -162,8 +161,10 @@ type Simulator struct {
 	// Tstat capture stops at teardown). Zero means unbounded.
 	span time.Duration
 
-	// vpEndpoints caches per-VP network endpoints.
-	vpEndpoints []netmodel.Endpoint
+	// rtt holds the base RTT from each vantage point to each data
+	// center, rtt[vp][dc]: the simulator only ever asks the latency
+	// model about those pairs, and BaseRTT is pure.
+	rtt [][]time.Duration
 	// homes caches per-VP origin parameters.
 	homes []core.Home
 	// quirk caches the server pool each (VP, class) quirk session draws
@@ -238,7 +239,12 @@ func NewSimulator(w *topology.World, cat *content.Catalog, sel *core.Selector,
 		root: g, streams: make(map[streamKey]*stats.RNG), span: span,
 		quirk: make(map[quirkKey][]*topology.Server)}
 	for _, vp := range w.VantagePoints {
-		s.vpEndpoints = append(s.vpEndpoints, vp.Endpoint())
+		ep := vp.Endpoint()
+		row := make([]time.Duration, len(w.DataCenters))
+		for i, dc := range w.DataCenters {
+			row[i] = w.Net.BaseRTT(ep, dc.Endpoint())
+		}
+		s.rtt = append(s.rtt, row)
 		s.homes = append(s.homes, core.HomeOf(vp))
 	}
 	for _, class := range []topology.ServerClass{topology.ClassLegacyEU, topology.ClassThirdParty} {
@@ -415,7 +421,7 @@ func (s *Simulator) runChain(req Request, g *stats.RNG, start time.Duration, wat
 	if s.w.Server(srv).DC == s.sel.Preferred(ldns) {
 		s.metrics.ServedPreferred++
 	}
-	s.metrics.SumServedRTT += s.w.Net.BaseRTT(s.vpEndpoints[req.VP], s.serverEndpoint(srv))
+	s.metrics.SumServedRTT += s.baseRTT(req.VP, srv)
 
 	if s.inst != nil {
 		s.inst.chains.Inc()
@@ -438,7 +444,7 @@ func (s *Simulator) raceWinner(vpIdx int, g *stats.RNG, cands []topology.ServerI
 	best := cands[0]
 	bestT := time.Duration(math.MaxInt64)
 	for _, c := range cands {
-		ttfb := s.w.Net.SampleRTT(s.vpEndpoints[vpIdx], s.serverEndpoint(c), g)
+		ttfb := s.w.Net.Jitter(s.baseRTT(vpIdx, c), g)
 		if capacity := s.w.Server(c).Capacity; capacity > 0 {
 			util := float64(s.sel.ServerLoad(c)) / float64(capacity)
 			ttfb += time.Duration(util * util * float64(raceQueuePenalty))
@@ -470,7 +476,7 @@ func (s *Simulator) quirkPool(vp int, class topology.ServerClass) []*topology.Se
 // emitControl records a sub-1000-byte control flow to srv starting at
 // t and returns the time the client moves on.
 func (s *Simulator) emitControl(vp *topology.VantagePoint, req Request, g *stats.RNG, srv topology.ServerID, t time.Duration) time.Duration {
-	rtt := s.w.Net.SampleRTT(s.vpEndpoints[req.VP], s.serverEndpoint(srv), g)
+	rtt := s.w.Net.Jitter(s.baseRTT(req.VP, srv), g)
 	dur := 2*rtt + time.Duration(g.Uniform(10, 60))*time.Millisecond
 	bytes := int64(g.Uniform(float64(s.cfg.ControlBytesMin), float64(s.cfg.ControlBytesMax)))
 	s.record(vp.Name, capture.FlowRecord{
@@ -497,12 +503,13 @@ func (s *Simulator) emitVideo(vp *topology.VantagePoint, req Request, g *stats.R
 		watch = 1
 	}
 
-	fullBytes := float64(s.cat.SizeBytes(req.Video, req.Res)) * vp.SizeScale
+	length := s.cat.Duration(req.Video)
+	fullBytes := float64(req.Res.SizeBytes(length)) * vp.SizeScale
 	bytes := int64(fullBytes * watch)
 	if bytes < 1000 {
 		bytes = 1000 // a video flow is ≥ the classification threshold
 	}
-	dur := time.Duration(watch*s.cat.Duration(req.Video).Seconds()*float64(time.Second)) + s.cfg.StartupDelay
+	dur := time.Duration(watch*length.Seconds()*float64(time.Second)) + s.cfg.StartupDelay
 
 	s.sel.BeginFlow(srv)
 	end := t + dur
@@ -519,14 +526,15 @@ func (s *Simulator) emitVideo(vp *topology.VantagePoint, req Request, g *stats.R
 	})
 }
 
-// serverEndpoint maps a server to its data center's network endpoint.
-// (The DC's cached Endpoint inlines into this body, which puts it past
-// the inlining budget — so the contract here is allocation-freedom,
-// not inlining.)
+// baseRTT returns the base RTT from vantage point vp to server id's
+// data center, read from the table NewSimulator built. It runs once
+// per chain and once per control flow and race candidate.
 //
+//perf:hot
+//perf:inline
 //perf:noalloc
-func (s *Simulator) serverEndpoint(id topology.ServerID) netmodel.Endpoint {
-	return s.w.DC(s.w.Server(id).DC).Endpoint()
+func (s *Simulator) baseRTT(vp int, id topology.ServerID) time.Duration {
+	return s.rtt[vp][s.w.Server(id).DC]
 }
 
 // record logs one flow into the capture sink, honouring the capture

@@ -71,6 +71,35 @@ func (r *rig) request(vp int, video content.VideoID) Request {
 	return Request{VP: vp, Subnet: sn, Client: addr, Video: video, Res: content.Res360p}
 }
 
+// TestBaseRTTTableMatchesModel is the oracle for the per-(VP, DC)
+// RTT table: for every vantage point of the paper world, the table
+// entry of every data center must equal the latency model's BaseRTT
+// between the two endpoints, and baseRTT of every server must equal
+// BaseRTT to the server's data center, the value the chain, control
+// and race paths computed per call before the table.
+func TestBaseRTTTableMatchesModel(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	if len(r.sim.rtt) != len(r.w.VantagePoints) {
+		t.Fatalf("table has %d rows for %d vantage points", len(r.sim.rtt), len(r.w.VantagePoints))
+	}
+	for vp, v := range r.w.VantagePoints {
+		ep := v.Endpoint()
+		if len(r.sim.rtt[vp]) != len(r.w.DataCenters) {
+			t.Fatalf("%s: row has %d entries for %d data centers", v.Name, len(r.sim.rtt[vp]), len(r.w.DataCenters))
+		}
+		for _, dc := range r.w.DataCenters {
+			if got, want := r.sim.rtt[vp][dc.ID], r.w.Net.BaseRTT(ep, dc.Endpoint()); got != want {
+				t.Errorf("%s -> %s: table %v, BaseRTT %v", v.Name, dc.City.Name, got, want)
+			}
+		}
+		for _, srv := range r.w.Servers {
+			if got, want := r.sim.baseRTT(vp, srv.ID), r.w.Net.BaseRTT(ep, r.w.DC(srv.DC).Endpoint()); got != want {
+				t.Errorf("%s -> server %d: baseRTT %v, BaseRTT %v", v.Name, srv.ID, got, want)
+			}
+		}
+	}
+}
+
 func TestNewSimulatorValidation(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	bad := DefaultConfig()

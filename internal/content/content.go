@@ -133,6 +133,9 @@ func NewCatalog(cfg Config) (*Catalog, error) {
 	if cfg.VOTDShare < 0 || cfg.VOTDShare >= 1 {
 		return nil, fmt.Errorf("content: VOTDShare %g out of [0, 1)", cfg.VOTDShare)
 	}
+	if cfg.VOTDShare > 0 && cfg.Days < 1 {
+		return nil, fmt.Errorf("content: VOTDShare %g needs Days >= 1 to schedule a video of the day, got %d", cfg.VOTDShare, cfg.Days)
+	}
 	z, err := stats.NewZipf(cfg.N, cfg.ZipfExponent)
 	if err != nil {
 		return nil, err
@@ -213,9 +216,13 @@ func (c *Catalog) Duration(v VideoID) time.Duration {
 	return d
 }
 
-// SizeBytes returns the full-file size of a video at a resolution.
-func (c *Catalog) SizeBytes(v VideoID, r Resolution) int64 {
-	return int64(c.Duration(v).Seconds() * r.bitrateBps() / 8)
+// SizeBytes returns the full-file size at this resolution of a video
+// lasting d (see Catalog.Duration).
+//
+//perf:inline
+//perf:noalloc
+func (r Resolution) SizeBytes(d time.Duration) int64 {
+	return int64(d.Seconds() * r.bitrateBps() / 8)
 }
 
 // SampleResolution draws a resolution from the 2010-era mix

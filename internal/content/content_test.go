@@ -38,6 +38,15 @@ func TestNewCatalogValidation(t *testing.T) {
 	if _, err := NewCatalog(bad); err == nil {
 		t.Error("VOTDShare=1 must fail")
 	}
+	bad = base
+	bad.VOTDShare, bad.Days = 0.5, 0
+	if _, err := NewCatalog(bad); err == nil {
+		t.Error("VOTDShare>0 with Days=0 must fail")
+	}
+	bad.VOTDShare = 0
+	if _, err := NewCatalog(bad); err != nil {
+		t.Errorf("VOTDShare=0 with Days=0 must build: %v", err)
+	}
 }
 
 func TestDefaultConfigBuilds(t *testing.T) {
@@ -145,15 +154,37 @@ func TestDurationMedianRoughlyConfigured(t *testing.T) {
 
 func TestSizeScalesWithResolution(t *testing.T) {
 	c := testCatalog(t)
-	v := VideoID(42)
-	s360 := c.SizeBytes(v, Res360p)
-	s480 := c.SizeBytes(v, Res480p)
-	s720 := c.SizeBytes(v, Res720p)
+	d := c.Duration(42)
+	s360 := Res360p.SizeBytes(d)
+	s480 := Res480p.SizeBytes(d)
+	s720 := Res720p.SizeBytes(d)
 	if !(s360 < s480 && s480 < s720) {
 		t.Errorf("sizes not ordered: %d %d %d", s360, s480, s720)
 	}
 	if s360 <= 0 {
 		t.Error("non-positive size")
+	}
+}
+
+// TestSizeFromOneDurationMatchesCatalogSize is the oracle for deriving
+// a video flow's size from the Duration it already computed: for 10^5
+// videos of the paper catalog at each resolution, r.SizeBytes of one
+// Duration must equal the ID-keyed size it replaced, which computed
+// the Duration again.
+func TestSizeFromOneDurationMatchesCatalogSize(t *testing.T) {
+	c, err := NewCatalog(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalogSize := func(v VideoID, r Resolution) int64 {
+		return int64(c.Duration(v).Seconds() * r.bitrateBps() / 8)
+	}
+	for _, r := range []Resolution{Res360p, Res480p, Res720p} {
+		for v := VideoID(0); v < 100_000; v++ {
+			if got, want := r.SizeBytes(c.Duration(v)), catalogSize(v, r); got != want {
+				t.Fatalf("video %d at %v: SizeBytes(Duration) = %d, catalog size = %d", v, r, got, want)
+			}
+		}
 	}
 }
 

@@ -77,9 +77,8 @@ func (k EdgeKind) String() string {
 type Node struct {
 	Func *types.Func
 	Decl *ast.FuncDecl
-	// Pkg and Info are the declaring package and its type information,
-	// for analyzers that inspect the body.
-	Pkg  *types.Package
+	// Info is the declaring package's type information, for analyzers
+	// that inspect the body.
 	Info *types.Info
 	// Name is the stable full render, e.g.
 	// "(*path/to/cdn.Simulator).runChain" or "path/to/analysis.SummarizeIter".
@@ -239,7 +238,7 @@ func (b *builder) collectNodes() {
 					continue
 				}
 				b.g.nodes[fn] = &Node{
-					Func: fn, Decl: fd, Pkg: p.Pkg, Info: p.Info,
+					Func: fn, Decl: fd, Info: p.Info,
 					Name: FuncName(fn),
 				}
 			}

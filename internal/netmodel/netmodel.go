@@ -188,15 +188,15 @@ func (m *Model) BaseRTT(a, b Endpoint) time.Duration {
 	return prop + m.cfg.BaseProcessing + a.Access.oneWayAccessDelay() + b.Access.oneWayAccessDelay()
 }
 
-// SampleRTT returns one measured RTT: BaseRTT plus non-negative
-// exponential jitter and occasional congestion spikes, drawn from g.
-func (m *Model) SampleRTT(a, b Endpoint, g *stats.RNG) time.Duration {
-	return m.jitter(m.BaseRTT(a, b), g)
-}
-
-// jitter returns one sample on top of base: an exponential queueing
-// delay, then with probability SpikeProb a uniform congestion spike.
-func (m *Model) jitter(base time.Duration, g *stats.RNG) time.Duration {
+// Jitter returns one measured RTT on a path whose BaseRTT is base:
+// base plus a non-negative exponential queueing delay, then with
+// probability SpikeProb a uniform congestion spike, drawn from g in
+// that order. Callers that sample one path many times compute BaseRTT
+// once and sample on it here.
+//
+//perf:hot
+//perf:noalloc
+func (m *Model) Jitter(base time.Duration, g *stats.RNG) time.Duration {
 	rtt := base + time.Duration(g.ExpFloat64()*float64(m.cfg.JitterMean))
 	if g.Bool(m.cfg.SpikeProb) {
 		rtt += time.Duration(g.Float64() * float64(m.cfg.SpikeMax))
@@ -206,15 +206,15 @@ func (m *Model) jitter(base time.Duration, g *stats.RNG) time.Duration {
 
 // MinRTT returns the minimum of n samples, the standard active-probing
 // estimate used by the paper for Figs. 2 and 7 and by CBG. It draws
-// what n SampleRTT calls draw, but computes BaseRTT once.
+// what n Jitter calls on BaseRTT(a, b) draw.
 func (m *Model) MinRTT(a, b Endpoint, n int, g *stats.RNG) time.Duration {
 	base := m.BaseRTT(a, b)
 	if n <= 0 {
 		return base
 	}
-	best := m.jitter(base, g)
+	best := m.Jitter(base, g)
 	for i := 1; i < n; i++ {
-		if v := m.jitter(base, g); v < best {
+		if v := m.Jitter(base, g); v < best {
 			best = v
 		}
 	}

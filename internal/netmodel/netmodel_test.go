@@ -95,6 +95,19 @@ func TestSelfRTT(t *testing.T) {
 	}
 }
 
+// sampleRTT is the per-call sampler Jitter replaced, spelled out in
+// its draws: BaseRTT(a, b), then an exponential queueing delay, then
+// a Bool(SpikeProb) that, when true, adds a uniform spike. The tests
+// below hold Jitter and MinRTT to it.
+func sampleRTT(m *Model, a, b Endpoint, g *stats.RNG) time.Duration {
+	cfg := m.Config()
+	rtt := m.BaseRTT(a, b) + time.Duration(g.ExpFloat64()*float64(cfg.JitterMean))
+	if g.Bool(cfg.SpikeProb) {
+		rtt += time.Duration(g.Float64() * float64(cfg.SpikeMax))
+	}
+	return rtt
+}
+
 func TestSampleRTTAlwaysAtLeastBase(t *testing.T) {
 	m := testModel()
 	g := stats.NewRNG(1)
@@ -102,9 +115,47 @@ func TestSampleRTTAlwaysAtLeastBase(t *testing.T) {
 	b := ep("b", geo.Amsterdam, AccessDataCenter)
 	base := m.BaseRTT(a, b)
 	for i := 0; i < 2000; i++ {
-		if s := m.SampleRTT(a, b, g); s < base {
+		if s := m.Jitter(base, g); s < base {
 			t.Fatalf("sample %v below base %v", s, base)
 		}
+	}
+}
+
+// TestJitterMatchesSampleRTT is the oracle for sampling on a known
+// base: Jitter(BaseRTT(a, b), g) must return what sampleRTT(a, b)
+// returns on a stream with the same seed, sample for sample, and both
+// streams must end at the same draw. Fifty seeds of twenty samples put
+// a few congestion spikes among the draws.
+func TestJitterMatchesSampleRTT(t *testing.T) {
+	m := testModel()
+	gw := geo.NewYork.Point
+	campus := Endpoint{ID: "campus", Loc: geo.WestLafayette.Point, Access: AccessCampus, Gateway: &gw}
+	turin := ep("turin", geo.Turin, AccessADSL)
+	dcAms := ep("dc-ams", geo.Amsterdam, AccessDataCenter)
+	dcChi := ep("dc-chi", geo.Chicago, AccessDataCenter)
+	spikes := 0
+	for seed := int64(0); seed < 50; seed++ {
+		g, ref := stats.NewRNG(seed), stats.NewRNG(seed)
+		for i := 0; i < 20; i++ {
+			a, b := turin, dcAms
+			if i%2 == 1 {
+				a, b = campus, dcChi
+			}
+			base := m.BaseRTT(a, b)
+			got, want := m.Jitter(base, g), sampleRTT(m, a, b, ref)
+			if got != want {
+				t.Fatalf("seed %d sample %d: Jitter = %v, sampleRTT = %v", seed, i, got, want)
+			}
+			if got-base > 30*time.Millisecond {
+				spikes++
+			}
+		}
+		if got, w := g.Int63(), ref.Int63(); got != w {
+			t.Fatalf("seed %d: streams end at different draws", seed)
+		}
+	}
+	if spikes == 0 {
+		t.Fatal("no congestion spike among the samples; the spike draw went untested")
 	}
 }
 
@@ -124,7 +175,7 @@ func TestMinRTTConvergesToBase(t *testing.T) {
 }
 
 // TestMinRTTMatchesSampleRTT is the oracle for MinRTT's hoisted
-// BaseRTT: MinRTT(a, b, n, g) must equal the minimum of n SampleRTT
+// BaseRTT: MinRTT(a, b, n, g) must equal the minimum of n sampleRTT
 // calls on a stream with the same seed (BaseRTT for n = 0), and both
 // streams must end at the same draw. Fifty seeds of ten samples put a
 // few congestion spikes among the draws.
@@ -147,12 +198,12 @@ func TestMinRTTMatchesSampleRTT(t *testing.T) {
 				g, ref := stats.NewRNG(seed), stats.NewRNG(seed)
 				want := m.BaseRTT(p.a, p.b)
 				for i := 0; i < n; i++ {
-					if v := m.SampleRTT(p.a, p.b, ref); i == 0 || v < want {
+					if v := sampleRTT(m, p.a, p.b, ref); i == 0 || v < want {
 						want = v
 					}
 				}
 				if got := m.MinRTT(p.a, p.b, n, g); got != want {
-					t.Fatalf("%s n=%d seed %d: MinRTT = %v, min of SampleRTT = %v", p.name, n, seed, got, want)
+					t.Fatalf("%s n=%d seed %d: MinRTT = %v, min of sampleRTT = %v", p.name, n, seed, got, want)
 				}
 				if got, w := g.Int63(), ref.Int63(); got != w {
 					t.Fatalf("%s n=%d seed %d: streams end at different draws", p.name, n, seed)

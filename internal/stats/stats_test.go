@@ -161,6 +161,9 @@ func TestNewZipfErrors(t *testing.T) {
 	if _, err := NewZipf(10, -1); err == nil {
 		t.Error("NewZipf(10, -1) must fail")
 	}
+	if _, err := NewZipf(10, math.NaN()); err == nil {
+		t.Error("NewZipf(10, NaN) must fail")
+	}
 }
 
 func TestZipfSkew(t *testing.T) {

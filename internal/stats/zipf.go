@@ -3,29 +3,39 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Zipf samples ranks 0..n-1 with probability proportional to
-// 1/(rank+1)^s. It precomputes the CDF so draws are O(log n) binary
-// searches, which keeps multi-million-request workloads cheap, and it
-// is deterministic given the RNG stream.
+// 1/(rank+1)^s. It precomputes the CDF and a guide table over it, so a
+// draw searches one small bucket of the CDF instead of all of it, and
+// it is deterministic given the RNG stream.
 //
 // YouTube video popularity is well modelled by a Zipf-like law with
 // exponent near 1 (Cha et al., IMC 2007), which is what the workload
 // generator uses.
 type Zipf struct {
 	cdf []float64
-	s   float64
+	// guide[k] is the smallest rank i with cdf[i] >= k/zipfGuideSize
+	// (Chen & Asau's guide table). A draw u has its answer between
+	// guide[k] and guide[k+1] for k = floor(u*zipfGuideSize), and
+	// between guide[k] and n-1 in the last bucket.
+	guide []int32
+	s     float64
 }
 
+// zipfGuideSize is the guide table's bucket count. A power of two
+// makes u*zipfGuideSize and k/zipfGuideSize exact in float64, so the
+// bucket bounds hold with no rounding slack. 2^14 int32 entries are
+// 64 KB, which a catalog keeps alive as long as its CDF.
+const zipfGuideSize = 1 << 14
+
 // NewZipf builds a sampler over n ranks with exponent s. It returns an
-// error if n < 1 or s < 0.
+// error if n < 1, n does not fit an int32, or s is negative or NaN.
 func NewZipf(n int, s float64) (*Zipf, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("stats: zipf needs n >= 1, got %d", n)
+	if n < 1 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("stats: zipf needs 1 <= n <= %d, got %d", math.MaxInt32, n)
 	}
-	if s < 0 {
+	if !(s >= 0) {
 		return nil, fmt.Errorf("stats: zipf needs s >= 0, got %g", s)
 	}
 	cdf := make([]float64, n)
@@ -38,7 +48,15 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf, s: s}, nil
+	guide := make([]int32, zipfGuideSize)
+	i := 0
+	for k := range guide {
+		for cdf[i] < float64(k)/zipfGuideSize {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide, s: s}, nil
 }
 
 // N returns the number of ranks.
@@ -48,9 +66,29 @@ func (z *Zipf) N() int { return len(z.cdf) }
 func (z *Zipf) Exponent() float64 { return z.s }
 
 // Sample draws a rank in [0, N) using g.
-func (z *Zipf) Sample(g *RNG) int {
-	u := g.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+func (z *Zipf) Sample(g *RNG) int { return z.index(g.Float64()) }
+
+// index returns the smallest rank i with cdf[i] >= u, for u in [0, 1):
+// the index sort.SearchFloat64s(z.cdf, u) returns, found by a binary
+// search inside u's guide bucket.
+//
+//perf:hot
+//perf:noalloc
+func (z *Zipf) index(u float64) int {
+	k := int(u * zipfGuideSize)
+	lo, hi := int(z.guide[k]), len(z.cdf)-1
+	if k+1 < zipfGuideSize {
+		hi = int(z.guide[k+1])
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if z.cdf[m] < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // ProbOfRank returns the probability mass of the given rank.

@@ -152,8 +152,9 @@ func BuildPaperWorld(cfg PaperConfig) (*World, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	// Seal the per-DC endpoint cache: Endpoint sits on the simulator's
-	// per-flow RTT path and must not render its ID string there.
+	// Seal the per-DC endpoint cache: the selector's RTT rankings call
+	// Endpoint inside sort comparisons and must not render its ID
+	// string there.
 	for _, dc := range w.DataCenters {
 		dc.ep = dc.renderEndpoint()
 	}

@@ -82,13 +82,14 @@ type DataCenter struct {
 	Internal bool
 
 	// ep caches the value Endpoint returns. BuildPaperWorld seals it
-	// after assembly so the per-flow RTT path never re-renders the ID
-	// string; hand-assembled DCs (tests) fall back to rendering.
+	// after assembly so the selector's RTT rankings never re-render the
+	// ID string; hand-assembled DCs (tests) fall back to rendering.
 	ep netmodel.Endpoint
 }
 
 // Endpoint returns the DC's network endpoint for latency computations.
-// It sits on the simulator's per-flow path, hence the cache.
+// The selector's RTT rankings call it inside sort comparisons, hence
+// the cache.
 //
 //perf:inline
 //perf:noalloc
