@@ -14,7 +14,8 @@ import (
 // non-positive -scale used to map onto library defaults (-days 0 ran a
 // full week, -scale 0 ran at paper scale) or run an empty study; the
 // flag conflicts and an unknown -policy used to exit 1 only after the
-// listener had started.
+// listener had started, and a -report path in a missing directory only
+// after the whole suite had run.
 func TestRejectsBadDaysAndScale(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "ytcdn-experiments")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -33,6 +34,7 @@ func TestRejectsBadDaysAndScale(t *testing.T) {
 		{[]string{"-compare-policies", "-policy", "proximity"}, "drop -policy"},
 		{[]string{"-policy", "bogus"}, `unknown -policy "bogus"`},
 		{[]string{"-sim-shards", "2"}, "flag provided but not defined: -sim-shards"},
+		{[]string{"-report", filepath.Join(t.TempDir(), "missing", "r.json")}, "is not an existing directory"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-metrics-addr", "127.0.0.1:0"}, tc.args...)...)
 		var stderr strings.Builder

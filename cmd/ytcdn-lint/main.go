@@ -4,7 +4,7 @@
 //	go run ./cmd/ytcdn-lint ./...
 //
 // It loads and type-checks the matching module packages once and runs
-// all seven analyzers over them: six per package, and the
+// all six analyzers over them: five per package, and the
 // interprocedural detreach over a whole-module call graph, which is
 // only complete for whole-module loads (`./...`). Each unsuppressed
 // finding prints to stderr as `file:line:col: [analyzer] message`.

@@ -50,13 +50,13 @@ func fixtureDir(t *testing.T, name string) string {
 }
 
 // TestJSONOutput pins the -json contract end to end: build the binary,
-// run it over the hotalloc fixture module, and parse the output. The
+// run it over the lockguard fixture module, and parse the output. The
 // array must carry unsuppressed findings (with file/line/analyzer/
 // message) and the suppressed inventory (with the directive reason),
 // and the process must exit 2 — findings — not 1 — tool failure.
 func TestJSONOutput(t *testing.T) {
 	bin := buildLint(t)
-	fixture := fixtureDir(t, "hotalloc")
+	fixture := fixtureDir(t, "lockguard")
 	cmd := exec.Command(bin, "-json", "./flagged", "./suppressed")
 	cmd.Dir = fixture
 	out, err := cmd.Output()
@@ -93,8 +93,8 @@ func TestJSONOutput(t *testing.T) {
 			}
 		} else {
 			live++
-			if f.Analyzer != "hotalloc" {
-				t.Errorf("unexpected analyzer %q in hotalloc fixture: %+v", f.Analyzer, f)
+			if f.Analyzer != "lockguard" {
+				t.Errorf("unexpected analyzer %q in lockguard fixture: %+v", f.Analyzer, f)
 			}
 		}
 	}
@@ -116,8 +116,7 @@ func TestListOutput(t *testing.T) {
 	}
 	text := string(out)
 	names := []string{
-		"detmap", "rngpurity", "rngshare", "lockguard", "obsplane",
-		"hotalloc", "detreach",
+		"detmap", "rngpurity", "rngshare", "lockguard", "obsplane", "detreach",
 	}
 	for _, name := range names {
 		if !strings.Contains(text, name) {
@@ -217,7 +216,7 @@ func TestModuleAnalyzerStandalone(t *testing.T) {
 		fixture, pattern, want string
 	}{
 		{"detreach", "./...", "[detreach] wall clock on the deterministic plane: time.Now"},
-		{"hotalloc", "./flagged", "[hotalloc] map literal allocates"},
+		{"lockguard", "./flagged", "[lockguard] c.mu.Lock() is not followed directly by defer c.mu.Unlock()"},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.pattern)

@@ -54,6 +54,9 @@ func main() {
 	if err != nil {
 		usageError("unknown -policy %q (built-ins: %s)", *policy, strings.Join(ytcdn.PolicyNames(), ", "))
 	}
+	if err := obsFlags.Validate(); err != nil {
+		usageError("%v", err)
+	}
 
 	session, err := obsFlags.Start("ytcdn-sim")
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 // reject, each against an existing -o file: every run must exit
 // non-zero and leave that file byte-identical with nothing beside it
 // (the file used to be truncated before the options were validated).
-// Bad -days, -scale and -policy values and removed flags are usage
-// errors, exit status 2, caught before any work. A good run then
-// replaces the file.
+// Bad -days, -scale and -policy values, a -report path in a missing
+// directory and removed flags are usage errors, exit status 2, caught
+// before any work (the -report path used to fail only after the trace
+// had replaced -o). A good run then replaces the file.
 func TestRejectedRunKeepsOutput(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "ytcdn-sim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -45,6 +46,7 @@ func TestRejectedRunKeepsOutput(t *testing.T) {
 		{args: []string{"-days", "0"}, code: 2, usage: "-days must be at least 1"},
 		{args: []string{"-scale", "0"}, code: 2, usage: "-scale must be positive"},
 		{args: []string{"-scale", "-0.01"}, code: 2, usage: "-scale must be positive"},
+		{args: []string{"-report", filepath.Join(dir, "missing", "r.json")}, code: 2, usage: "is not an existing directory"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-scale", "0.002", "-days", "1", "-o", out}, tc.args...)...)
 		var stderr strings.Builder

@@ -1,9 +1,13 @@
+//go:build !race
+
 package cdn
 
 import (
-	"os"
+	"io"
 	"testing"
 
+	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/obs"
 	"github.com/ytcdn-sim/ytcdn/internal/topology"
 )
 
@@ -11,12 +15,8 @@ import (
 // legacy/third-party pool a session draws from is read from the table
 // NewSimulator built, so looking it up allocates nothing. Rebuilding
 // it from World.ServersOfClass on every quirk session was the
-// simulator's largest allocation site. Gated behind PERF_ASSERT=1 like
-// the other alloc contracts; CI's perfgate job sets it.
+// simulator's largest allocation site.
 func TestQuirkPoolAllocs(t *testing.T) {
-	if os.Getenv("PERF_ASSERT") != "1" {
-		t.Skip("set PERF_ASSERT=1 to assert quirk pool allocation counts")
-	}
 	r := newRig(t, DefaultConfig())
 	var pool []*topology.Server
 	for vp := range r.w.VantagePoints {
@@ -29,5 +29,46 @@ func TestQuirkPoolAllocs(t *testing.T) {
 				t.Errorf("VP %d class %v: empty pool", vp, class)
 			}
 		}
+	}
+}
+
+// TestFlowEmissionAllocs is the per-flow emission contract on an
+// instrumented rig. A control flow reads the base-RTT table (baseRTT),
+// samples netmodel.Jitter on it and logs through record, which bumps
+// an obs.Counter; its one allocation is the content.StringID string of
+// the video ID. A video flow also sizes itself with
+// Resolution.SizeBytes, begins its load accounting and schedules the
+// EndFlow closure, so it allocates that string and the closure; the
+// engine step that runs the closure allocates nothing. The sink is a
+// WriterSink into io.Discard, which allocates nothing per record
+// (capture's TestRecordAllocs), so the counts are the emission's own.
+func TestFlowEmissionAllocs(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	r.sim.Instrument(obs.NewRegistry())
+	r.sim.sink = capture.NewWriterSink(io.Discard)
+	req := r.request(0, 3)
+	vp := r.w.VantagePoints[req.VP]
+	g := r.sim.rng(req)
+	srv := r.sel.ResolveDNS(req.Subnet.LDNS, req.Video, g)
+
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"emitControl", 1, func() { r.sim.emitControl(vp, req, g, srv, r.eng.Now()) }},
+		{"emitVideo", 2, func() {
+			r.sim.emitVideo(vp, req, g, srv, r.eng.Now(), 1)
+			r.eng.Step()
+		}},
+	} {
+		allocs := testing.AllocsPerRun(1000, c.run)
+		t.Logf("%s: %.1f allocs per flow", c.name, allocs)
+		if allocs > c.budget {
+			t.Errorf("%s allocates %.1f times per flow, budget %.0f", c.name, allocs, c.budget)
+		}
+	}
+	if r.sim.Flows() == 0 || r.eng.Pending() != 0 {
+		t.Errorf("recorded %d flows, %d events pending; want flows and no pending event", r.sim.Flows(), r.eng.Pending())
 	}
 }

@@ -529,10 +529,6 @@ func (s *Simulator) emitVideo(vp *topology.VantagePoint, req Request, g *stats.R
 // baseRTT returns the base RTT from vantage point vp to server id's
 // data center, read from the table NewSimulator built. It runs once
 // per chain and once per control flow and race candidate.
-//
-//perf:hot
-//perf:inline
-//perf:noalloc
 func (s *Simulator) baseRTT(vp int, id topology.ServerID) time.Duration {
 	return s.rtt[vp][s.w.Server(id).DC]
 }
@@ -541,9 +537,6 @@ func (s *Simulator) baseRTT(vp int, id topology.ServerID) time.Duration {
 // window. It runs once per emitted flow — the busiest sink call in a
 // simulation — so it must stay allocation-free itself (the sink
 // behind it owns any buffering).
-//
-//perf:hot
-//perf:noalloc
 func (s *Simulator) record(dataset string, rec capture.FlowRecord) {
 	// The probe is torn down at the end of the capture window: a flow
 	// starting at or after it is never logged (its load accounting

@@ -218,9 +218,6 @@ func (c *Catalog) Duration(v VideoID) time.Duration {
 
 // SizeBytes returns the full-file size at this resolution of a video
 // lasting d (see Catalog.Duration).
-//
-//perf:inline
-//perf:noalloc
 func (r Resolution) SizeBytes(d time.Duration) int64 {
 	return int64(d.Seconds() * r.bitrateBps() / 8)
 }

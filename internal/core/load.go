@@ -26,17 +26,9 @@ func NewLoadTracker(label string, n int) *LoadTracker {
 }
 
 // Acquire increments the load of entity i.
-//
-//perf:hot
-//perf:inline
-//perf:noalloc
 func (lt *LoadTracker) Acquire(i int) { lt.counts[i].Add(1) }
 
 // Release decrements the load of entity i.
-//
-//perf:hot
-//perf:inline
-//perf:noalloc
 func (lt *LoadTracker) Release(i int) {
 	if lt.counts[i].Add(-1) < 0 {
 		lt.negative(i)
@@ -54,9 +46,6 @@ func (lt *LoadTracker) negative(i int) {
 }
 
 // Load returns the current load of entity i.
-//
-//perf:inline
-//perf:noalloc
 func (lt *LoadTracker) Load(i int) int { return int(lt.counts[i].Load()) }
 
 // Total returns the summed load across entities.

@@ -41,9 +41,6 @@ const (
 // hash/fnv.New64a: the stdlib constructor returns a hash.Hash64
 // interface whose receiver escapes, one heap allocation per call on
 // the selection path that runs per decision.
-//
-//perf:hot
-//perf:noalloc
 func hashU64(label string, vals ...int64) uint64 {
 	h := fnvOffset64
 	for i := 0; i < len(label); i++ {
@@ -67,9 +64,6 @@ func hashU64(label string, vals ...int64) uint64 {
 }
 
 // unit maps a hash to [0,1).
-//
-//perf:inline
-//perf:noalloc
 func unit(h uint64) float64 { return float64(h%1_000_000_000) / 1_000_000_000 }
 
 // OriginPolicy controls where unreplicated (tail) videos live.

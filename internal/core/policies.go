@@ -33,16 +33,10 @@ import (
 // arriving on its own primary path — a DC facing its own clients'
 // resolutions, or a server facing its hashed video's requests.
 // Capacity 0 means unbounded.
-//
-//perf:inline
-//perf:noalloc
 func sheds(load, capacity int) bool { return capacity > 0 && load >= capacity }
 
 // refuses reports whether a DC at (load, capacity) refuses load shed
 // from elsewhere. Capacity 0 means unbounded.
-//
-//perf:inline
-//perf:noalloc
 func refuses(load, capacity int) bool { return capacity > 0 && load > capacity }
 
 // PaperPolicy is the selection policy the paper reverse-engineers:

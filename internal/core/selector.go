@@ -193,9 +193,6 @@ func (s *Selector) RankedDCs(id topology.LDNSID) []topology.DataCenterID {
 // serverFor returns the server a video maps to inside a DC, by
 // consistent hashing. One server absorbs all of a video's load within
 // a DC — the precondition for hot-spots.
-//
-//perf:hot
-//perf:noalloc
 func (s *Selector) serverFor(dc topology.DataCenterID, v content.VideoID) topology.ServerID {
 	fleet := s.w.DC(dc).Servers
 	idx := hashU64("video-server", int64(dc), int64(v)) % uint64(len(fleet))
@@ -299,9 +296,6 @@ func (s *Selector) ServeFinal(srv topology.ServerID, v content.VideoID, ldns top
 // (origins of a tail video always exist); if it were, the preferred DC
 // is returned. Candidates outside the ranking lose to any ranked one;
 // an all-unranked set yields the first candidate.
-//
-//perf:hot
-//perf:noalloc
 func (s *Selector) closestTo(id topology.LDNSID, candidates []topology.DataCenterID) topology.DataCenterID {
 	if len(candidates) == 0 {
 		return s.prefByLDNS[id]

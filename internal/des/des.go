@@ -45,8 +45,6 @@ type event struct {
 // container/heap version.
 type eventHeap []event
 
-//perf:inline
-//perf:noalloc
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
@@ -55,10 +53,8 @@ func (h eventHeap) less(i, j int) bool {
 }
 
 // push appends ev and sifts it up.
-//
-//perf:hot
 func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev) //lint:ok hotalloc queue growth is amortized; the backing array is retained across pops
+	*h = append(*h, ev)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
@@ -72,9 +68,6 @@ func (h *eventHeap) push(ev event) {
 }
 
 // pop removes and returns the minimum event.
-//
-//perf:hot
-//perf:noalloc
 func (h *eventHeap) pop() event {
 	s := *h
 	n := len(s) - 1

@@ -319,9 +319,6 @@ func (c *CBG) Locate(rtts []time.Duration) Region {
 // disc at the current slack. Each verdict is that of
 // geo.Distance(p, d.center) > d.limit; discs are tried in order and
 // the first miss ends the test.
-//
-//perf:hot
-//perf:noalloc
 func inAll(discs []disc, p geo.Point, u vec3) bool {
 	for i := range discs {
 		d := &discs[i]
@@ -340,9 +337,6 @@ func inAll(discs []disc, p geo.Point, u vec3) bool {
 // returning the centroid and equivalent radius of the cells inside
 // every disc. Two passes: a coarse pass over the disc's bounding box,
 // then a refined pass over the feasible sub-box.
-//
-//perf:hot
-//perf:noalloc
 func gridRegion(discs []disc, center geo.Point, radius float64) (Region, bool) {
 	const n = 26
 	var lat, lon [n]float64

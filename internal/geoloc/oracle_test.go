@@ -3,13 +3,11 @@ package geoloc
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/geo"
-	"github.com/ytcdn-sim/ytcdn/internal/netmodel"
 	"github.com/ytcdn-sim/ytcdn/internal/stats"
 )
 
@@ -327,33 +325,4 @@ func FuzzLocateMatchesReference(f *testing.F) {
 		c, rtts := randomScenario(stats.NewRNG(seed))
 		checkMatchesReference(t, fmt.Sprintf("seed %d", seed), c, rtts)
 	})
-}
-
-// TestLocateAllocs pins Locate's allocation budget on the 20-landmark
-// fixture: the disc slice comes from a pool and the grid search
-// allocates nothing, so what is left is sort.Slice's own overhead.
-// Opt-in via PERF_ASSERT=1 (the CI perfgate job): allocation counts
-// are a compiler property, not a correctness property.
-func TestLocateAllocs(t *testing.T) {
-	if os.Getenv("PERF_ASSERT") != "1" {
-		t.Skip("set PERF_ASSERT=1 to assert Locate's allocation count")
-	}
-	lms := testLandmarks()
-	m := netmodel.New(netmodel.DefaultConfig())
-	g := stats.NewRNG(2)
-	cbg, err := Calibrate(lms, modelRTT(lms, m, g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := netmodel.Endpoint{ID: "target-brussels", Loc: geo.Brussels.Point, Access: netmodel.AccessDataCenter}
-	rtts := make([]time.Duration, len(lms))
-	for i, lm := range lms {
-		rtts[i] = m.MinRTT(netmodel.Endpoint{ID: "lm-" + lm.Name, Loc: lm.Loc, Access: netmodel.AccessBackbone}, ep, 5, g)
-	}
-	allocs := testing.AllocsPerRun(200, func() { cbg.Locate(rtts) })
-	t.Logf("Locate: %.1f allocs/op", allocs)
-	const budget = 4 // the haversine grid's count; the pooled grid makes 3
-	if allocs > budget {
-		t.Errorf("Locate allocates %.1f times per call, budget %d", allocs, budget)
-	}
 }

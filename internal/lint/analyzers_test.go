@@ -92,54 +92,6 @@ func TestObsPlaneSuppressed(t *testing.T) {
 	linttest.Run(t, "testdata/obsplane", lint.ObsPlane, "./internal/des")
 }
 
-func TestHotAllocFlagged(t *testing.T) {
-	linttest.Run(t, "testdata/hotalloc", lint.HotAlloc, "./flagged")
-}
-
-func TestHotAllocClean(t *testing.T) {
-	linttest.Run(t, "testdata/hotalloc", lint.HotAlloc, "./clean")
-}
-
-func TestHotAllocSuppressed(t *testing.T) {
-	linttest.Run(t, "testdata/hotalloc", lint.HotAlloc, "./suppressed")
-}
-
-// TestHotAllocAnnotationErrors pins the annotation-language findings.
-// They sit on the //perf: directive lines themselves, where a // want
-// comment would change the directive text, so the fixture is checked
-// by message here instead (same pattern as TestSuppressionNeedsReason).
-func TestHotAllocAnnotationErrors(t *testing.T) {
-	units, err := lint.Load("testdata/hotalloc", "./badperf")
-	if err != nil {
-		t.Fatalf("loading badperf fixture: %v", err)
-	}
-	if len(units) != 1 {
-		t.Fatalf("got %d units, want 1", len(units))
-	}
-	diags, _ := lint.Check(units, []*lint.Analyzer{lint.HotAlloc})
-	wants := []string{
-		`unknown //perf: directive "fast"`,
-		"stale //perf:hot",
-		"//perf:noalloc takes no argument",
-		"//perf:ok wants a check",
-		"//perf:ok escape needs a reason",
-	}
-	for _, w := range wants {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, w) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no diagnostic containing %q; got: %v", w, diags)
-		}
-	}
-	if len(diags) != len(wants) {
-		t.Errorf("got %d diagnostics, want exactly %d: %v", len(diags), len(wants), diags)
-	}
-}
-
 // TestSuppressionNeedsReason pins the directive contract: a //lint:ok
 // with no reason is itself reported and does not suppress the finding
 // it sits on.

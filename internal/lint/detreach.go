@@ -207,8 +207,7 @@ func detReachPath(parents map[*callgraph.Node]*callgraph.Node, n *callgraph.Node
 // trimmed — so unrelated edits do not churn it. The frontier for this
 // repository is pinned in internal/lint/testdata/detreach.golden and
 // enforced by TestDetReachFrontierGolden; regenerate with
-// DETREACH_REGEN=1 after an intentional change, the same contract
-// perfgate uses for performance envelopes.
+// DETREACH_REGEN=1 after an intentional change.
 func DetReachFrontier(units []*Unit) string {
 	g := BuildGraph(units)
 	roots := detReachRoots(units, g)

@@ -11,10 +11,9 @@ const frontierGoldenPath = "testdata/detreach.golden"
 
 // TestDetReachFrontierGolden pins the deterministic plane's purity
 // frontier — its entry points, everything reachable from them, and
-// every call that leaves the module — byte for byte, the same contract
-// perfgate applies to performance envelopes. Growing the reachable set
-// or the external surface is not forbidden, but it must be visible: an
-// intentional change is re-pinned with
+// every call that leaves the module — byte for byte. Growing the
+// reachable set or the external surface is not forbidden, but it must
+// be visible: an intentional change is re-pinned with
 //
 //	DETREACH_REGEN=1 go test ./internal/lint -run TestDetReachFrontierGolden
 //

@@ -1,14 +1,14 @@
 // Package lint is the repo's static layer: a small, dependency-free
 // analysis framework (in the spirit of golang.org/x/tools/go/analysis,
-// which this module deliberately does not depend on) plus the seven
+// which this module deliberately does not depend on) plus the six
 // analyzers that encode the invariants every parity suite in this
-// repository leans on. Six work on one package at a time:
+// repository leans on. Five work on one package at a time:
 // map-iteration determinism, RNG purity, RNG stream ownership, mutex
-// discipline (guarded fields, deferred unlocks, typed atomics only),
-// the observability plane split, and the hot-path performance
-// contracts (allocation discipline in //perf:-annotated functions).
-// One, detreach, works on the whole module through its call graph
-// (see module.go): transitive determinism purity.
+// discipline (guarded fields, deferred unlocks, typed atomics only)
+// and the observability plane split. One, detreach, works on the
+// whole module through its call graph (see module.go): transitive
+// determinism purity. Allocation contracts are not lint: they are
+// testing.AllocsPerRun tests in each package's alloc_test.go.
 //
 // There is one driver. Load parses and type-checks module packages
 // from source, and Check runs analyzers over them; cmd/ytcdn-lint, the
@@ -82,13 +82,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the full suite in deterministic order: the six
+// Analyzers returns the full suite in deterministic order: the five
 // per-package analyzers, then the module analyzer detreach.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		DetMap, RNGPurity, RNGShare, LockGuard, ObsPlane, HotAlloc,
-		DetReach,
-	}
+	return []*Analyzer{DetMap, RNGPurity, RNGShare, LockGuard, ObsPlane, DetReach}
 }
 
 // suppressionRe matches a //lint:ok directive. Group 1 is the analyzer

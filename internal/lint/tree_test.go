@@ -12,11 +12,10 @@ import (
 // hatches stay enumerable in review.
 var treeSuppressions = map[[2]string]int{
 	{"asdb.go", "lockguard"}: 1, // single-threaded registration by type contract
-	{"des.go", "hotalloc"}:   1, // amortized event-queue growth in push
 }
 
 // TestTreeClean is the whole-repository contract: zero unsuppressed
-// findings from the full suite — the six per-package analyzers plus
+// findings from the full suite — the five per-package analyzers plus
 // the interprocedural module analyzer detreach — and exactly the
 // documented suppression inventory, no more, no fewer.
 func TestTreeClean(t *testing.T) {

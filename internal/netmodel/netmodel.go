@@ -193,9 +193,6 @@ func (m *Model) BaseRTT(a, b Endpoint) time.Duration {
 // probability SpikeProb a uniform congestion spike, drawn from g in
 // that order. Callers that sample one path many times compute BaseRTT
 // once and sample on it here.
-//
-//perf:hot
-//perf:noalloc
 func (m *Model) Jitter(base time.Duration, g *stats.RNG) time.Duration {
 	rtt := base + time.Duration(g.ExpFloat64()*float64(m.cfg.JitterMean))
 	if g.Bool(m.cfg.SpikeProb) {

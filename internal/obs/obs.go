@@ -38,17 +38,9 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
-//
-//perf:hot
-//perf:inline
-//perf:noalloc
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
-//
-//perf:hot
-//perf:inline
-//perf:noalloc
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
@@ -85,9 +77,6 @@ func NewHistogram() *Histogram {
 }
 
 // bucketOf maps an observation to its bucket index.
-//
-//perf:inline
-//perf:noalloc
 func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0
@@ -109,9 +98,6 @@ func BucketUpper(i int) int64 {
 }
 
 // Observe records one value.
-//
-//perf:hot
-//perf:noalloc
 func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
 	h.count.Add(1)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/obs"
@@ -36,6 +37,29 @@ func Register() *Flags {
 	flag.DurationVar(&f.Progress, "progress", 0,
 		"print a progress line to stderr at this interval (e.g. 2s; 0 = off)")
 	return f
+}
+
+// Validate rejects a -report path the end-of-run write would fail on:
+// its parent must be an existing directory, and the path must not name
+// a directory. Commands call it with their other flag checks, so a bad
+// path is a usage error before any work, disk write or listener.
+func (f *Flags) Validate() error {
+	if f.ReportPath == "" {
+		return nil
+	}
+	if dir := filepath.Dir(f.ReportPath); !isDir(dir) {
+		return fmt.Errorf("-report %s: %s is not an existing directory", f.ReportPath, dir)
+	}
+	if isDir(f.ReportPath) {
+		return fmt.Errorf("-report %s is a directory", f.ReportPath)
+	}
+	return nil
+}
+
+// isDir reports whether path names an existing directory.
+func isDir(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && st.IsDir()
 }
 
 // Enabled reports whether any observability feature was requested.

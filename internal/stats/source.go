@@ -145,9 +145,6 @@ func (s *lazySource) Seed(seed int64) {
 }
 
 // Int63 returns the next draw with its top bit cleared.
-//
-//perf:hot
-//perf:noalloc
 func (s *lazySource) Int63() int64 {
 	if r := s.reg; r != nil {
 		return int64(r.step() & rngMask)
@@ -156,9 +153,6 @@ func (s *lazySource) Int63() int64 {
 }
 
 // Uint64 returns the next draw.
-//
-//perf:hot
-//perf:noalloc
 func (s *lazySource) Uint64() uint64 {
 	if r := s.reg; r != nil {
 		return r.step()
@@ -200,9 +194,6 @@ func (s *lazySource) fill(r *register) {
 
 // step is one draw of math/rand's recurrence: it moves tap and feed
 // back one word and adds the tap word into the feed word.
-//
-//perf:inline
-//perf:noalloc
 func (r *register) step() uint64 {
 	vec := &r.vec
 	tap, feed := r.tap-1, r.feed-1
@@ -223,15 +214,9 @@ func (r *register) step() uint64 {
 // directly once its lazySource has built it.
 
 // Int63 returns the next draw with its top bit cleared.
-//
-//perf:hot
-//perf:noalloc
 func (r *register) Int63() int64 { return int64(r.step() & rngMask) }
 
 // Uint64 returns the next draw.
-//
-//perf:hot
-//perf:noalloc
 func (r *register) Uint64() uint64 { return r.step() }
 
 // Seed resets the register to the start of rand.NewSource(seed)'s

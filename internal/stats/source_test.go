@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 )
 
@@ -203,54 +201,11 @@ func FuzzLazySourceMatchesMathRand(f *testing.F) {
 	})
 }
 
-var (
-	sinkF   float64
-	sinkRNG *RNG
-)
+var sinkF float64
 
 // forkLabel is a probe-style fork label, longer than the 32-byte stack
 // buffer a string-to-bytes copy in ForkSeed could use.
 const forkLabel = "minrtt/lm-Brussels-BE/173.194.120.17"
-
-// forkBytesBudget is TestForkAllocs' bound on the bytes a fork plus 15
-// draws allocates: the RNG's one allocation (96 B, holding its lazy
-// source and rand.Rand), with room for a size-class change. Seeding
-// math/rand's source allocated 5,376 B of the 5,440 B a fork took.
-const forkBytesBudget = 128
-
-// TestForkAllocs is the fork's allocation contract: a Fork plus 15
-// draws — a typical probe measurement's stream — allocates once and
-// stays within forkBytesBudget. Gated behind PERF_ASSERT=1 like the
-// other alloc contracts; CI's perfgate job sets it.
-func TestForkAllocs(t *testing.T) {
-	if os.Getenv("PERF_ASSERT") != "1" {
-		t.Skip("set PERF_ASSERT=1 to assert fork allocation sizes")
-	}
-	parent := NewRNG(20100904)
-	forkAndDraw := func() {
-		g := parent.Fork(forkLabel)
-		for j := 0; j < 15; j++ {
-			sinkF += g.Float64()
-		}
-		sinkRNG = g
-	}
-	allocs := testing.AllocsPerRun(1000, forkAndDraw)
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		forkAndDraw()
-	}
-	runtime.ReadMemStats(&after)
-	perFork := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("Fork + 15 draws: %.1f allocs, %.1f B", allocs, perFork)
-	if allocs > 1 {
-		t.Errorf("Fork + 15 draws allocates %.1f times, want 1", allocs)
-	}
-	if perFork > forkBytesBudget {
-		t.Errorf("Fork + 15 draws allocates %.1f B, budget %d B", perFork, forkBytesBudget)
-	}
-}
 
 // BenchmarkForkDraws measures a fork plus n Float64 draws, next to the
 // same draws from a freshly seeded math/rand source. The counts sit on

@@ -71,9 +71,6 @@ func (z *Zipf) Sample(g *RNG) int { return z.index(g.Float64()) }
 // index returns the smallest rank i with cdf[i] >= u, for u in [0, 1):
 // the index sort.SearchFloat64s(z.cdf, u) returns, found by a binary
 // search inside u's guide bucket.
-//
-//perf:hot
-//perf:noalloc
 func (z *Zipf) index(u float64) int {
 	k := int(u * zipfGuideSize)
 	lo, hi := int(z.guide[k]), len(z.cdf)-1

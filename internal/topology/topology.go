@@ -90,9 +90,6 @@ type DataCenter struct {
 // Endpoint returns the DC's network endpoint for latency computations.
 // The selector's RTT rankings call it inside sort comparisons, hence
 // the cache.
-//
-//perf:inline
-//perf:noalloc
 func (dc *DataCenter) Endpoint() netmodel.Endpoint {
 	if dc.ep.ID == "" {
 		return dc.renderEndpoint()

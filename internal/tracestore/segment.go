@@ -144,8 +144,8 @@ func encodeSegment(recs []capture.FlowRecord) (header, payload []byte) {
 // first malformed read records err and every later read returns a
 // zero value, so the column decode loops stay branch-light — and,
 // because all error construction happens inside these methods rather
-// than in the //perf:noalloc column decoders that call them,
-// allocation-free on well-formed input.
+// than in the column decoders that call them, allocation-free on
+// well-formed input (TestScanPathAllocs).
 type payloadReader struct {
 	buf []byte
 	pos int
@@ -301,9 +301,6 @@ func (b *decodeBuf) decode(count int) ([]capture.FlowRecord, int64, error) {
 }
 
 // decodeFixedCols decodes the start/duration/bytes/client columns.
-//
-//perf:hot
-//perf:noalloc
 func decodeFixedCols(p *payloadReader, recs []capture.FlowRecord) {
 	recs[0].Start = time.Duration(p.varint())
 	for i := 1; i < len(recs); i++ {
@@ -321,9 +318,6 @@ func decodeFixedCols(p *payloadReader, recs []capture.FlowRecord) {
 }
 
 // assignServers decodes the server-id column against the dictionary.
-//
-//perf:hot
-//perf:noalloc
 func assignServers(p *payloadReader, recs []capture.FlowRecord, srv []ipnet.Addr) {
 	n := uint64(len(srv))
 	for i := range recs {
@@ -370,9 +364,6 @@ func (b *decodeBuf) stringDictInto(p *payloadReader, dst []string) ([]string, in
 
 // assignStringCol decodes one string-id column against the dictionary
 // into the VideoID (resolution=false) or Resolution column.
-//
-//perf:hot
-//perf:noalloc
 func assignStringCol(p *payloadReader, recs []capture.FlowRecord, d []string, resolution bool) {
 	n := uint64(len(d))
 	for i := range recs {

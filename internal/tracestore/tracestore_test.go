@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
@@ -230,6 +231,42 @@ func TestScanByStartOrdered(t *testing.T) {
 	}
 	if r.BufferedBytes() != 0 {
 		t.Errorf("BufferedBytes = %d after drain", r.BufferedBytes())
+	}
+}
+
+// TestScanByStartSharesStrings pins the start-ordered merge's intern
+// table: its arms share one, so a video ID or resolution repeated
+// across segments comes back as the bytes of its first copy. A table
+// per arm could never hit, since one segment's dictionary entries are
+// distinct, and every segment allocated its strings afresh.
+func TestScanByStartSharesStrings(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, 256, map[string][]capture.FlowRecord{"ds": genRecords(5, 3000)})
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.shards["ds"].segs); n < 2 {
+		t.Fatalf("want multiple segments, got %d", n)
+	}
+	first := make(map[string]*byte)
+	fresh := 0
+	it := r.ScanByStart("ds")
+	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
+		for _, s := range []string{rec.VideoID, rec.Resolution} {
+			p := unsafe.StringData(s)
+			if q, seen := first[s]; !seen {
+				first[s] = p
+			} else if p != q {
+				fresh++
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if fresh != 0 {
+		t.Errorf("%d repeated strings were fresh copies, not their first copy's bytes", fresh)
 	}
 }
 
