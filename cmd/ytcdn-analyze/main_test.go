@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +16,7 @@ import (
 
 	"github.com/ytcdn-sim/ytcdn"
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 	"github.com/ytcdn-sim/ytcdn/internal/tracestore"
 )
@@ -83,7 +88,7 @@ func TestStoreMatchesTSV(t *testing.T) {
 		for _, end := range []time.Duration{20 * time.Second, 5 * time.Second} {
 			r := capture.FlowRecord{
 				Client: client, Server: server, Start: 10 * time.Second, End: end,
-				Bytes: 1 << 20, VideoID: "abcdefghijk", Resolution: "360p",
+				Bytes: 1 << 20, VideoID: capture.VideoID([]byte("abcdefghijk")), Resolution: content.Res360p,
 			}
 			sw.Record("EU1-ADSL", r)
 			ws.Record("EU1-ADSL", r)
@@ -145,7 +150,7 @@ func TestRejectsNegativeGap(t *testing.T) {
 	for _, start := range []time.Duration{0, 1500 * time.Millisecond} {
 		ws.Record("EU1-ADSL", capture.FlowRecord{
 			Client: client, Server: server, Start: start, End: start + time.Second,
-			Bytes: 1 << 20, VideoID: "abcdefghijk", Resolution: "360p",
+			Bytes: 1 << 20, VideoID: capture.VideoID([]byte("abcdefghijk")), Resolution: content.Res360p,
 		})
 	}
 	if err := ws.Flush(); err != nil {
@@ -192,5 +197,108 @@ func TestRejectsNegativeGap(t *testing.T) {
 	}
 	if got := sessions("1s"); got != "1" {
 		t.Errorf("-t 1s: %s sessions, want 1", got)
+	}
+}
+
+// craftStore writes a one-record store by hand, the bytes a
+// tracestore.Writer lays down, but with the VideoID and resolution
+// dictionary entries given verbatim, so the store can hold records the
+// writer never writes: a shard header (magic, dataset name), one
+// segment header (magic "YSEG", count, payload length, CRC-32, min and
+// max start) and the columnar payload. It returns the shard's path.
+func craftStore(t *testing.T, dir, dataset string, client, server ipnet.Addr, start, end time.Duration, size int64, video, res string) string {
+	t.Helper()
+	var p []byte
+	p = binary.AppendVarint(p, int64(start))
+	p = binary.AppendVarint(p, int64(end-start))
+	p = binary.AppendVarint(p, size)
+	p = binary.AppendUvarint(p, uint64(client))
+	p = binary.AppendUvarint(p, 1) // server dictionary: one entry, then its id
+	p = binary.AppendUvarint(p, uint64(server))
+	p = binary.AppendUvarint(p, 0)
+	for _, entry := range []string{video, res} {
+		p = binary.AppendUvarint(p, 1)
+		p = binary.AppendUvarint(p, uint64(len(entry)))
+		p = append(p, entry...)
+		p = binary.AppendUvarint(p, 0)
+	}
+	shard := append([]byte("YTTS1\n"), byte(len(dataset)))
+	shard = append(shard, dataset...)
+	shard = binary.LittleEndian.AppendUint32(shard, 0x59534547)
+	shard = binary.LittleEndian.AppendUint32(shard, 1)
+	shard = binary.LittleEndian.AppendUint32(shard, uint32(len(p)))
+	shard = binary.LittleEndian.AppendUint32(shard, crc32.ChecksumIEEE(p))
+	shard = binary.LittleEndian.AppendUint64(shard, uint64(start))
+	shard = binary.LittleEndian.AppendUint64(shard, uint64(start))
+	shard = append(shard, p...)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, dataset+".shard")
+	if err := os.WriteFile(path, shard, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRejectsInvalidRecords gives both inputs the same record, once as
+// a TSV line and once as a hand-built store: a 10-byte VideoID and a
+// 1080p resolution must fail analyzeTSV and analyzeStore alike. The
+// valid record in the same shape passes both, and its crafted shard
+// equals the one a tracestore.Writer writes, so the rejections come
+// from the two fields and not from the crafting.
+func TestRejectsInvalidRecords(t *testing.T) {
+	const dataset = "EU1-ADSL"
+	client, server := ipnet.MustParseAddr("10.0.0.1"), ipnet.MustParseAddr("173.194.0.1")
+	start, end, size := 10*time.Second, 11*time.Second, int64(1<<20)
+	for _, c := range []struct {
+		name, video, res string
+		valid            bool
+	}{
+		{"valid", "abcdefghijk", "360p", true},
+		{"10-byte VideoID", "abcdefghij", "360p", false},
+		{"1080p", "abcdefghijk", "1080p", false},
+	} {
+		dir := t.TempDir()
+		tsv := filepath.Join(dir, "trace.tsv")
+		line := fmt.Sprintf("%s\t%s\t%s\t%d\t%d\t%d\t%s\t%s\n", dataset, client, server,
+			start.Microseconds(), end.Microseconds(), size, c.video, c.res)
+		if err := os.WriteFile(tsv, []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store := filepath.Join(dir, "store")
+		crafted := craftStore(t, store, dataset, client, server, start, end, size, c.video, c.res)
+
+		errTSV := analyzeTSV(io.Discard, tsv, time.Second)
+		errStore := analyzeStore(io.Discard, store, time.Second)
+		if c.valid {
+			if errTSV != nil || errStore != nil {
+				t.Fatalf("%s: TSV error %v, store error %v; want both accepted", c.name, errTSV, errStore)
+			}
+			written := filepath.Join(dir, "written")
+			w, err := tracestore.NewWriter(written, tracestore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Record(dataset, capture.FlowRecord{Client: client, Server: server, Start: start, End: end, Bytes: size,
+				VideoID: capture.VideoID([]byte(c.video)), Resolution: content.Res360p})
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join(written, filepath.Base(crafted)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(crafted); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("crafted shard %x differs from the written one %x (%v)", got, want, err)
+			}
+			continue
+		}
+		if errTSV == nil {
+			t.Errorf("%s: analyzeTSV accepted %q", c.name, line)
+		}
+		if errStore == nil {
+			t.Errorf("%s: analyzeStore accepted the crafted store", c.name)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/ytcdn-sim/ytcdn/internal/asdb"
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/geo"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
@@ -19,9 +20,17 @@ func rec(client, server string, start, end time.Duration, bytes int64, video str
 		Start:      start,
 		End:        end,
 		Bytes:      bytes,
-		VideoID:    video,
-		Resolution: "360p",
+		VideoID:    vid(video),
+		Resolution: content.Res360p,
 	}
+}
+
+// vid returns a short test name as a VideoID, zero-padded to 11 bytes;
+// padding keeps the names' string order.
+func vid(name string) capture.VideoID {
+	var v capture.VideoID
+	copy(v[:], name)
+	return v
 }
 
 // collect drains an iterator, failing the test on a stream error.
@@ -505,10 +514,10 @@ func TestNonPreferredPerVideo(t *testing.T) {
 	if len(counts) != 2 {
 		t.Fatalf("counts = %+v", counts)
 	}
-	if counts[0].VideoID != "hot" || counts[0].Count != 2 {
+	if counts[0].VideoID != vid("hot") || counts[0].Count != 2 {
 		t.Errorf("top = %+v", counts[0])
 	}
-	if counts[1].VideoID != "once" || counts[1].Count != 1 {
+	if counts[1].VideoID != vid("once") || counts[1].Count != 1 {
 		t.Errorf("second = %+v", counts[1])
 	}
 }

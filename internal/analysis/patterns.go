@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"sort"
 	"time"
 
@@ -238,7 +239,7 @@ func BySubnetIter(it capture.Iterator, m *DCMap, preferred int, subnets []NamedP
 // VideoNonPrefCount pairs a video with how many of its video flows
 // were served from non-preferred data centers.
 type VideoNonPrefCount struct {
-	VideoID string
+	VideoID capture.VideoID
 	Count   int
 	Total   int
 }
@@ -249,8 +250,8 @@ type VideoNonPrefCount struct {
 // Only videos with at least one non-preferred access are returned,
 // sorted by decreasing count then VideoID.
 func NonPreferredPerVideoIter(it capture.Iterator, m *DCMap, preferred int) ([]VideoNonPrefCount, error) {
-	nonPref := make(map[string]int)
-	total := make(map[string]int)
+	nonPref := make(map[capture.VideoID]int)
+	total := make(map[capture.VideoID]int)
 	for {
 		r, ok := it.Next()
 		if !ok {
@@ -273,7 +274,7 @@ func NonPreferredPerVideoIter(it capture.Iterator, m *DCMap, preferred int) ([]V
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
 		}
-		return out[i].VideoID < out[j].VideoID
+		return bytes.Compare(out[i].VideoID[:], out[j].VideoID[:]) < 0
 	})
 	return out, it.Err()
 }
@@ -281,7 +282,7 @@ func NonPreferredPerVideoIter(it capture.Iterator, m *DCMap, preferred int) ([]V
 // VideoHourlySeriesIter returns the hourly request series of one
 // video: all accesses and non-preferred accesses (one panel of
 // Fig 14).
-func VideoHourlySeriesIter(it capture.Iterator, m *DCMap, preferred int, videoID string, span time.Duration) (all, nonPref *stats.TimeBins, err error) {
+func VideoHourlySeriesIter(it capture.Iterator, m *DCMap, preferred int, videoID capture.VideoID, span time.Duration) (all, nonPref *stats.TimeBins, err error) {
 	if span < time.Hour {
 		span = time.Hour
 	}

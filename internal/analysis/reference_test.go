@@ -75,7 +75,7 @@ func referenceSweepClosed(open map[sessionKey]*Session, latest map[sessionKey]ti
 		if a.Client != b.Client {
 			return a.Client < b.Client
 		}
-		return a.VideoID < b.VideoID
+		return a.VideoID.String() < b.VideoID.String()
 	})
 	for _, k := range closed {
 		emit(*open[k])
@@ -128,7 +128,7 @@ func sessionTrace(seed int64, n, keys int, base time.Duration) []capture.FlowRec
 			Start:   start,
 			End:     end,
 			Bytes:   int64(g.Intn(2_000_000)),
-			VideoID: fmt.Sprintf("v%d", k/7),
+			VideoID: vid(fmt.Sprintf("v%d", k/7)),
 		})
 	}
 	return out
@@ -233,9 +233,9 @@ func TestSessionizersMatchReference(t *testing.T) {
 // at gap 0.
 func TestStreamSessionsMatchesReferenceAtInt64Edges(t *testing.T) {
 	recs := []capture.FlowRecord{
-		{Client: 0x0B000001, VideoID: "wrap", Start: 0, End: 10 * time.Second},
-		{Client: 0x0B000001, VideoID: "wrap", Start: 0, End: maxDuration - time.Second},
-		{Client: 0x0B000002, VideoID: "max", Start: 0, End: maxDuration},
+		{Client: 0x0B000001, VideoID: vid("wrap"), Start: 0, End: 10 * time.Second},
+		{Client: 0x0B000001, VideoID: vid("wrap"), Start: 0, End: maxDuration - time.Second},
+		{Client: 0x0B000002, VideoID: vid("max"), Start: 0, End: maxDuration},
 	}
 	// Fill past one sweep while the cursor stays within 10s.
 	for i := 0; len(recs) < sweepEvery+500; i++ {
@@ -244,7 +244,7 @@ func TestStreamSessionsMatchesReferenceAtInt64Edges(t *testing.T) {
 			Client:  ipnet.Addr(0x0A000000 + uint32(i%13)),
 			Start:   start,
 			End:     start + time.Duration(i%7)*time.Millisecond,
-			VideoID: fmt.Sprintf("v%d", i%5),
+			VideoID: vid(fmt.Sprintf("v%d", i%5)),
 		})
 	}
 	checkAgainstReference(t, recs)
@@ -282,7 +282,7 @@ func densityTrace(keys int) []capture.FlowRecord {
 				Start:   start,
 				End:     start + time.Second,
 				Bytes:   5000,
-				VideoID: "v",
+				VideoID: vid("v"),
 			})
 		}
 	}

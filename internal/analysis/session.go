@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -14,7 +15,7 @@ import (
 // adjacent in time (paper §VI-A). Flows are ordered by start time.
 type Session struct {
 	Client  ipnet.Addr
-	VideoID string
+	VideoID capture.VideoID
 	Flows   []capture.FlowRecord
 }
 
@@ -24,7 +25,7 @@ func (s Session) Start() time.Duration { return s.Flows[0].Start }
 // sessionKey groups flows before temporal splitting.
 type sessionKey struct {
 	client ipnet.Addr
-	video  string
+	video  capture.VideoID
 }
 
 // StreamSessions groups a trace into video sessions (paper §VI-A): it
@@ -73,7 +74,7 @@ type openSession struct {
 type closedSession struct {
 	start  time.Duration
 	client ipnet.Addr
-	video  string
+	video  capture.VideoID
 	s      *openSession
 }
 
@@ -204,7 +205,7 @@ func (z *sessionizer) emitBatch() {
 		if b[i].client != b[j].client {
 			return b[i].client < b[j].client
 		}
-		return b[i].video < b[j].video
+		return bytes.Compare(b[i].video[:], b[j].video[:]) < 0
 	})
 	for _, c := range b {
 		z.emit(c.s.Session)

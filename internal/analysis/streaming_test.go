@@ -10,6 +10,7 @@ import (
 
 	"github.com/ytcdn-sim/ytcdn/internal/asdb"
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
@@ -35,8 +36,8 @@ func randomTrace(seed int64, n int) []capture.FlowRecord {
 			Start:      start,
 			End:        start + time.Duration(1+g.Intn(8000))*time.Millisecond,
 			Bytes:      int64(g.Intn(2_000_000)),
-			VideoID:    fmt.Sprintf("v%d", g.Intn(15)),
-			Resolution: "360p",
+			VideoID:    vid(fmt.Sprintf("v%d", g.Intn(15))),
+			Resolution: content.Res360p,
 		}
 	}
 	return out
@@ -140,7 +141,7 @@ func canonicalize(sessions []Session) []Session {
 		if out[i].Client != out[j].Client {
 			return out[i].Client < out[j].Client
 		}
-		return out[i].VideoID < out[j].VideoID
+		return out[i].VideoID.String() < out[j].VideoID.String()
 	})
 	return out
 }
@@ -202,7 +203,7 @@ func TestStreamSessionsBoundedOpenSet(t *testing.T) {
 			Start:   start,
 			End:     start + time.Second,
 			Bytes:   5000,
-			VideoID: fmt.Sprintf("v%d", i),
+			VideoID: vid(fmt.Sprintf("v%d", i)),
 		})
 	}
 	emitted := 0

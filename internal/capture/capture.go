@@ -5,8 +5,8 @@
 //
 // A record carries exactly the fields the paper's datasets expose
 // (§III-B): source and destination addresses, start and end times,
-// byte count, the VideoID string and the requested resolution. The
-// analysis side sees nothing else — in particular, no data-center,
+// byte count, the 11-character VideoID and the requested resolution.
+// The analysis side sees nothing else — in particular, no data-center,
 // redirect-reason or class annotations.
 package capture
 
@@ -20,19 +20,28 @@ import (
 	"sync"
 	"time"
 
+	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
-// FlowRecord is one TCP flow as logged by the probe.
+// FlowRecord is one TCP flow as logged by the probe. It is 48 bytes
+// and holds no pointer, so the GC never scans a slice of records.
 type FlowRecord struct {
 	Client     ipnet.Addr
 	Server     ipnet.Addr
 	Start      time.Duration // offset from capture start
 	End        time.Duration
 	Bytes      int64
-	VideoID    string // 11-character YouTube-style identifier
-	Resolution string
+	VideoID    VideoID
+	Resolution content.Resolution
 }
+
+// VideoID is the 11-character YouTube-style identifier a probe logs
+// with each flow (content.StringID renders the simulator's).
+type VideoID [11]byte
+
+// String returns the identifier's 11 characters.
+func (v VideoID) String() string { return string(v[:]) }
 
 // Duration returns the flow's lifetime.
 func (r FlowRecord) Duration() time.Duration { return r.End - r.Start }
@@ -156,12 +165,11 @@ func (m MapSource) Iter(dataset string) Iterator { return IterSlice(m[dataset]) 
 var _ TraceSource = MapSource(nil)
 
 // chunkRecords is the number of records per MemSink chunk. A
-// FlowRecord is 64 bytes, so a full chunk is exactly 32 KiB, which Go
-// allocates as four whole pages with no per-object header. A smaller
-// power of two would carry an 8-byte malloc header and land in the
-// next size class up, wasting an eighth of it. Chunks never regrow, so
-// each record is copied once, where a doubling slice copies the whole
-// trace again at every regrowth.
+// FlowRecord is 48 bytes with no pointer, so a full chunk is 24 KiB:
+// an exact size class, allocated without a malloc header and never
+// scanned by the GC. Chunks never regrow, so each record is copied
+// once, where a doubling slice copies the whole trace again at every
+// regrowth.
 const chunkRecords = 512
 
 // MemSink accumulates records per dataset in memory, in chunks of
@@ -329,9 +337,9 @@ func (ws *WriterSink) Record(dataset string, rec FlowRecord) {
 	b = append(b, '\t')
 	b = strconv.AppendInt(b, rec.Bytes, 10)
 	b = append(b, '\t')
-	b = append(b, rec.VideoID...)
+	b = append(b, rec.VideoID[:]...)
 	b = append(b, '\t')
-	b = append(b, rec.Resolution...)
+	b = append(b, rec.Resolution.String()...)
 	b = append(b, '\n')
 	ws.line = b
 	_, ws.err = ws.w.Write(b)
@@ -349,7 +357,9 @@ func (ws *WriterSink) Flush() error {
 
 var _ Sink = (*WriterSink)(nil)
 
-// ParseLine parses one TSV trace line produced by WriterSink.
+// ParseLine parses one TSV trace line produced by WriterSink. It
+// rejects a VideoID that is not 11 bytes and a resolution other than
+// those content.ParseResolution knows.
 func ParseLine(line string) (dataset string, rec FlowRecord, err error) {
 	fields := strings.Split(strings.TrimRight(line, "\n"), "\t")
 	if len(fields) != 8 {
@@ -375,14 +385,23 @@ func ParseLine(line string) (dataset string, rec FlowRecord, err error) {
 	if err != nil {
 		return "", FlowRecord{}, fmt.Errorf("capture: bytes: %w", err)
 	}
+	var video VideoID
+	if len(fields[6]) != len(video) {
+		return "", FlowRecord{}, fmt.Errorf("capture: VideoID %q is %d bytes, want %d", fields[6], len(fields[6]), len(video))
+	}
+	copy(video[:], fields[6])
+	res, err := content.ParseResolution(fields[7])
+	if err != nil {
+		return "", FlowRecord{}, fmt.Errorf("capture: %w", err)
+	}
 	rec = FlowRecord{
 		Client:     client,
 		Server:     server,
 		Start:      time.Duration(startUs) * time.Microsecond,
 		End:        time.Duration(endUs) * time.Microsecond,
 		Bytes:      bytes,
-		VideoID:    fields[6],
-		Resolution: fields[7],
+		VideoID:    video,
+		Resolution: res,
 	}
 	return fields[0], rec, nil
 }

@@ -2,11 +2,15 @@ package capture
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
+	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
@@ -17,9 +21,33 @@ func sampleRecord() FlowRecord {
 		Start:      1500 * time.Millisecond,
 		End:        61500 * time.Millisecond,
 		Bytes:      5_000_000,
-		VideoID:    "dQw4w9WgXcQ",
-		Resolution: "360p",
+		VideoID:    VideoID([]byte("dQw4w9WgXcQ")),
+		Resolution: content.Res360p,
 	}
+}
+
+// TestFlowRecordLayout pins the record's layout: 48 bytes and no
+// pointer anywhere in it, so MemSink chunks and decoded store segments
+// are memory the GC never scans.
+func TestFlowRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(FlowRecord{}); got != 48 {
+		t.Errorf("FlowRecord is %d bytes, want 48", got)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk("FlowRecord", reflect.TypeOf(FlowRecord{}))
 }
 
 func TestFlowRecordDuration(t *testing.T) {
@@ -55,7 +83,7 @@ func TestMemSinkTraceReturnsCopy(t *testing.T) {
 	m.Record("ds", sampleRecord())
 	got := m.Trace("ds")
 	got[0].Bytes = -1
-	got[0].VideoID = "corrupted"
+	got[0].VideoID = VideoID([]byte("corrupted!!"))
 	if again := m.Trace("ds"); again[0] != sampleRecord() {
 		t.Errorf("sink corrupted through Trace copy: %+v", again[0])
 	}
@@ -211,11 +239,14 @@ func TestParseLineErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"too\tfew\tfields",
-		"ds\tnot-an-ip\t1.1.1.1\t0\t1\t2\tv\t360p",
-		"ds\t1.1.1.1\tnot-an-ip\t0\t1\t2\tv\t360p",
-		"ds\t1.1.1.1\t2.2.2.2\tx\t1\t2\tv\t360p",
-		"ds\t1.1.1.1\t2.2.2.2\t0\tx\t2\tv\t360p",
-		"ds\t1.1.1.1\t2.2.2.2\t0\t1\tx\tv\t360p",
+		"ds\tnot-an-ip\t1.1.1.1\t0\t1\t2\tdQw4w9WgXcQ\t360p",
+		"ds\t1.1.1.1\tnot-an-ip\t0\t1\t2\tdQw4w9WgXcQ\t360p",
+		"ds\t1.1.1.1\t2.2.2.2\tx\t1\t2\tdQw4w9WgXcQ\t360p",
+		"ds\t1.1.1.1\t2.2.2.2\t0\tx\t2\tdQw4w9WgXcQ\t360p",
+		"ds\t1.1.1.1\t2.2.2.2\t0\t1\tx\tdQw4w9WgXcQ\t360p",
+		"ds\t1.1.1.1\t2.2.2.2\t0\t1\t2\tdQw4w9WgXc\t360p",
+		"ds\t1.1.1.1\t2.2.2.2\t0\t1\t2\tdQw4w9WgXcQ\t1080p",
+		"ds\t1.1.1.1\t2.2.2.2\t0\t1\t2\tdQw4w9WgXcQ\tunknown",
 	}
 	for _, line := range bad {
 		if _, _, err := ParseLine(line); err == nil {
@@ -242,7 +273,7 @@ func TestReadTracesSkipsBlankLines(t *testing.T) {
 }
 
 func TestReadTracesReportsLineNumber(t *testing.T) {
-	in := "ds\t1.1.1.1\t2.2.2.2\t0\t1\t2\tv\t360p\ngarbage line\n"
+	in := "ds\t1.1.1.1\t2.2.2.2\t0\t1\t2\tdQw4w9WgXcQ\t360p\ngarbage line\n"
 	if _, err := ReadTraces(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("want line-numbered error, got %v", err)
 	}
@@ -265,8 +296,8 @@ func TestSerializationRoundTripProperty(t *testing.T) {
 			Start:      time.Duration(startUs) * time.Microsecond,
 			End:        time.Duration(startUs+durUs) * time.Microsecond,
 			Bytes:      int64(bytes),
-			VideoID:    "vid" + string(rune('A'+vidRaw%26)),
-			Resolution: "480p",
+			VideoID:    VideoID([]byte(fmt.Sprintf("vid%08d", vidRaw))),
+			Resolution: content.Res480p,
 		}
 		var buf strings.Builder
 		ws := NewWriterSink(&buf)

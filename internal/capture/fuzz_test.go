@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
@@ -21,30 +22,37 @@ func referenceLine(dataset string, rec FlowRecord) string {
 		rec.Start.Microseconds(), rec.End.Microseconds(), rec.Bytes, rec.VideoID, rec.Resolution)
 }
 
+// resolutions are the valid record resolutions, the ones a trace line
+// may carry.
+var resolutions = []content.Resolution{content.Res360p, content.Res480p, content.Res720p}
+
 // FuzzTraceLineRoundTrip drives the text-trace serialization both
-// ways: serialize an arbitrary record through WriterSink, require the
-// line to equal the fmt reference byte for byte, parse it back with
-// ParseLine, and require the parsed record to equal the original. The
-// reference comparison holds for every input; the round trip skips
-// inputs the TSV format cannot represent: tab/newline bytes inside
-// string fields (they are field and record separators) and timestamps
+// ways over valid records: serialize a record through WriterSink,
+// require the line to equal the fmt reference byte for byte, parse it
+// back with ParseLine, and require the parsed record to equal the
+// original. The fuzzer's videoID string fills the 11-byte VideoID
+// (truncated or zero-padded) and res picks one of the valid
+// resolutions, so every input is a valid record. The reference
+// comparison holds for every input; the round trip skips inputs the
+// TSV format cannot represent: tab/newline bytes inside the dataset or
+// the VideoID (they are field and record separators) and timestamps
 // outside microsecond precision or the representable microsecond
 // range.
 func FuzzTraceLineRoundTrip(f *testing.F) {
-	f.Add("US-Campus", uint32(0x80D20102), uint32(0xADC20509), int64(1_500_000), int64(61_500_000), int64(5_000_000), "dQw4w9WgXcQ", "360p")
-	f.Add("EU2", uint32(0), uint32(0xFFFFFFFF), int64(0), int64(0), int64(0), "", "")
-	f.Add("x", uint32(1), uint32(2), int64(-5), int64(7), int64(-9), "v", "1080p")
-	f.Add("\xff\t", uint32(0x0A096364), uint32(0x09636409), int64(math.MinInt64), int64(math.MaxInt64), int64(math.MinInt64), "é\n", "\x00")
-	f.Fuzz(func(t *testing.T, dataset string, client, server uint32, startUs, endUs, bytes int64, videoID, resolution string) {
+	f.Add("US-Campus", uint32(0x80D20102), uint32(0xADC20509), int64(1_500_000), int64(61_500_000), int64(5_000_000), "dQw4w9WgXcQ", uint8(0))
+	f.Add("EU2", uint32(0), uint32(0xFFFFFFFF), int64(0), int64(0), int64(0), "", uint8(1))
+	f.Add("x", uint32(1), uint32(2), int64(-5), int64(7), int64(-9), "v", uint8(2))
+	f.Add("\xff\t", uint32(0x0A096364), uint32(0x09636409), int64(math.MinInt64), int64(math.MaxInt64), int64(math.MinInt64), "é\n", uint8(255))
+	f.Fuzz(func(t *testing.T, dataset string, client, server uint32, startUs, endUs, bytes int64, videoID string, res uint8) {
 		rec := FlowRecord{
 			Client:     ipnet.Addr(client),
 			Server:     ipnet.Addr(server),
 			Start:      time.Duration(startUs) * time.Microsecond,
 			End:        time.Duration(endUs) * time.Microsecond,
 			Bytes:      bytes,
-			VideoID:    videoID,
-			Resolution: resolution,
+			Resolution: resolutions[int(res)%len(resolutions)],
 		}
+		copy(rec.VideoID[:], videoID)
 		var buf strings.Builder
 		ws := NewWriterSink(&buf)
 		ws.Record(dataset, rec)
@@ -55,7 +63,7 @@ func FuzzTraceLineRoundTrip(f *testing.F) {
 			t.Fatalf("encoder diverged from the fmt reference:\n got %q\nwant %q", buf.String(), want)
 		}
 
-		for _, s := range []string{dataset, videoID, resolution} {
+		for _, s := range []string{dataset, rec.VideoID.String()} {
 			if strings.ContainsAny(s, "\t\n\r") {
 				t.Skip("TSV cannot represent separators inside fields")
 			}
@@ -80,10 +88,10 @@ func FuzzTraceLineRoundTrip(f *testing.F) {
 }
 
 // FuzzParseLine hammers the parser with arbitrary bytes: it must never
-// panic, and every line it accepts must re-serialize to an equivalent
-// record (parse → write → parse is a fixed point).
+// panic, and every line it accepts is a valid record that re-serializes
+// to an equivalent one (parse → write → parse is a fixed point).
 func FuzzParseLine(f *testing.F) {
-	f.Add("ds\t1.1.1.1\t2.2.2.2\t0\t1\t2\tv\t360p")
+	f.Add("ds\t1.1.1.1\t2.2.2.2\t0\t1\t2\tdQw4w9WgXcQ\t360p")
 	f.Add("garbage")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, line string) {
@@ -103,6 +111,35 @@ func FuzzParseLine(f *testing.F) {
 		}
 		if ds2 != ds || rec2 != rec {
 			t.Errorf("parse/write/parse not a fixed point:\n got (%q, %+v)\nwant (%q, %+v)", ds2, rec2, ds, rec)
+		}
+	})
+}
+
+// FuzzRejectInvalidLine is the input contract's rejection property:
+// a line whose other fields are valid parses if and only if its
+// VideoID is exactly 11 bytes and its resolution is one of 360p, 480p
+// and 720p, and an accepted line keeps both fields as written. Inputs
+// holding a field or record separator are skipped: they change the
+// line's shape, not the two fields.
+func FuzzRejectInvalidLine(f *testing.F) {
+	f.Add("dQw4w9WgXcQ", "360p")
+	f.Add("dQw4w9WgXc", "360p")
+	f.Add("dQw4w9WgXcQQ", "720p")
+	f.Add("dQw4w9WgXcQ", "1080p")
+	f.Add("", "")
+	f.Add("dQw4w9WgXcQ", "unknown")
+	f.Fuzz(func(t *testing.T, videoID, resolution string) {
+		if strings.ContainsAny(videoID+resolution, "\t\n") {
+			t.Skip("separators change the line's shape")
+		}
+		valid := len(videoID) == 11 &&
+			(resolution == "360p" || resolution == "480p" || resolution == "720p")
+		_, rec, err := ParseLine("ds\t1.1.1.1\t2.2.2.2\t0\t1\t2\t" + videoID + "\t" + resolution)
+		if valid != (err == nil) {
+			t.Fatalf("VideoID %q, resolution %q: valid=%v but ParseLine error %v", videoID, resolution, valid, err)
+		}
+		if valid && (rec.VideoID.String() != videoID || rec.Resolution.String() != resolution) {
+			t.Errorf("accepted line changed its fields: VideoID %q, resolution %q", rec.VideoID, rec.Resolution)
 		}
 	})
 }

@@ -33,15 +33,16 @@ func TestQuirkPoolAllocs(t *testing.T) {
 }
 
 // TestFlowEmissionAllocs is the per-flow emission contract on an
-// instrumented rig. A control flow reads the base-RTT table (baseRTT),
-// samples netmodel.Jitter on it and logs through record, which bumps
-// an obs.Counter; its one allocation is the content.StringID string of
-// the video ID. A video flow also sizes itself with
-// Resolution.SizeBytes, begins its load accounting and schedules the
-// EndFlow closure, so it allocates that string and the closure; the
-// engine step that runs the closure allocates nothing. The sink is a
-// WriterSink into io.Discard, which allocates nothing per record
-// (capture's TestRecordAllocs), so the counts are the emission's own.
+// instrumented rig: no flow allocates. A control flow reads the
+// base-RTT table (baseRTT), samples netmodel.Jitter on it, renders the
+// VideoID into the record's array (content.StringID) and logs through
+// record, which bumps an obs.Counter. A video flow also sizes itself
+// with Resolution.SizeBytes, begins its load accounting and schedules
+// its server's EndFlow closure, which the first flow at that server
+// built (endFlowAt); the engine step that runs it allocates nothing.
+// The sink is a WriterSink into io.Discard, which allocates nothing
+// per record (capture's TestRecordAllocs), so the counts are the
+// emission's own.
 func TestFlowEmissionAllocs(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	r.sim.Instrument(obs.NewRegistry())
@@ -56,8 +57,8 @@ func TestFlowEmissionAllocs(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"emitControl", 1, func() { r.sim.emitControl(vp, req, g, srv, r.eng.Now()) }},
-		{"emitVideo", 2, func() {
+		{"emitControl", 0, func() { r.sim.emitControl(vp, req, g, srv, r.eng.Now()) }},
+		{"emitVideo", 0, func() {
 			r.sim.emitVideo(vp, req, g, srv, r.eng.Now(), 1)
 			r.eng.Step()
 		}},

@@ -170,6 +170,9 @@ type Simulator struct {
 	// quirk caches the server pool each (VP, class) quirk session draws
 	// from (see serveFromClass).
 	quirk map[quirkKey][]*topology.Server
+	// endFlow holds, per ServerID, the event that ends a video flow at
+	// that server, built on the server's first flow (see endFlowAt).
+	endFlow []func()
 
 	sessions  int
 	flows     int
@@ -486,7 +489,7 @@ func (s *Simulator) emitControl(vp *topology.VantagePoint, req Request, g *stats
 		End:        t + dur,
 		Bytes:      bytes,
 		VideoID:    content.StringID(req.Video),
-		Resolution: req.Res.String(),
+		Resolution: req.Res,
 	})
 	gap := time.Duration(g.Uniform(0, float64(s.cfg.RedirectGapMax)))
 	return t + dur + gap
@@ -513,7 +516,7 @@ func (s *Simulator) emitVideo(vp *topology.VantagePoint, req Request, g *stats.R
 
 	s.sel.BeginFlow(srv)
 	end := t + dur
-	s.eng.Schedule(end, func() { s.sel.EndFlow(srv) })
+	s.eng.Schedule(end, s.endFlowAt(srv))
 
 	s.record(vp.Name, capture.FlowRecord{
 		Client:     req.Client,
@@ -522,8 +525,24 @@ func (s *Simulator) emitVideo(vp *topology.VantagePoint, req Request, g *stats.R
 		End:        end,
 		Bytes:      bytes,
 		VideoID:    content.StringID(req.Video),
-		Resolution: req.Res.String(),
+		Resolution: req.Res,
 	})
+}
+
+// endFlowAt returns the event that ends a video flow at srv. Flows end
+// by server, so one closure per server serves every flow: the table
+// holds at most one per server of the world, where a closure per flow
+// was a heap allocation on every video flow.
+func (s *Simulator) endFlowAt(srv topology.ServerID) func() {
+	if s.endFlow == nil {
+		s.endFlow = make([]func(), len(s.w.Servers))
+	}
+	end := s.endFlow[srv]
+	if end == nil {
+		end = func() { s.sel.EndFlow(srv) }
+		s.endFlow[srv] = end
+	}
+	return end
 }
 
 // baseRTT returns the base RTT from vantage point vp to server id's

@@ -341,7 +341,7 @@ func TestVideoFlowBytesFloor(t *testing.T) {
 	r.eng.Run()
 	// Every session ends with a video flow of >= 1000 bytes (the
 	// classification floor); sub-1000 flows are redirect controls.
-	largest := make(map[string]int64)
+	largest := make(map[capture.VideoID]int64)
 	for _, rec := range r.sink.Trace(topology.DatasetUSCampus) {
 		if rec.End <= rec.Start {
 			t.Fatalf("non-positive flow duration")
@@ -372,7 +372,7 @@ func TestClientAddrPreserved(t *testing.T) {
 		if rec.Client != req.Client {
 			t.Errorf("client = %s, want %s", rec.Client, req.Client)
 		}
-		if rec.Resolution != "360p" {
+		if rec.Resolution != content.Res360p {
 			t.Errorf("resolution = %s", rec.Resolution)
 		}
 	}

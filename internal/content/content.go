@@ -14,13 +14,14 @@ import (
 )
 
 // VideoID identifies a video. IDs double as popularity ranks: ID 0 is
-// the most popular video. The exported string form (StringID) is an
-// 11-character YouTube-style identifier.
+// the most popular video. The exported form (StringID) is the 11
+// characters of a YouTube-style identifier.
 type VideoID int32
 
 // Resolution is the video resolution requested by the player, one of
-// the formats Tstat records.
-type Resolution int
+// the formats Tstat records. It is one byte so a flow record carries
+// it inline; the zero value is not a resolution.
+type Resolution uint8
 
 // Supported resolutions.
 const (
@@ -239,19 +240,21 @@ func (c *Catalog) SampleResolution(g *stats.RNG) Resolution {
 // base64ish is the alphabet of YouTube video identifiers.
 const base64ish = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
 
-// StringID renders the 11-character YouTube-style identifier of v.
-// The mapping is injective: multiplication by an odd constant is a
-// bijection on 64-bit integers, and the 11 base-64 digits are exactly
-// its base-64 representation (64 bits < 66 = 11*6 bits).
-func StringID(v VideoID) string {
+// StringID renders the 11-character YouTube-style identifier of v as
+// its bytes, an array rather than a string so that rendering allocates
+// nothing and a flow record holds no pointer. The mapping is
+// injective: multiplication by an odd constant is a bijection on
+// 64-bit integers, and the 11 base-64 digits are exactly its base-64
+// representation (64 bits < 66 = 11*6 bits).
+func StringID(v VideoID) [11]byte {
 	var buf [11]byte
 	x := uint64(uint32(v)) * 0x9E3779B97F4A7C15
 	for i := 0; i < 11; i++ {
 		buf[i] = base64ish[x%64]
 		x /= 64
 	}
-	return string(buf[:])
+	return buf
 }
 
-// ParseStringID is not provided: traces carry the opaque string form,
+// ParseStringID is not provided: traces carry the opaque identifier,
 // and the simulator keeps a side map when it needs to invert it.

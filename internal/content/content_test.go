@@ -219,7 +219,7 @@ func TestStringIDFormat(t *testing.T) {
 }
 
 func TestStringIDInjective(t *testing.T) {
-	seen := make(map[string]VideoID, 100000)
+	seen := make(map[[11]byte]VideoID, 100000)
 	for v := VideoID(0); v < 100000; v++ {
 		id := StringID(v)
 		if prev, ok := seen[id]; ok {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/analysis"
+	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/geo"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
@@ -614,7 +615,7 @@ type Fig14Result struct {
 
 // Fig14Video is one panel.
 type Fig14Video struct {
-	VideoID string
+	VideoID capture.VideoID
 	All     []float64
 	NonPref []float64
 }

@@ -51,8 +51,7 @@ func TestLocateAllocs(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		// The haversine grid's count; the pooled grid makes 3.
-		{"Locate", 4, func() { cbg.Locate(rtts) }},
+		{"Locate", 3, func() { cbg.Locate(rtts) }},
 		{"gridRegion", 0, func() { gridRegion(discs, discs[0].center, discs[0].limit) }},
 	} {
 		allocs := testing.AllocsPerRun(200, c.run)

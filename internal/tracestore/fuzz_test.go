@@ -2,16 +2,26 @@ package tracestore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
+
+// encodeSegment encodes recs through a fresh encoder and splits the
+// segment into its header and payload.
+func encodeSegment(recs []capture.FlowRecord) (header, payload []byte) {
+	var e segmentEncoder
+	seg := e.encode(recs)
+	return seg[:segHeaderSize], seg[segHeaderSize:]
+}
 
 // decodeSegment decodes one segment payload through a fresh buffer,
 // so the records stay valid after the call.
@@ -32,8 +42,8 @@ func fuzzRecords(n int) []capture.FlowRecord {
 			Start:      time.Duration(i) * 13 * time.Millisecond,
 			End:        time.Duration(i)*13*time.Millisecond + 40*time.Second,
 			Bytes:      1000 + int64(i)*7919,
-			VideoID:    fmt.Sprintf("vid%08d", i%5),
-			Resolution: []string{"360p", "480p", "720p"}[i%3],
+			VideoID:    capture.VideoID([]byte(fmt.Sprintf("vid%08d", i%5))),
+			Resolution: resolutions[i%len(resolutions)],
 		}
 	}
 	return recs
@@ -43,7 +53,8 @@ func fuzzRecords(n int) []capture.FlowRecord {
 // bytes and the claimed record count, it must return an error or valid
 // records — never panic, and never allocate proportionally to a
 // corrupted (huge) count or dictionary length rather than to the
-// actual payload.
+// actual payload. Decoded records are valid ones, so they round-trip:
+// encoding them again and decoding the result gives them back.
 func FuzzDecodeSegment(f *testing.F) {
 	// Seed with real encoded payloads at a few sizes, plus their
 	// corruptions: flipped dictionary length, truncation, bit flips.
@@ -75,6 +86,76 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		if count > len(payload) {
 			t.Fatalf("decoded %d records from a %d-byte payload", count, len(payload))
+		}
+		if count == 0 {
+			return
+		}
+		// Start deltas are unsigned but wrap, so a corrupt payload can
+		// decode out of start order; the encoder stores the records
+		// stable-sorted, and a second pass keeps that order.
+		want := slices.Clone(recs)
+		slices.SortStableFunc(want, func(a, b capture.FlowRecord) int { return cmp.Compare(a.Start, b.Start) })
+		_, again := encodeSegment(slices.Clone(want))
+		got, err := decodeSegment(again, count)
+		if err != nil {
+			t.Fatalf("re-encoded segment does not decode: %v", err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round trip changed the records:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// craftPayload lays out a one-record payload column by column, as
+// encode does, but writes the VideoID and resolution dictionary
+// entries verbatim, so it can hold entries encode never writes.
+func craftPayload(videoID, resolution string) []byte {
+	var p []byte
+	p = binary.AppendVarint(p, int64(time.Second)) // start
+	p = binary.AppendVarint(p, int64(time.Second)) // duration
+	p = binary.AppendVarint(p, 1000)               // bytes
+	p = binary.AppendUvarint(p, 0x0A000001)        // client
+	p = binary.AppendUvarint(p, 1)                 // server dictionary: one entry
+	p = binary.AppendUvarint(p, 0xADC20001)
+	p = binary.AppendUvarint(p, 0) // server id
+	for _, entry := range []string{videoID, resolution} {
+		p = binary.AppendUvarint(p, 1) // one entry
+		p = binary.AppendUvarint(p, uint64(len(entry)))
+		p = append(p, entry...)
+		p = binary.AppendUvarint(p, 0) // id
+	}
+	return p
+}
+
+// FuzzRejectInvalidSegment is the decoder's half of the input
+// contract's rejection property (capture's FuzzRejectInvalidLine is
+// the other): a segment decodes if and only if its VideoID entries are
+// exactly 11 bytes and its resolution entries are 360p, 480p or 720p.
+// For a valid pair the crafted payload must equal what the encoder
+// writes for the decoded record, so the crafted layout is the real one.
+func FuzzRejectInvalidSegment(f *testing.F) {
+	f.Add("dQw4w9WgXcQ", "360p")
+	f.Add("dQw4w9WgXc", "360p")
+	f.Add("dQw4w9WgXcQQ", "720p")
+	f.Add("dQw4w9WgXcQ", "1080p")
+	f.Add("", "")
+	f.Add("dQw4w9WgXcQ", "unknown")
+	f.Fuzz(func(t *testing.T, videoID, resolution string) {
+		valid := len(videoID) == 11 &&
+			(resolution == "360p" || resolution == "480p" || resolution == "720p")
+		payload := craftPayload(videoID, resolution)
+		recs, err := decodeSegment(payload, 1)
+		if valid != (err == nil) {
+			t.Fatalf("VideoID %q, resolution %q: valid=%v but decode error %v", videoID, resolution, valid, err)
+		}
+		if !valid {
+			return
+		}
+		if recs[0].VideoID.String() != videoID || recs[0].Resolution.String() != resolution {
+			t.Errorf("decoded VideoID %q, resolution %q", recs[0].VideoID, recs[0].Resolution)
+		}
+		if _, want := encodeSegment(recs); !bytes.Equal(payload, want) {
+			t.Errorf("crafted payload %x, the encoder writes %x", payload, want)
 		}
 	})
 }

@@ -21,7 +21,7 @@ func (r *Reader) ScanByStart(dataset string) capture.Iterator {
 	if !ok {
 		return capture.IterSlice(nil)
 	}
-	it := &startIterator{r: r, sh: sh, interned: make(map[string]string, 64)}
+	it := &startIterator{r: r, sh: sh}
 	// Pending segments in ascending min-start order; ties resolve by
 	// spill order for determinism.
 	it.pending = make([]int, len(sh.segs))
@@ -83,12 +83,8 @@ type startIterator struct {
 	f       *os.File
 	pending []int // unopened segment indices, ascending minStart
 	arms    armHeap
-	// interned is the intern table every arm's decodeBuf shares: one
-	// segment's dictionary entries are distinct, so only a table that
-	// outlives the arm can return an earlier segment's copy.
-	interned map[string]string
-	err      error
-	done     bool
+	err     error
+	done    bool
 }
 
 // Next implements capture.Iterator.
@@ -139,8 +135,8 @@ func (it *startIterator) openSegment(seg int) bool {
 		it.f = f
 	}
 	// A fresh buffer per arm: arms coexist on the merge heap, so their
-	// record slices must not share backing arrays. Their strings may.
-	recs, fp, err := it.r.loadSegment(it.f, it.sh, seg, &decodeBuf{interned: it.interned})
+	// record slices must not share backing arrays.
+	recs, fp, err := it.r.loadSegment(it.f, it.sh, seg, &decodeBuf{})
 	if err != nil {
 		it.finish(err)
 		return false

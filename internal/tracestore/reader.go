@@ -47,6 +47,9 @@ type rshard struct {
 	segs      []segMeta
 	records   int64
 	truncated bool
+	// maxCount and maxPayload size a sequential scan's buffers once
+	// for the shard's largest segment.
+	maxCount, maxPayload uint32
 }
 
 // segMeta locates one segment inside a shard file.
@@ -160,6 +163,8 @@ func indexShard(path string) (*rshard, error) {
 		}
 		sh.segs = append(sh.segs, segMeta{payloadOff: off + segHeaderSize, segHeader: h})
 		sh.records += int64(h.count)
+		sh.maxCount = max(sh.maxCount, h.count)
+		sh.maxPayload = max(sh.maxPayload, h.payloadLen)
 		off += segHeaderSize + int64(h.payloadLen)
 	}
 	return sh, nil
@@ -282,11 +287,12 @@ func (r *Reader) Iter(dataset string) capture.Iterator {
 }
 
 // scanIterator walks a shard segment by segment. It owns one decodeBuf
-// for its lifetime, so steady-state scanning recycles the payload,
-// record and dictionary arrays instead of reallocating them per
-// segment; the records handed out by Next are therefore valid only
-// until the iterator advances past their segment — which is exactly
-// the capture.Iterator contract (records are returned by value).
+// for its lifetime, sized on open for the shard's largest segment, so
+// scanning recycles the payload, record and dictionary arrays instead
+// of reallocating them per segment; the records handed out by Next are
+// therefore valid only until the iterator advances past their segment
+// — which is exactly the capture.Iterator contract (records are
+// returned by value).
 type scanIterator struct {
 	r         *Reader
 	sh        *rshard
@@ -323,6 +329,8 @@ func (it *scanIterator) Next() (capture.FlowRecord, bool) {
 				return capture.FlowRecord{}, false
 			}
 			it.f = f
+			it.buf.payload = make([]byte, 0, it.sh.maxPayload)
+			it.buf.recs = make([]capture.FlowRecord, 0, it.sh.maxCount)
 		}
 		recs, fp, err := it.r.loadSegment(it.f, it.sh, it.seg, &it.buf)
 		if err != nil {

@@ -1,13 +1,16 @@
 package tracestore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"time"
+	"unsafe"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 )
 
@@ -24,16 +27,15 @@ type segHeader struct {
 	maxStart   time.Duration
 }
 
-// marshal renders the header in little-endian layout.
-func (h segHeader) marshal() []byte {
-	buf := make([]byte, segHeaderSize)
+// put renders the header into buf's first segHeaderSize bytes in
+// little-endian layout.
+func (h segHeader) put(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[0:], segMagic)
 	binary.LittleEndian.PutUint32(buf[4:], h.count)
 	binary.LittleEndian.PutUint32(buf[8:], h.payloadLen)
 	binary.LittleEndian.PutUint32(buf[12:], h.crc)
 	binary.LittleEndian.PutUint64(buf[16:], uint64(h.minStart))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(h.maxStart))
-	return buf
 }
 
 // parseSegHeader validates the magic and unpacks the header fields.
@@ -73,14 +75,34 @@ func (d *dict[K]) id(v K) int {
 	return id
 }
 
-// encodeSegment sorts recs by start time (stable, preserving emission
-// order among equal starts) and encodes them column by column. It
-// returns the ready-to-append header bytes and payload. recs must be
-// non-empty; the slice is reordered in place.
-func encodeSegment(recs []capture.FlowRecord) (header, payload []byte) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
+// reset empties the dictionary and keeps its storage for the next
+// segment.
+func (d *dict[K]) reset() {
+	clear(d.ids)
+	d.values = d.values[:0]
+}
 
-	var buf []byte
+// segmentEncoder encodes segments into storage it keeps from one
+// segment to the next: the segment bytes, the dictionary-id column and
+// the three dictionaries. A Writer keeps one for all its shards, since
+// one goroutine spills them all.
+type segmentEncoder struct {
+	buf     []byte
+	ids     []int
+	servers dict[ipnet.Addr]
+	videos  dict[capture.VideoID]
+	res     dict[content.Resolution]
+}
+
+// encode sorts recs by start time (stable, preserving emission order
+// among equal starts) and encodes them column by column. It returns
+// the segment, header then payload, ready to append to a shard; the
+// bytes are valid until the next encode. recs must be non-empty; the
+// slice is reordered in place.
+func (e *segmentEncoder) encode(recs []capture.FlowRecord) []byte {
+	slices.SortStableFunc(recs, func(a, b capture.FlowRecord) int { return cmp.Compare(a.Start, b.Start) })
+
+	buf := append(e.buf[:0], make([]byte, segHeaderSize)...)
 	// Column 1: start times — zigzag first value, plain deltas after.
 	buf = binary.AppendVarint(buf, int64(recs[0].Start))
 	for i := 1; i < len(recs); i++ {
@@ -99,45 +121,58 @@ func encodeSegment(recs []capture.FlowRecord) (header, payload []byte) {
 		buf = binary.AppendUvarint(buf, uint64(r.Client))
 	}
 	// Column 5: server addresses, dictionary-encoded.
-	var servers dict[ipnet.Addr]
-	ids := make([]int, len(recs))
+	ids := slices.Grow(e.ids[:0], len(recs))[:len(recs)]
+	e.servers.reset()
 	for i, r := range recs {
-		ids[i] = servers.id(r.Server)
+		ids[i] = e.servers.id(r.Server)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(servers.values)))
-	for _, a := range servers.values {
+	buf = binary.AppendUvarint(buf, uint64(len(e.servers.values)))
+	for _, a := range e.servers.values {
 		buf = binary.AppendUvarint(buf, uint64(a))
 	}
+	buf = appendIDs(buf, ids)
+	// Columns 6-7: VideoID and Resolution, dictionaries of
+	// length-prefixed strings.
+	e.videos.reset()
+	for i, r := range recs {
+		ids[i] = e.videos.id(r.VideoID)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(e.videos.values)))
+	for _, v := range e.videos.values {
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v[:]...)
+	}
+	buf = appendIDs(buf, ids)
+	e.res.reset()
+	for i, r := range recs {
+		ids[i] = e.res.id(r.Resolution)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(e.res.values)))
+	for _, r := range e.res.values {
+		s := r.String()
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	buf = appendIDs(buf, ids)
+
+	payload := buf[segHeaderSize:]
+	segHeader{
+		count:      uint32(len(recs)),
+		payloadLen: uint32(len(payload)),
+		crc:        crc32.ChecksumIEEE(payload),
+		minStart:   recs[0].Start,
+		maxStart:   recs[len(recs)-1].Start,
+	}.put(buf)
+	e.buf, e.ids = buf, ids
+	return buf
+}
+
+// appendIDs appends a dictionary-id column.
+func appendIDs(buf []byte, ids []int) []byte {
 	for _, id := range ids {
 		buf = binary.AppendUvarint(buf, uint64(id))
 	}
-	// Columns 6-7: VideoID and Resolution, dictionary-encoded strings.
-	for _, col := range []func(capture.FlowRecord) string{
-		func(r capture.FlowRecord) string { return r.VideoID },
-		func(r capture.FlowRecord) string { return r.Resolution },
-	} {
-		var d dict[string]
-		for i, r := range recs {
-			ids[i] = d.id(col(r))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(d.values)))
-		for _, s := range d.values {
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		}
-		for _, id := range ids {
-			buf = binary.AppendUvarint(buf, uint64(id))
-		}
-	}
-
-	h := segHeader{
-		count:      uint32(len(recs)),
-		payloadLen: uint32(len(buf)),
-		crc:        crc32.ChecksumIEEE(buf),
-		minStart:   recs[0].Start,
-		maxStart:   recs[len(recs)-1].Start,
-	}
-	return h.marshal(), buf
+	return buf
 }
 
 // payloadReader walks an encoded payload. Errors are sticky: the
@@ -196,25 +231,48 @@ func (p *payloadReader) dictID(n uint64) uint64 {
 	return id
 }
 
+// resolution reads one resolution dictionary entry, a length-prefixed
+// string, and maps it to its enum without converting it to a string.
+func (p *payloadReader) resolution() content.Resolution {
+	l := p.uvarint()
+	if p.err == nil && l > uint64(len(p.buf)-p.pos) {
+		p.fail("tracestore: dictionary string of %d bytes exceeds payload", l)
+	}
+	if p.err != nil {
+		return 0
+	}
+	entry := p.buf[p.pos : p.pos+int(l)]
+	p.pos += int(l)
+	for _, r := range resolutions {
+		if string(entry) == r.String() {
+			return r
+		}
+	}
+	p.fail("tracestore: unknown resolution %q", entry)
+	return 0
+}
+
 // decodeBuf owns the reusable state of one streaming decoder. A
 // scanIterator keeps one for its lifetime and decodes every segment
 // into it, so the steady-state scan path allocates nothing: the
-// payload buffer, record array and dictionaries recycle their backing
-// arrays, and dictionary strings are interned across segments (a
-// shard reuses a small vocabulary of video ids and resolutions over
-// and over). One-shot callers use a fresh zero value.
+// payload buffer, record array and server dictionary recycle their
+// backing arrays, the VideoID dictionary is read in place (see decode)
+// and the resolution dictionary is a fixed array. One-shot callers use
+// a fresh zero value.
 type decodeBuf struct {
-	payload  []byte
-	recs     []capture.FlowRecord
-	srvDict  []ipnet.Addr
-	strDict  []string
-	interned map[string]string
+	payload []byte
+	recs    []capture.FlowRecord
+	srvDict []ipnet.Addr
+	resDict [len(resolutions)]content.Resolution
 }
 
-// maxInterned bounds the intern table so an adversarial shard with an
-// unbounded string vocabulary degrades to per-segment allocation
-// instead of unbounded growth.
-const maxInterned = 1 << 17
+// resolutions are the values a resolution dictionary may hold; a valid
+// dictionary lists each at most once.
+var resolutions = [...]content.Resolution{content.Res360p, content.Res480p, content.Res720p}
+
+// videoEntrySize is the encoded size of one VideoID dictionary entry:
+// its uvarint length, which for 11 is one byte, then the 11 bytes.
+const videoEntrySize = 1 + len(capture.VideoID{})
 
 // payloadSlot returns a length-n buffer backed by recycled capacity.
 func (b *decodeBuf) payloadSlot(n int) []byte {
@@ -225,27 +283,12 @@ func (b *decodeBuf) payloadSlot(n int) []byte {
 	return b.payload
 }
 
-// intern returns the canonical copy of raw, allocating only on first
-// sight. The map-index conversion does not allocate on the hit path.
-func (b *decodeBuf) intern(raw []byte) string {
-	if s, ok := b.interned[string(raw)]; ok {
-		return s
-	}
-	s := string(raw)
-	if len(b.interned) < maxInterned {
-		if b.interned == nil {
-			b.interned = make(map[string]string, 64)
-		}
-		b.interned[s] = s
-	}
-	return s
-}
-
 // decode reconstructs the records of b.payload. Records come back in
 // stored (start-sorted) order in a slice aliasing b.recs — valid until
 // the next decode on this buffer. The second result is the decoded
-// footprint for the buffering gauge: the record array plus the
-// dictionary string bytes (shared across records).
+// footprint for the buffering gauge: the record array. A VideoID that
+// is not 11 bytes and a resolution other than 360p, 480p and 720p are
+// errors, as in capture.ParseLine.
 func (b *decodeBuf) decode(count int) ([]capture.FlowRecord, int64, error) {
 	payload := b.payload
 	// The header is not covered by the payload CRC, so validate the
@@ -282,14 +325,31 @@ func (b *decodeBuf) decode(count int) ([]capture.FlowRecord, int64, error) {
 		assignServers(&p, recs, srv)
 	}
 
-	footprint := int64(count) * int64(flowRecordSize)
-	var strBytes int64
-	b.strDict, strBytes = b.stringDictInto(&p, b.strDict)
-	footprint += strBytes
-	assignStringCol(&p, recs, b.strDict, false)
-	b.strDict, strBytes = b.stringDictInto(&p, b.strDict)
-	footprint += strBytes
-	assignStringCol(&p, recs, b.strDict, true)
+	// Every valid VideoID entry has the same size, so the dictionary is
+	// read in place: entry i sits at a fixed offset in the payload, and
+	// each record copies its 11 bytes from there.
+	nvid := p.uvarint()
+	if p.err == nil && nvid > uint64((len(payload)-p.pos)/videoEntrySize) {
+		p.fail("tracestore: VideoID dictionary of %d entries exceeds payload", nvid)
+	}
+	vids := p.pos
+	for i := uint64(0); i < nvid && p.err == nil; i++ {
+		if l := int(payload[p.pos]); l != videoEntrySize-1 {
+			p.fail("tracestore: VideoID entry %d is not %d bytes", i, videoEntrySize-1)
+		}
+		p.pos += videoEntrySize
+	}
+	assignVideos(&p, recs, payload[vids:p.pos])
+
+	nres := p.uvarint()
+	if p.err == nil && nres > uint64(len(b.resDict)) {
+		p.fail("tracestore: resolution dictionary of %d entries, only %d resolutions exist", nres, len(b.resDict))
+	}
+	res := b.resDict[:0]
+	for i := uint64(0); i < nres && p.err == nil; i++ {
+		res = append(res, p.resolution())
+	}
+	assignResolutions(&p, recs, res)
 
 	if p.err != nil {
 		return nil, 0, p.err
@@ -297,7 +357,7 @@ func (b *decodeBuf) decode(count int) ([]capture.FlowRecord, int64, error) {
 	if p.pos != len(payload) {
 		return nil, 0, fmt.Errorf("tracestore: %d trailing payload bytes", len(payload)-p.pos)
 	}
-	return recs, footprint, nil
+	return recs, int64(count) * flowRecordSize, nil
 }
 
 // decodeFixedCols decodes the start/duration/bytes/client columns.
@@ -329,55 +389,32 @@ func assignServers(p *payloadReader, recs []capture.FlowRecord, srv []ipnet.Addr
 	}
 }
 
-// stringDictInto decodes one string dictionary into dst's recycled
-// capacity, interning entries through b. It returns the (possibly
-// regrown) dictionary and the summed entry bytes for the footprint
-// gauge; on error it returns an empty dictionary.
-func (b *decodeBuf) stringDictInto(p *payloadReader, dst []string) ([]string, int64) {
-	n := p.uvarint()
-	if p.err == nil && n > uint64(len(p.buf)-p.pos) {
-		p.fail("tracestore: dictionary of %d entries exceeds payload", n)
-	}
-	if p.err != nil {
-		return dst[:0], 0
-	}
-	if cap(dst) < int(n) {
-		dst = make([]string, n)
-	}
-	dst = dst[:n]
-	var strBytes int64
-	for i := range dst {
-		l := p.uvarint()
-		if p.err != nil {
-			return dst[:0], 0
-		}
-		if l > uint64(len(p.buf)-p.pos) {
-			p.fail("tracestore: dictionary string of %d bytes exceeds payload", l)
-			return dst[:0], 0
-		}
-		dst[i] = b.intern(p.buf[p.pos : p.pos+int(l)])
-		p.pos += int(l)
-		strBytes += int64(l)
-	}
-	return dst, strBytes
-}
-
-// assignStringCol decodes one string-id column against the dictionary
-// into the VideoID (resolution=false) or Resolution column.
-func assignStringCol(p *payloadReader, recs []capture.FlowRecord, d []string, resolution bool) {
-	n := uint64(len(d))
+// assignVideos decodes the VideoID-id column against the dictionary
+// entries in vids, each videoEntrySize bytes.
+func assignVideos(p *payloadReader, recs []capture.FlowRecord, vids []byte) {
+	n := uint64(len(vids) / videoEntrySize)
 	for i := range recs {
 		id := p.dictID(n)
 		if p.err != nil {
 			return
 		}
-		if resolution {
-			recs[i].Resolution = d[id]
-		} else {
-			recs[i].VideoID = d[id]
+		off := int(id)*videoEntrySize + 1
+		recs[i].VideoID = capture.VideoID(vids[off : off+videoEntrySize-1])
+	}
+}
+
+// assignResolutions decodes the resolution-id column against the
+// dictionary.
+func assignResolutions(p *payloadReader, recs []capture.FlowRecord, res []content.Resolution) {
+	n := uint64(len(res))
+	for i := range recs {
+		id := p.dictID(n)
+		if p.err != nil {
+			return
 		}
+		recs[i].Resolution = res[id]
 	}
 }
 
 // flowRecordSize is the struct size used by the buffering gauge.
-const flowRecordSize = 64
+const flowRecordSize = int64(unsafe.Sizeof(capture.FlowRecord{}))

@@ -60,8 +60,8 @@ const (
 	// segMagic opens every segment header.
 	segMagic = 0x59534547 // "YSEG"
 	// DefaultSegmentRecords is the default per-shard spill threshold.
-	// At roughly 60-100 bytes per decoded record this keeps a decoded
-	// segment in the low single-digit megabytes.
+	// At 48 bytes per decoded record this keeps a decoded segment at
+	// 3 MiB.
 	DefaultSegmentRecords = 1 << 16
 )
 

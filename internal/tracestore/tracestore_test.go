@@ -9,9 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
+	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/ipnet"
 	"github.com/ytcdn-sim/ytcdn/internal/obs"
 )
@@ -35,8 +35,8 @@ func genRecords(seed int64, n int) []capture.FlowRecord {
 			Start:      start,
 			End:        start + time.Duration(g.Intn(120_000))*time.Millisecond,
 			Bytes:      int64(g.Intn(10_000_000)),
-			VideoID:    fmt.Sprintf("vid%08d", g.Intn(500)),
-			Resolution: []string{"240p", "360p", "480p", "720p"}[g.Intn(4)],
+			VideoID:    capture.VideoID([]byte(fmt.Sprintf("vid%08d", g.Intn(500)))),
+			Resolution: []content.Resolution{content.Res360p, content.Res360p, content.Res480p, content.Res720p}[g.Intn(4)],
 		}
 	}
 	return out
@@ -102,9 +102,10 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentRoundTripExtremes(t *testing.T) {
 	recs := []capture.FlowRecord{
-		{Start: -5 * time.Second, End: -6 * time.Second, Bytes: -42, VideoID: "", Resolution: ""},
-		{Client: 0xFFFFFFFF, Server: 0xFFFFFFFF, Start: 1<<62 - 1, End: 1<<62 - 1, Bytes: 1<<63 - 1, VideoID: "x", Resolution: "y"},
-		{Start: 0, End: 0},
+		{Start: -5 * time.Second, End: -6 * time.Second, Bytes: -42, Resolution: content.Res360p},
+		{Client: 0xFFFFFFFF, Server: 0xFFFFFFFF, Start: 1<<62 - 1, End: 1<<62 - 1, Bytes: 1<<63 - 1,
+			VideoID: capture.VideoID([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")), Resolution: content.Res720p},
+		{Start: 0, End: 0, Resolution: content.Res480p},
 	}
 	header, payload := encodeSegment(recs)
 	h, err := parseSegHeader(header)
@@ -231,42 +232,6 @@ func TestScanByStartOrdered(t *testing.T) {
 	}
 	if r.BufferedBytes() != 0 {
 		t.Errorf("BufferedBytes = %d after drain", r.BufferedBytes())
-	}
-}
-
-// TestScanByStartSharesStrings pins the start-ordered merge's intern
-// table: its arms share one, so a video ID or resolution repeated
-// across segments comes back as the bytes of its first copy. A table
-// per arm could never hit, since one segment's dictionary entries are
-// distinct, and every segment allocated its strings afresh.
-func TestScanByStartSharesStrings(t *testing.T) {
-	dir := t.TempDir()
-	writeStore(t, dir, 256, map[string][]capture.FlowRecord{"ds": genRecords(5, 3000)})
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(r.shards["ds"].segs); n < 2 {
-		t.Fatalf("want multiple segments, got %d", n)
-	}
-	first := make(map[string]*byte)
-	fresh := 0
-	it := r.ScanByStart("ds")
-	for rec, ok := it.Next(); ok; rec, ok = it.Next() {
-		for _, s := range []string{rec.VideoID, rec.Resolution} {
-			p := unsafe.StringData(s)
-			if q, seen := first[s]; !seen {
-				first[s] = p
-			} else if p != q {
-				fresh++
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if fresh != 0 {
-		t.Errorf("%d repeated strings were fresh copies, not their first copy's bytes", fresh)
 	}
 }
 
@@ -590,10 +555,8 @@ func TestScanBoundedMemory(t *testing.T) {
 	if !testing.Short() && scanned < 1_000_000 {
 		t.Fatalf("scanned %d records, want >= 1M", scanned)
 	}
-	// One decoded segment per shard: segRecords records plus the
-	// per-segment dictionary strings (a generous 64 KiB allowance).
-	perSegmentBound := int64(segRecords*flowRecordSize + 64*1024)
-	bound := int64(len(datasets)) * perSegmentBound
+	// One decoded segment per shard: segRecords records.
+	bound := int64(len(datasets)) * segRecords * flowRecordSize
 	if peak := r.PeakBufferedBytes(); peak == 0 || peak > bound {
 		t.Errorf("peak buffered %d bytes, want (0, %d]", peak, bound)
 	}

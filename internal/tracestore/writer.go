@@ -25,6 +25,9 @@ type Writer struct {
 
 	shards map[string]*wshard
 	closed bool
+	// enc keeps its buffers from one spill to the next, whichever
+	// shard spills.
+	enc segmentEncoder
 
 	// Cross-shard I/O accounting, readable mid-run by the metrics
 	// scrape goroutine (see Instrument).
@@ -119,16 +122,12 @@ func (w *Writer) spill(s *wshard) {
 	if len(s.buf) == 0 || s.err != nil {
 		return
 	}
-	header, payload := encodeSegment(s.buf)
-	if _, err := s.f.Write(header); err != nil {
-		s.err = fmt.Errorf("tracestore: segment header: %w", err)
+	seg := w.enc.encode(s.buf)
+	if _, err := s.f.Write(seg); err != nil {
+		s.err = fmt.Errorf("tracestore: segment: %w", err)
 		return
 	}
-	if _, err := s.f.Write(payload); err != nil {
-		s.err = fmt.Errorf("tracestore: segment payload: %w", err)
-		return
-	}
-	w.bytesWritten.Add(int64(len(header) + len(payload)))
+	w.bytesWritten.Add(int64(len(seg)))
 	w.segments.Add(1)
 	s.buf = s.buf[:0]
 }

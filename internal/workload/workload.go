@@ -159,17 +159,22 @@ func (gen *Generator) Schedule(eng *des.Engine, submit func(cdn.Request)) {
 	}
 	for i := range gen.buckets {
 		b := &gen.buckets[i]
+		// Every arrival of the bucket shares one event: its session
+		// starts at the engine's clock, the time emitHour scheduled it
+		// at, since emitHour never schedules into the past.
+		arrive := func() { submit(gen.request(b, eng.Now())) }
 		for h := 0; h < hours; h++ {
 			at := time.Duration(h) * time.Hour
 			eng.Schedule(at, func() {
-				gen.emitHour(eng, b, at, submit)
+				gen.emitHour(eng, b, at, arrive)
 			})
 		}
 	}
 }
 
-// emitHour schedules one hour's arrivals for one subnet bucket.
-func (gen *Generator) emitHour(eng *des.Engine, b *bucket, start time.Duration, submit func(cdn.Request)) {
+// emitHour schedules one hour's arrivals for one subnet bucket, each
+// at or after start, the engine's clock when the batch runs.
+func (gen *Generator) emitHour(eng *des.Engine, b *bucket, start time.Duration, arrive func()) {
 	width := time.Hour
 	if start+width > gen.span {
 		width = gen.span - start
@@ -181,9 +186,6 @@ func (gen *Generator) emitHour(eng *des.Engine, b *bucket, start time.Duration, 
 		gen.batches.Inc()
 	}
 	for i := 0; i < n; i++ {
-		at := start + time.Duration(b.g.Float64()*float64(width))
-		eng.Schedule(at, func() {
-			submit(gen.request(b, at))
-		})
+		eng.Schedule(start+time.Duration(b.g.Float64()*float64(width)), arrive)
 	}
 }
