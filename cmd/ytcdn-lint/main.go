@@ -4,16 +4,14 @@
 //	go run ./cmd/ytcdn-lint ./...
 //
 // It loads and type-checks the matching module packages once and runs
-// all six analyzers over them: five per package, and the
-// interprocedural detreach over a whole-module call graph, which is
-// only complete for whole-module loads (`./...`). Each unsuppressed
-// finding prints to stderr as `file:line:col: [analyzer] message`.
-// Standard vet is not part of it; run `go vet ./...` for that.
+// all five analyzers over them, one package at a time. Each
+// unsuppressed finding prints to stderr as
+// `file:line:col: [analyzer] message`. Standard vet is not part of it;
+// run `go vet ./...` for that.
 //
 //	-json   print every finding, surviving and suppressed, as one JSON
 //	        array on stdout instead
-//	-graph  dump the whole-module call graph to stdout instead of linting
-//	-list   name every analyzer with its scope and a one-line summary
+//	-list   name every analyzer with a one-line summary
 //
 // Findings are suppressed line by line with `//lint:ok <analyzer>
 // <reason>`; the reason is mandatory.
@@ -38,14 +36,14 @@ const (
 	exitFindings = 2
 )
 
-const usage = "usage: ytcdn-lint [-json|-graph|-list] <package patterns>"
+const usage = "usage: ytcdn-lint [-json|-list] <package patterns>"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
 func run(args []string) int {
-	jsonOut, graphOut := false, false
+	jsonOut := false
 	var patterns []string
 	for _, arg := range args {
 		switch {
@@ -53,8 +51,6 @@ func run(args []string) int {
 			return printList()
 		case arg == "-json":
 			jsonOut = true
-		case arg == "-graph":
-			graphOut = true
 		case strings.HasPrefix(arg, "-"):
 			fmt.Fprintf(os.Stderr, "ytcdn-lint: unknown flag %s\n%s\n", arg, usage)
 			return exitError
@@ -72,15 +68,6 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "ytcdn-lint: %v\n", err)
 		return exitError
 	}
-	if graphOut {
-		// The deterministic dump is a CI artifact that lets a reviewer
-		// diff reachability across commits.
-		var sb strings.Builder
-		lint.BuildGraph(units).Dump(&sb)
-		os.Stdout.WriteString(sb.String())
-		return exitClean
-	}
-
 	kept, silenced := lint.Check(units, lint.Analyzers())
 	fset := token.NewFileSet() // stays empty when no package matched
 	if len(units) > 0 {
@@ -105,15 +92,10 @@ func run(args []string) int {
 	return exitClean
 }
 
-// printList names every analyzer in the suite with its scope and a
-// one-line summary.
+// printList names every analyzer in the suite with a one-line summary.
 func printList() int {
 	for _, a := range lint.Analyzers() {
-		scope := "package"
-		if a.RunModule != nil {
-			scope = "module"
-		}
-		fmt.Printf("%-12s %-8s %s\n", a.Name, scope, firstSentence(a.Doc))
+		fmt.Printf("%-12s %s\n", a.Name, firstSentence(a.Doc))
 	}
 	return exitClean
 }

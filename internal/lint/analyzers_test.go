@@ -20,16 +20,21 @@ func TestDetMapSuppressed(t *testing.T) {
 	linttest.Run(t, "testdata/detmap", lint.DetMap, "./suppressed")
 }
 
+// The flagged packages cover the deterministic plane beyond the
+// simulation core: a clock read in a netmodel type that implements a
+// core interface.
 func TestRNGPurityFlagged(t *testing.T) {
-	linttest.Run(t, "testdata/rngpurity", lint.RNGPurity, "./internal/cdn")
+	linttest.Run(t, "testdata/rngpurity", lint.RNGPurity, "./internal/cdn", "./internal/netmodel")
 }
 
 func TestRNGPurityClean(t *testing.T) {
 	linttest.Run(t, "testdata/rngpurity", lint.RNGPurity, "./internal/core")
 }
 
+// The exempt packages: internal/stats, the wall-clock plane and
+// package main.
 func TestRNGPurityOutOfScope(t *testing.T) {
-	linttest.Run(t, "testdata/rngpurity", lint.RNGPurity, "./outside")
+	linttest.Run(t, "testdata/rngpurity", lint.RNGPurity, "./internal/stats", "./internal/obs/profile", "./cmd/sim")
 }
 
 func TestRNGPuritySuppressed(t *testing.T) {
@@ -76,16 +81,19 @@ func TestObsPlaneFlaggedImport(t *testing.T) {
 	linttest.Run(t, "testdata/obsplane", lint.ObsPlane, "./internal/cdn")
 }
 
+// The instrument package internal/obs lies on the deterministic plane,
+// so rngpurity, not obsplane, flags its wall-clock reads.
 func TestObsPlaneFlaggedWallClock(t *testing.T) {
-	linttest.Run(t, "testdata/obsplane", lint.ObsPlane, "./internal/obs")
+	linttest.Run(t, "testdata/rngpurity", lint.RNGPurity, "./internal/obs")
 }
 
 func TestObsPlaneClean(t *testing.T) {
-	linttest.Run(t, "testdata/obsplane", lint.ObsPlane, "./internal/core")
+	linttest.Run(t, "testdata/obsplane", lint.ObsPlane, "./internal/core", "./internal/obs")
 }
 
+// The wall-clock plane imports itself, and commands import it.
 func TestObsPlaneWallPlaneOutOfScope(t *testing.T) {
-	linttest.Run(t, "testdata/obsplane", lint.ObsPlane, "./internal/obs/profile")
+	linttest.Run(t, "testdata/obsplane", lint.ObsPlane, "./internal/obscli", "./cmd/sim")
 }
 
 func TestObsPlaneSuppressed(t *testing.T) {

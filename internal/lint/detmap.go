@@ -24,51 +24,41 @@ var DetMap = &Analyzer{
 func runDetMap(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, fd := range enclosingFuncs(f) {
-			forEachMapRangeIssue(pass.Info, fd, pass.Reportf)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if t := pass.Info.TypeOf(rs.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						checkMapRangeBody(pass, fd, rs)
+					}
+				}
+				return true
+			})
 		}
 	}
 }
 
-// forEachMapRangeIssue runs the order-sensitivity checks over every
-// map-range in fd, emitting findings through report. It is shared by
-// detmap (per package, every function) and detreach (whole module,
-// functions reachable from the deterministic plane).
-func forEachMapRangeIssue(info *types.Info, fd *ast.FuncDecl, report func(token.Pos, string, ...any)) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		checkMapRangeBody(info, fd, rs, report)
-		return true
-	})
-}
-
-func checkMapRangeBody(info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt, report func(token.Pos, string, ...any)) {
+func checkMapRangeBody(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			checkMapRangeAssign(info, fd, rs, n, report)
+			checkMapRangeAssign(pass, fd, rs, n)
 		case *ast.CallExpr:
-			if name, recv := methodName(info, n); name == "Record" && recv != nil && typeFromPkg(recv, "internal/capture") {
-				report(n.Pos(), "capture-sink write inside range over map: emission order becomes nondeterministic; iterate keys in sorted order")
+			if name, recv := methodName(pass.Info, n); name == "Record" && recv != nil && typeFromPkg(recv, "internal/capture") {
+				pass.Reportf(n.Pos(), "capture-sink write inside range over map: emission order becomes nondeterministic; iterate keys in sorted order")
 			}
 		}
 		return true
 	})
 }
 
-func checkMapRangeAssign(info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt, as *ast.AssignStmt, report func(token.Pos, string, ...any)) {
+func checkMapRangeAssign(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, as *ast.AssignStmt) {
 	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 		return
 	}
+	info := pass.Info
 	lhs, rhs := as.Lhs[0], as.Rhs[0]
 	if !outerTarget(info, rs, lhs) {
 		return
@@ -80,7 +70,7 @@ func checkMapRangeAssign(info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt, 
 		if call, ok := rhs.(*ast.CallExpr); ok && isBuiltinAppend(info, call) &&
 			len(call.Args) > 0 && types.ExprString(call.Args[0]) == target {
 			if !sortedAfter(fd, rs, target) {
-				report(as.Pos(), "append to %s under range over map without a later sort in this function: element order is nondeterministic; sort the result or iterate keys in sorted order", target)
+				pass.Reportf(as.Pos(), "append to %s under range over map without a later sort in this function: element order is nondeterministic; sort the result or iterate keys in sorted order", target)
 			}
 			return
 		}
@@ -90,11 +80,11 @@ func checkMapRangeAssign(info *types.Info, fd *ast.FuncDecl, rs *ast.RangeStmt, 
 	if isFloat(info.TypeOf(lhs)) {
 		switch as.Tok {
 		case token.ADD_ASSIGN, token.SUB_ASSIGN:
-			report(as.Pos(), "float accumulation into %s in map iteration order: addition is not associative, so the result depends on the random order; accumulate over sorted keys", target)
+			pass.Reportf(as.Pos(), "float accumulation into %s in map iteration order: addition is not associative, so the result depends on the random order; accumulate over sorted keys", target)
 		case token.ASSIGN:
 			if be, ok := rhs.(*ast.BinaryExpr); ok && (be.Op == token.ADD || be.Op == token.SUB) &&
 				types.ExprString(be.X) == target {
-				report(as.Pos(), "float accumulation into %s in map iteration order: addition is not associative, so the result depends on the random order; accumulate over sorted keys", target)
+				pass.Reportf(as.Pos(), "float accumulation into %s in map iteration order: addition is not associative, so the result depends on the random order; accumulate over sorted keys", target)
 			}
 		}
 	}

@@ -15,6 +15,34 @@ func pkgPathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
+// wallClockPlane lists the package-path suffixes of the wall-clock
+// observability plane: the phase profiler, the live /metrics endpoint
+// and the command-line wiring of both. They read the clock by design.
+var wallClockPlane = []string{
+	"internal/obs/profile",
+	"internal/obs/obshttp",
+	"internal/obscli",
+}
+
+// deterministicPlane reports whether pkg is on the deterministic
+// plane, the scope rngpurity and obsplane share: every module package
+// except internal/stats (the sanctioned wrapper around math/rand), the
+// wall-clock plane and package main (the commands, which time their
+// runs). Everything else may feed the bit-identical parity suites,
+// through a call, a callback or an interface implementation, so the
+// scope is a deny-list: a new package is policed from its first line.
+func deterministicPlane(pkg *types.Package) bool {
+	if pkg.Name() == "main" || pkgPathHasSuffix(pkg.Path(), "internal/stats") {
+		return false
+	}
+	for _, s := range wallClockPlane {
+		if pkgPathHasSuffix(pkg.Path(), s) {
+			return false
+		}
+	}
+	return true
+}
+
 // isStatsRNG reports whether t is (a pointer to) the stats.RNG stream
 // type.
 func isStatsRNG(t types.Type) bool {

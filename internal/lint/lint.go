@@ -1,14 +1,14 @@
 // Package lint is the repo's static layer: a small, dependency-free
 // analysis framework (in the spirit of golang.org/x/tools/go/analysis,
-// which this module deliberately does not depend on) plus the six
+// which this module deliberately does not depend on) plus the five
 // analyzers that encode the invariants every parity suite in this
-// repository leans on. Five work on one package at a time:
+// repository leans on. Each works on one package at a time:
 // map-iteration determinism, RNG purity, RNG stream ownership, mutex
 // discipline (guarded fields, deferred unlocks, typed atomics only)
-// and the observability plane split. One, detreach, works on the
-// whole module through its call graph (see module.go): transitive
-// determinism purity. Allocation contracts are not lint: they are
-// testing.AllocsPerRun tests in each package's alloc_test.go.
+// and the observability plane split. rngpurity and obsplane share one
+// scope, the deterministic plane (see deterministicPlane). Allocation
+// contracts are not lint: they are testing.AllocsPerRun tests in each
+// package's alloc_test.go.
 //
 // There is one driver. Load parses and type-checks module packages
 // from source, and Check runs analyzers over them; cmd/ytcdn-lint, the
@@ -32,13 +32,9 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"github.com/ytcdn-sim/ytcdn/internal/lint/callgraph"
 )
 
-// Analyzer is one named check. Exactly one of Run and RunModule is
-// set: Run sees one type-checked package at a time, RunModule the
-// whole loaded module plus its call graph.
+// Analyzer is one named check over one type-checked package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //lint:ok
 	// suppression directives.
@@ -47,9 +43,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-	// RunModule inspects the whole module and reports findings through
-	// the pass.
-	RunModule func(*ModulePass)
 }
 
 // Pass carries one package's parsed and type-checked source to an
@@ -82,10 +75,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the full suite in deterministic order: the five
-// per-package analyzers, then the module analyzer detreach.
+// Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetMap, RNGPurity, RNGShare, LockGuard, ObsPlane, DetReach}
+	return []*Analyzer{DetMap, RNGPurity, RNGShare, LockGuard, ObsPlane}
 }
 
 // suppressionRe matches a //lint:ok directive. Group 1 is the analyzer
@@ -132,12 +124,11 @@ type SuppressedDiagnostic struct {
 // Check runs the analyzers over units, which must share one FileSet
 // as the units of one Load call do, and returns the surviving
 // diagnostics plus the findings that reasoned //lint:ok directives
-// silenced, both sorted by position. Per-package analyzers run unit by
-// unit; the call graph is built once, and only if a module analyzer
-// runs. Suppressions are applied once over all files: a finding whose
-// line (or the line above it) carries a //lint:ok directive naming the
-// same analyzer is silenced, and a directive naming a running analyzer
-// but missing its reason is reported as a finding of that analyzer.
+// silenced, both sorted by position. Suppressions are applied once
+// over all files: a finding whose line (or the line above it) carries
+// a //lint:ok directive naming the same analyzer is silenced, and a
+// directive naming a running analyzer but missing its reason is
+// reported as a finding of that analyzer.
 func Check(units []*Unit, analyzers []*Analyzer) (kept []Diagnostic, silenced []SuppressedDiagnostic) {
 	if len(units) == 0 {
 		return nil, nil
@@ -148,24 +139,10 @@ func Check(units []*Unit, analyzers []*Analyzer) (kept []Diagnostic, silenced []
 	for _, u := range units {
 		files = append(files, u.Files...)
 		for _, a := range analyzers {
-			if a.Run != nil {
-				pass := &Pass{Analyzer: a, Fset: fset, Files: u.Files, Pkg: u.Pkg, Info: u.Info}
-				a.Run(pass)
-				diags = append(diags, pass.diags...)
-			}
+			pass := &Pass{Analyzer: a, Fset: fset, Files: u.Files, Pkg: u.Pkg, Info: u.Info}
+			a.Run(pass)
+			diags = append(diags, pass.diags...)
 		}
-	}
-	var graph *callgraph.Graph
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if graph == nil {
-			graph = BuildGraph(units)
-		}
-		pass := &ModulePass{Analyzer: a, Fset: fset, Units: units, Graph: graph}
-		a.RunModule(pass)
-		diags = append(diags, pass.diags...)
 	}
 
 	running := make(map[string]bool, len(analyzers))

@@ -34,9 +34,7 @@ type expectation struct {
 
 // Run loads the fixture module rooted at dir, analyzes the packages
 // matching patterns with a, and reports any mismatch between the
-// diagnostics and the // want expectations of all loaded files. A
-// module analyzer sees every loaded package at once, so its fixtures
-// are whole modules loaded with "./...".
+// diagnostics and the // want expectations of all loaded files.
 func Run(t *testing.T, dir string, a *lint.Analyzer, patterns ...string) {
 	t.Helper()
 	units, err := lint.Load(dir, patterns...)

@@ -18,11 +18,10 @@ import (
 
 // Unit is one parsed, type-checked package ready for Check.
 type Unit struct {
-	ImportPath string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader needs.
@@ -87,47 +86,22 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 		return os.Open(file)
 	})
 
-	// Every module package is type-checked from source in ONE shared
-	// universe — dependencies first (`go list -deps` emits them in
-	// dependency order), with the importer preferring the source-checked
-	// package over its export data. This is what makes object identity
-	// hold across package boundaries: the module analyzers match
-	// *types.Func and *types.Var objects through the call graph, and a
-	// package imported as export data would be a parallel universe whose
-	// objects never compare equal, silently truncating reachability at
-	// every package edge. Only out-of-module dependencies come from
-	// export data.
-	imp := &moduleImporter{base: gc, src: make(map[string]*types.Package)}
+	// Each matched package is type-checked from source against the
+	// export data of its imports, module packages included: every
+	// analyzer looks at one package at a time and matches other
+	// packages' objects by import path and name only.
 	var units []*Unit
 	for _, p := range ordered {
-		if p.Standard || p.Module == nil {
+		if p.Standard || p.Module == nil || p.DepOnly {
 			continue
 		}
-		u, err := checkPackage(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
+		u, err := checkPackage(fset, gc, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		imp.src[p.ImportPath] = u.Pkg
-		if !p.DepOnly {
-			units = append(units, u)
-		}
+		units = append(units, u)
 	}
 	return units, nil
-}
-
-// moduleImporter resolves module-internal imports to their
-// source-checked packages and everything else through the gc export
-// importer.
-type moduleImporter struct {
-	base types.Importer
-	src  map[string]*types.Package
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if p := m.src[path]; p != nil {
-		return p, nil
-	}
-	return m.base.Import(path)
 }
 
 // checkPackage parses and type-checks one package from source.
@@ -156,5 +130,5 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", importPath, err)
 	}
-	return &Unit{ImportPath: importPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
+	return &Unit{Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }

@@ -6,45 +6,30 @@ import (
 	"strconv"
 )
 
-// rngPurityScope lists the package-path suffixes rngpurity polices:
-// everything whose output feeds the bit-identical parity suites. The
-// stats package itself is exempt (it is the sanctioned wrapper around
-// math/rand), as are cmd/ mains. _test.go files, where benchmark timing
-// legitimately reads the wall clock, never reach the analyzer: Load
-// type-checks only a package's GoFiles.
-var rngPurityScope = []string{
-	"internal/cdn",
-	"internal/des",
-	"internal/core",
-	"internal/workload",
-	"internal/analysis",
-	"internal/experiments",
-}
-
-// RNGPurity forbids ambient sources of nondeterminism in simulation
-// and analysis packages: the wall clock (time.Now/Since/Until), the
-// global math/rand generator (and ad-hoc rand.New sources), and
-// crypto/rand. All randomness must flow from the study seed through
-// stats.RNG streams, and new streams must be derived with
-// Fork/ForkIndexed — stats.NewRNG with a computed (arithmetic) seed
-// re-invents seed derivation and breaks order-independence, so only a
-// passed-through seed value is accepted as its argument.
+// RNGPurity forbids ambient sources of nondeterminism on the
+// deterministic plane (see deterministicPlane): the wall clock
+// (time.Now/Since/Until), math/rand (the global generator and ad-hoc
+// sources alike) and crypto/rand. All randomness must flow from the
+// study seed through stats.RNG streams, and new streams must be
+// derived with Fork/ForkIndexed: stats.NewRNG takes only a
+// passed-through seed value, because a computed or converted seed
+// re-invents seed derivation and breaks order-independence.
+//
+// The rule runs on every package of the plane, so an impure function
+// is flagged where it is written, however the deterministic code
+// reaches it: directly, through a helper in another package, or
+// through an interface it implements. _test.go files, where benchmark
+// timing legitimately reads the wall clock, never reach the analyzer:
+// Load type-checks only a package's GoFiles.
 var RNGPurity = &Analyzer{
 	Name: "rngpurity",
-	Doc: "forbid wall-clock and ambient RNG use in simulation/analysis " +
-		"packages; require Fork/ForkIndexed for stream derivation",
+	Doc: "forbid wall-clock and ambient RNG use on the deterministic " +
+		"plane; require Fork/ForkIndexed for stream derivation",
 	Run: runRNGPurity,
 }
 
 func runRNGPurity(pass *Pass) {
-	inScope := false
-	for _, s := range rngPurityScope {
-		if pkgPathHasSuffix(pass.Pkg.Path(), s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if !deterministicPlane(pass.Pkg) {
 		return
 	}
 	for _, f := range pass.Files {
@@ -55,9 +40,9 @@ func runRNGPurity(pass *Pass) {
 			}
 			switch path {
 			case "math/rand", "math/rand/v2":
-				pass.Reportf(imp.Pos(), "import of %s in a simulation/analysis package: all randomness must come from seeded stats.RNG streams", path)
+				pass.Reportf(imp.Pos(), "import of %s on the deterministic plane: all randomness must come from seeded stats.RNG streams", path)
 			case "crypto/rand":
-				pass.Reportf(imp.Pos(), "import of crypto/rand in a simulation/analysis package: cryptographic randomness is never reproducible; use seeded stats.RNG streams")
+				pass.Reportf(imp.Pos(), "import of crypto/rand on the deterministic plane: cryptographic randomness is never reproducible; use seeded stats.RNG streams")
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -67,10 +52,10 @@ func runRNGPurity(pass *Pass) {
 			}
 			for _, fn := range []string{"Now", "Since", "Until"} {
 				if isPkgFunc(pass.Info, call, "time", fn) {
-					pass.Reportf(call.Pos(), "time.%s in a simulation/analysis package: the wall clock is not reproducible; derive instants from the simulated clock", fn)
+					pass.Reportf(call.Pos(), "time.%s on the deterministic plane: the wall clock is not reproducible; derive instants from the simulated clock, and keep wall-clock timing in obs/profile", fn)
 				}
 			}
-			if isPkgFunc(pass.Info, call, "internal/stats", "NewRNG") && len(call.Args) == 1 && !isAtomicSeedExpr(pass, call.Args[0]) {
+			if isPkgFunc(pass.Info, call, "internal/stats", "NewRNG") && len(call.Args) == 1 && !isAtomicSeedExpr(call.Args[0]) {
 				pass.Reportf(call.Pos(), "stats.NewRNG with a computed seed: ad-hoc seed arithmetic is order- and layout-dependent; derive child streams with Fork or ForkIndexed on a constant label")
 			}
 			return true
@@ -79,30 +64,20 @@ func runRNGPurity(pass *Pass) {
 }
 
 // isAtomicSeedExpr reports whether the seed expression merely passes a
-// value through — an identifier, a field chain, a literal (possibly
-// negated), or a plain conversion of one of those. Anything with
-// arithmetic or a real call is a computed seed.
-func isAtomicSeedExpr(pass *Pass, e ast.Expr) bool {
+// value through: an identifier, a field chain or a literal (possibly
+// negated). Anything else computes a seed, a type conversion included:
+// int64(srv) turns a value that is not a seed, such as a server index,
+// into one.
+func isAtomicSeedExpr(e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.Ident, *ast.BasicLit:
 		return true
 	case *ast.SelectorExpr:
-		return isAtomicSeedExpr(pass, e.X)
+		return isAtomicSeedExpr(e.X)
 	case *ast.ParenExpr:
-		return isAtomicSeedExpr(pass, e.X)
+		return isAtomicSeedExpr(e.X)
 	case *ast.UnaryExpr:
-		return (e.Op == token.SUB || e.Op == token.ADD) && isAtomicSeedExpr(pass, e.X)
-	case *ast.CallExpr:
-		// Allow a conversion of an atomic value, e.g. int64(seed) —
-		// but only a real type conversion; any function call is
-		// computation.
-		if len(e.Args) != 1 {
-			return false
-		}
-		if tv, ok := pass.Info.Types[e.Fun]; !ok || !tv.IsType() {
-			return false
-		}
-		return isAtomicSeedExpr(pass, e.Args[0])
+		return (e.Op == token.SUB || e.Op == token.ADD) && isAtomicSeedExpr(e.X)
 	}
 	return false
 }

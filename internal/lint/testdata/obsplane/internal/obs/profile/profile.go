@@ -1,5 +1,5 @@
 // Package profile is a stand-in for the wall-clock plane: free to
-// read the clock, forbidden to the deterministic core.
+// read the clock, forbidden to the deterministic plane.
 package profile
 
 import "time"

@@ -1,5 +1,5 @@
-// Package cdn stands in for a simulation package (in-scope import
-// path) and exercises every rngpurity trigger.
+// Package cdn stands in for a simulation package and exercises every
+// rngpurity trigger.
 package cdn
 
 import (
@@ -30,3 +30,9 @@ func HashedSeed(seed int64) *stats.RNG {
 }
 
 func mix(seed int64) int64 { return seed * 31 }
+
+// ServerStream seeds a stream with a converted server index, so every
+// server's stream is fixed whatever the study seed.
+func ServerStream(srv int) *stats.RNG {
+	return stats.NewRNG(int64(srv)) // want "computed seed"
+}

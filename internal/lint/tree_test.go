@@ -15,8 +15,7 @@ var treeSuppressions = map[[2]string]int{
 }
 
 // TestTreeClean is the whole-repository contract: zero unsuppressed
-// findings from the full suite — the five per-package analyzers plus
-// the interprocedural module analyzer detreach — and exactly the
+// findings from the full suite of five analyzers, and exactly the
 // documented suppression inventory, no more, no fewer.
 func TestTreeClean(t *testing.T) {
 	units, err := Load(filepath.Join("..", ".."), "./...")

@@ -176,8 +176,9 @@ func scaleCap(capacity int, scale float64) int {
 }
 
 // buildDataCenters creates the 33 Google-class data centers with their
-// server fleets and address plan (one or more /24s per DC, so the
-// paper's /24-aggregation rule holds by construction).
+// server fleets and address plan. Every default fleet (113, 56 or 30
+// servers) fits under the 200-server cap, so each DC is exactly one
+// /24 and the paper's /24-aggregation rule holds by construction.
 func buildDataCenters(w *World, cfg PaperConfig) error {
 	cities := geo.DataCenterCities()
 	if len(cities) != 33 {
@@ -216,9 +217,9 @@ func buildDataCenters(w *World, cfg PaperConfig) error {
 		}
 		w.DataCenters = append(w.DataCenters, dc)
 
-		// Allocate servers from consecutive /24s (max 200 per /24 so
-		// large fleets span several prefixes, exercising the /24
-		// clustering logic in analysis).
+		// Allocate servers from consecutive /24s, at most 200 per /24.
+		// Every default fleet fits in one, so the analysis never has
+		// to join two prefixes of one DC.
 		remaining := nServers
 		for remaining > 0 {
 			n := remaining
