@@ -151,7 +151,8 @@ func BenchmarkFig04FlowSizes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		kink = res.ControlFrac[DatasetUSCampus]
+		fs := res.Sizes[DatasetUSCampus]
+		kink = float64(fs.Control) / float64(fs.Flows)
 	}
 	b.ReportMetric(kink*100, "control_flows_%")
 }

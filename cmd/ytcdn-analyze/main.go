@@ -10,12 +10,12 @@
 // The input is either a TSV trace file produced by ytcdn-sim, or a
 // disk-backed tracestore directory produced with the -store option of
 // ytcdn-experiments / the public API. Both run one analysis: per
-// dataset, one pass for the summary and the video/control
-// classification, then one start-ordered pass tallying flows per
-// session with only the currently open sessions' counts in memory. A
-// TSV file is loaded into memory and stable-sorted by flow start; a
-// store directory is streamed, its start order coming from the store's
-// merge scan.
+// dataset, one census pass (analysis.Census) for the summary and the
+// video/control classification, then one start-ordered pass tallying
+// flows per session with only the currently open sessions' counts in
+// memory. A TSV file is loaded into memory and stable-sorted by flow
+// start; a store directory is streamed, its start order coming from
+// the store's merge scan.
 //
 // Usage:
 //
@@ -116,25 +116,29 @@ func analyze(w io.Writer, src capture.TraceSource, byStart func(string) capture.
 	fmt.Fprintf(w, "%-12s %9s %10s %9s %9s | %7s %7s | %9s %7s\n",
 		"dataset", "flows", "GB", "servers", "clients", "video", "control", "sessions", "1-flow")
 	for _, name := range src.Datasets() {
-		// One pass covers the Table-I summary and the video/control
-		// classification together.
-		video := 0
-		sum, err := analysis.SummarizeIter(capture.FilterIter(src.Iter(name), func(r capture.FlowRecord) bool {
-			if analysis.IsVideoFlow(r) {
-				video++
+		// One census pass covers the Table-I summary and the
+		// video/control classification together. Without a whois
+		// registry, the census looks up no AS.
+		c := analysis.NewCensus(nil, 0, int(src.Records(name)))
+		it := src.Iter(name)
+		for {
+			r, ok := it.Next()
+			if !ok {
+				break
 			}
-			return true
-		}))
-		if err != nil {
+			c.Add(r)
+		}
+		if err := it.Err(); err != nil {
 			return err
 		}
+		sum, control := c.Summary(), c.FlowSizes().Control
 		tallies, err := analysis.SessionTalliesIter(byStart(name), []time.Duration{gap}, 10)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-12s %9d %10.2f %9d %9d | %7d %7d | %9d %6.1f%%\n",
 			name, sum.Flows, float64(sum.Bytes)/1e9, sum.Servers, sum.Clients,
-			video, sum.Flows-video, tallies[0].Sessions(), tallies[0].Histogram()[0]*100)
+			sum.Flows-control, control, tallies[0].Sessions(), tallies[0].Histogram()[0]*100)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,22 +12,31 @@ import (
 )
 
 var (
+	// binDir holds the test binary; TestMain removes it after the run.
+	binDir      string
 	lintBinOnce sync.Once
 	lintBinPath string
 	lintBinErr  string
 )
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "ytcdn-lint-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 // buildLint builds the ytcdn-lint binary once per test run and hands
 // every test the same path — the CLI tests exercise modes, not builds.
 func buildLint(t *testing.T) string {
 	t.Helper()
 	lintBinOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "ytcdn-lint-test")
-		if err != nil {
-			lintBinErr = err.Error()
-			return
-		}
-		bin := filepath.Join(dir, "ytcdn-lint")
+		bin := filepath.Join(binDir, "ytcdn-lint")
 		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 			lintBinErr = err.Error() + "\n" + string(out)
 			return

@@ -26,66 +26,6 @@ type ASBreakdown struct {
 	TotalBytes int64
 }
 
-// BreakdownByASIter attributes a trace's servers and bytes to the
-// paper's four AS buckets via whois lookups, in one pass over the
-// iterator with memory bounded by the distinct server set. clientAS is
-// the AS of the monitored network (for the "Same AS" bucket). Each
-// server's bucket is looked up once per pass.
-func BreakdownByASIter(it capture.Iterator, reg *asdb.Registry, clientAS asdb.ASN) (ASBreakdown, error) {
-	const (
-		google = iota
-		yteu
-		same
-		other
-	)
-	bucketOf := make(map[ipnet.Addr]int)
-	var servers [4]int
-	var bytes [4]int64
-	var totalBytes int64
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		b, seen := bucketOf[r.Server]
-		if !seen {
-			b = other
-			if as, ok := reg.Lookup(r.Server); ok {
-				switch {
-				case as.Number == asdb.ASGoogle:
-					b = google
-				case as.Number == asdb.ASYouTubeEU:
-					b = yteu
-				case as.Number == clientAS:
-					b = same
-				}
-			}
-			bucketOf[r.Server] = b
-			servers[b]++
-		}
-		bytes[b] += r.Bytes
-		totalBytes += r.Bytes
-	}
-	totalSrv := len(bucketOf)
-	share := func(b int) ASShare {
-		if totalSrv == 0 || totalBytes == 0 {
-			return ASShare{}
-		}
-		return ASShare{
-			ServerFrac: float64(servers[b]) / float64(totalSrv),
-			ByteFrac:   float64(bytes[b]) / float64(totalBytes),
-		}
-	}
-	return ASBreakdown{
-		Google:     share(google),
-		YouTubeEU:  share(yteu),
-		SameAS:     share(same),
-		Others:     share(other),
-		TotalSrv:   totalSrv,
-		TotalBytes: totalBytes,
-	}, it.Err()
-}
-
 // GoogleIter applies the paper's §IV filter lazily, keeping only
 // flows served from the Google AS or from the monitored network's own
 // AS ("we only focus on accesses to video servers located in the

@@ -78,12 +78,9 @@ func TestSummarize(t *testing.T) {
 		rec("10.0.0.2", "1.1.1.2", 0, time.Second, 200, "v2"),
 		rec("10.0.0.1", "1.1.1.1", 0, time.Second, 300, "v3"),
 	}
-	s, err := SummarizeIter(capture.IterSlice(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := censusOf(nil, 0, recs).Summary()
 	if s.Flows != 3 || s.Bytes != 600 || s.Servers != 2 || s.Clients != 2 {
-		t.Errorf("SummarizeIter = %+v", s)
+		t.Errorf("Summary = %+v", s)
 	}
 }
 
@@ -268,10 +265,7 @@ func TestBreakdownByAS(t *testing.T) {
 		rec("10.0.0.1", "3.1.1.1", 0, 1, 50, "v"),
 		rec("10.0.0.1", "4.1.1.1", 0, 1, 50, "v"),
 	}
-	bd, err := BreakdownByASIter(capture.IterSlice(recs), reg, 5483)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bd := censusOf(reg, 5483, recs).Breakdown()
 	if bd.Google.ByteFrac != 0.7 || bd.YouTubeEU.ByteFrac != 0.2 ||
 		bd.SameAS.ByteFrac != 0.05 || bd.Others.ByteFrac != 0.05 {
 		t.Errorf("byte fractions: %+v", bd)

@@ -25,24 +25,3 @@ type TraceSummary struct {
 	Servers int
 	Clients int
 }
-
-// SummarizeIter computes the Table I row of a trace in one pass over
-// the iterator, with memory bounded by the distinct address sets.
-func SummarizeIter(it capture.Iterator) (TraceSummary, error) {
-	servers := make(map[uint32]struct{})
-	clients := make(map[uint32]struct{})
-	var s TraceSummary
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		s.Flows++
-		s.Bytes += r.Bytes
-		servers[uint32(r.Server)] = struct{}{}
-		clients[uint32(r.Client)] = struct{}{}
-	}
-	s.Servers = len(servers)
-	s.Clients = len(clients)
-	return s, it.Err()
-}

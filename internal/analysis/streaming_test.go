@@ -65,9 +65,6 @@ func (f *failingIter) Err() error { return errStream }
 
 func TestStreamingAggregationsPropagateErrors(t *testing.T) {
 	recs := randomTrace(2, 10)
-	if _, err := SummarizeIter(&failingIter{recs: recs}); !errors.Is(err, errStream) {
-		t.Errorf("SummarizeIter err = %v", err)
-	}
 	if _, err := capture.Collect(GoogleIter(&failingIter{recs: recs}, testRegistry(t), 7018)); !errors.Is(err, errStream) {
 		t.Errorf("GoogleIter err = %v", err)
 	}

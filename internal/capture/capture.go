@@ -71,6 +71,9 @@ type TraceSource interface {
 	// Iter returns a fresh iterator over one dataset's records. An
 	// unknown dataset yields an empty iterator.
 	Iter(dataset string) Iterator
+	// Records returns how many records Iter yields for a dataset (0
+	// for an unknown one), so a consumer can size its buffers once.
+	Records(dataset string) int64
 }
 
 // sliceIterator walks an in-memory record slice.
@@ -161,6 +164,9 @@ func (m MapSource) Datasets() []string {
 
 // Iter implements TraceSource.
 func (m MapSource) Iter(dataset string) Iterator { return IterSlice(m[dataset]) }
+
+// Records implements TraceSource.
+func (m MapSource) Records(dataset string) int64 { return int64(len(m[dataset])) }
 
 var _ TraceSource = MapSource(nil)
 
@@ -279,6 +285,14 @@ func (it *chunkIterator) Next() (FlowRecord, bool) {
 }
 
 func (it *chunkIterator) Err() error { return nil }
+
+// Records returns the number of records captured for a dataset.
+func (m *MemSink) Records(dataset string) int64 {
+	if t := m.byDataset[dataset]; t != nil {
+		return int64(t.n)
+	}
+	return 0
+}
 
 var _ TraceSource = (*MemSink)(nil)
 

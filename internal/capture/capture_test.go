@@ -73,6 +73,9 @@ func TestMemSink(t *testing.T) {
 	if m.Trace("missing") != nil {
 		t.Error("missing dataset must return nil")
 	}
+	if m.Records("missing") != 0 {
+		t.Errorf("Records(missing) = %d", m.Records("missing"))
+	}
 }
 
 // TestMemSinkTraceReturnsCopy pins the Trace contract: mutating the
@@ -111,6 +114,9 @@ func TestMemSinkChunkBoundaries(t *testing.T) {
 			t.Helper()
 			if got := m.TotalRecords(); got != want {
 				t.Errorf("n=%d %s: TotalRecords = %d, want %d", n, stage, got, want)
+			}
+			if got := m.Records("ds"); got != int64(want) {
+				t.Errorf("n=%d %s: Records = %d, want %d", n, stage, got, want)
 			}
 			trace := m.Trace("ds")
 			iterated, err := Collect(m.Iter("ds"))
@@ -181,6 +187,9 @@ func TestMapSource(t *testing.T) {
 	}
 	if recs, _ := Collect(src.Iter("missing")); recs != nil {
 		t.Errorf("missing dataset iterated %d records", len(recs))
+	}
+	if src.Records("a") != 2 || src.Records("missing") != 0 {
+		t.Errorf("Records: a %d, missing %d", src.Records("a"), src.Records("missing"))
 	}
 }
 

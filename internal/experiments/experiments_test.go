@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -236,6 +237,86 @@ func TestDatasetNamesOrder(t *testing.T) {
 	for i := range names {
 		if names[i] != want[i] {
 			t.Errorf("order mismatch at %d: %s vs %s", i, names[i], want[i])
+		}
+	}
+}
+
+// countingSource counts the scans Iter opens per dataset.
+type countingSource struct {
+	capture.TraceSource
+	mu    sync.Mutex
+	scans map[string]int
+}
+
+func (s *countingSource) Iter(name string) capture.Iterator {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.scans[name]++
+	return s.TraceSource.Iter(name)
+}
+
+// countScans builds a harness whose source counts its scans.
+func countScans(t *testing.T, parallelism int) (*Harness, *countingSource) {
+	in := buildInput(t)
+	src := &countingSource{TraceSource: in.Source, scans: make(map[string]int)}
+	in.Source = src
+	in.Parallelism = parallelism
+	return New(in), src
+}
+
+// TestCensusScansEachDatasetOnce pins the census: Tables I and II,
+// Fig 4, the localization server set and every ping campaign read one
+// scan of each dataset, whatever the pool size.
+func TestCensusScansEachDatasetOnce(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		h, src := countScans(t, parallelism)
+		if _, err := h.TableI(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.TableII(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Fig04FlowSizes(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Geolocate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range h.DatasetNames() {
+			if _, err := h.campaign(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range topology.DatasetNames() {
+			if got := src.scans[name]; got != 1 {
+				t.Errorf("parallelism %d: %s scanned %d times, want 1", parallelism, name, got)
+			}
+		}
+	}
+}
+
+// TestSuiteScanCounts pins how many scans the whole suite opens per
+// dataset: the census, the preferred-DC and per-video passes, the
+// start-ordered Google subset (one copy in memory), and the figures'
+// own passes, most of them on EU1-ADSL.
+func TestSuiteScanCounts(t *testing.T) {
+	h, src := countScans(t, 2)
+	if err := h.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RunAll(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{
+		topology.DatasetUSCampus:  6,
+		topology.DatasetEU1Campus: 5,
+		topology.DatasetEU1ADSL:   11,
+		topology.DatasetEU1FTTH:   5,
+		topology.DatasetEU2:       6,
+	}
+	for name, n := range want {
+		if got := src.scans[name]; got != n {
+			t.Errorf("%s scanned %d times, want %d", name, got, n)
 		}
 	}
 }

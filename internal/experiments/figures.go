@@ -102,36 +102,20 @@ func (r *Fig03Result) Render() string {
 
 // Fig04Result is the per-dataset CDF of flow sizes.
 type Fig04Result struct {
-	Sizes map[string]*stats.CDF
-	// ControlFrac is the fraction of flows under the 1000-byte kink.
-	ControlFrac map[string]float64
+	Sizes map[string]analysis.FlowSizes
 }
 
-// Fig04FlowSizes computes flow-size distributions, building each CDF
-// from a single streaming pass over the trace.
+// Fig04FlowSizes reads each dataset's flow-size distribution from its
+// census.
 func (h *Harness) Fig04FlowSizes() (*Fig04Result, error) {
-	res := &Fig04Result{Sizes: make(map[string]*stats.CDF), ControlFrac: make(map[string]float64)}
-	for _, name := range h.DatasetNames() {
-		cdf := &stats.CDF{}
-		small := 0
-		it := h.iter(name)
-		for {
-			r, ok := it.Next()
-			if !ok {
-				break
-			}
-			cdf.Add(float64(r.Bytes))
-			if r.Bytes < analysis.VideoFlowThreshold {
-				small++
-			}
-		}
-		if err := it.Err(); err != nil {
-			return nil, fmt.Errorf("experiments: scanning %s: %w", name, err)
-		}
-		res.Sizes[name] = cdf
-		if cdf.Len() > 0 {
-			res.ControlFrac[name] = float64(small) / float64(cdf.Len())
-		}
+	names := h.DatasetNames()
+	cs, err := h.censuses(names)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig04Result{Sizes: make(map[string]analysis.FlowSizes)}
+	for i, name := range names {
+		res.Sizes[name] = cs[i].sizes
 	}
 	return res, nil
 }
@@ -141,12 +125,14 @@ func (r *Fig04Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "FIG 4: CDF OF YOUTUBE FLOW SIZES (bytes)\n")
 	for _, name := range topology.DatasetNames() {
-		cdf, ok := r.Sizes[name]
-		if !ok || cdf.Len() == 0 {
+		fs, ok := r.Sizes[name]
+		if !ok || fs.Flows == 0 {
 			continue
 		}
+		n := float64(fs.Flows)
 		fmt.Fprintf(&b, "%-12s control(<1kB)=%5.1f%% F(10k)=%.2f F(1M)=%.2f F(10M)=%.2f median=%.2gB\n",
-			name, r.ControlFrac[name]*100, cdf.At(1e4), cdf.At(1e6), cdf.At(1e7), cdf.Median())
+			name, float64(fs.Control)/n*100, float64(fs.AtMost[0])/n, float64(fs.AtMost[1])/n,
+			float64(fs.AtMost[2])/n, float64(fs.Median))
 	}
 	return b.String()
 }

@@ -3,25 +3,31 @@
 // method on Harness returning a result struct with the numbers the
 // paper plots; render.go turns them into paper-style text output.
 //
-// The harness caches the expensive shared artifacts — ping campaigns,
-// CBG calibration and per-server geolocation, per-dataset
-// sessionization — so the full suite runs each step once. It is safe
-// for concurrent use: each artifact is guarded by a sync.Once (or a
-// per-dataset once cell), and the embarrassingly parallel stages — CBG
-// localization of every server, the per-VP ping campaigns, the five
-// per-dataset analysis pipelines — fan out across a bounded worker
-// pool sized by Input.Parallelism. Because all measurement noise comes
-// from order-independent forked RNG streams, a parallel run is
-// bit-identical to a sequential one at the same seed.
+// The harness caches the expensive shared artifacts — each dataset's
+// census, ping campaigns, CBG calibration and per-server geolocation,
+// per-dataset sessionization — so the full suite runs each step once.
+// The census is one scan of a dataset's trace (an analysis.Census):
+// Tables I–II, Fig 4, the server set that localization and the ping
+// campaign start from, and the §IV Google server set all read it. It
+// is safe for concurrent use: each artifact is guarded by a sync.Once
+// (or a per-dataset once cell), and the embarrassingly parallel stages
+// — the per-dataset censuses, CBG localization of every server, the
+// per-VP ping campaigns, the five per-dataset analysis pipelines — fan
+// out across a bounded worker pool sized by Input.Parallelism. Because
+// all measurement noise comes from order-independent forked RNG
+// streams, and results merge in dataset or address order, a parallel
+// run is bit-identical to a sequential one at the same seed.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/analysis"
+	"github.com/ytcdn-sim/ytcdn/internal/asdb"
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/content"
 	"github.com/ytcdn-sim/ytcdn/internal/core"
@@ -77,10 +83,6 @@ type Harness struct {
 	prober *probe.Prober
 
 	// Lazily computed shared state, each guarded by its own once.
-	serversOnce sync.Once
-	serversErr  error
-	allServers  []ipnet.Addr
-
 	geoOnce   sync.Once
 	geoErr    error
 	cbg       *geoloc.CBG
@@ -110,10 +112,11 @@ func (c *cell[T]) do(compute func() (T, error)) (T, error) {
 	return c.val, c.err
 }
 
-// datasetCells holds one dataset's once-cells: its vantage point's
-// ping campaign, its analysis artifacts, and its start-ordered Google
-// stream factory.
+// datasetCells holds one dataset's once-cells: its census, its vantage
+// point's ping campaign, its analysis artifacts, and its start-ordered
+// Google stream factory.
 type datasetCells struct {
+	census   cell[*traceCensus]
 	campaign cell[map[ipnet.Addr]float64]
 	dataset  cell[*dataset]
 	starts   cell[func() capture.Iterator]
@@ -131,19 +134,31 @@ func (h *Harness) cells(name string) *datasetCells {
 	return c
 }
 
-// dataset caches per-trace analysis artifacts. No flow slice is
+// traceCensus is what the harness keeps of one dataset's census: the
+// Table I, Table II and Fig 4 results and two sorted server sets. The
+// census's maps and kept flow sizes are dropped once these are read,
+// so what survives is bounded by the distinct-server set.
+type traceCensus struct {
+	summary   analysis.TraceSummary
+	breakdown analysis.ASBreakdown
+	sizes     analysis.FlowSizes
+	// servers is every distinct server of the trace; google is the
+	// §IV Google-AS subset of it (Table III and the DC map).
+	servers []ipnet.Addr
+	google  []ipnet.Addr
+}
+
+// dataset caches the per-trace analysis artifacts that need the
+// census, the CBG locations and the ping campaign. No flow slice is
 // retained — not even the §IV Google-AS subset: every figure streams
 // the records it needs through googleIter/videoIter (and the
 // sessionizing figures through StreamSessions or SessionTalliesIter
 // over a start-ordered stream), so what survives here is bounded by
 // the distinct-server and distinct-video sets, never the trace size.
 type dataset struct {
-	vp *topology.VantagePoint
-	// googleServers is the sorted distinct server set of the §IV
-	// Google-filtered trace (Table III).
-	googleServers []ipnet.Addr
-	dcmap         *analysis.DCMap
-	pref          analysis.PreferredResult
+	vp    *topology.VantagePoint
+	dcmap *analysis.DCMap
+	pref  analysis.PreferredResult
 	// tally aggregates the T=1s sessions (Fig 6 histogram, Fig 10
 	// breakdown) without materializing them.
 	tally *analysis.SessionTally
@@ -239,71 +254,78 @@ func (h *Harness) googleStartSource(name string) (func() capture.Iterator, error
 	})
 }
 
-// servers returns the sorted union of distinct server addresses across
-// all traces, streaming each trace once.
-func (h *Harness) servers() ([]ipnet.Addr, error) {
-	h.serversOnce.Do(func() {
-		seen := make(map[ipnet.Addr]struct{})
-		for _, name := range h.in.Source.Datasets() {
-			it := h.iter(name)
-			for {
-				r, ok := it.Next()
-				if !ok {
-					break
-				}
-				seen[r.Server] = struct{}{}
-			}
-			if err := it.Err(); err != nil {
-				h.serversErr = fmt.Errorf("experiments: scanning %s: %w", name, err)
-				return
-			}
+// census returns (computing on first use) one dataset's census, from a
+// single scan of its trace. A name without a vantage point has no
+// "Same AS" bucket; only its server set is read.
+func (h *Harness) census(name string) (*traceCensus, error) {
+	return h.cells(name).census.do(func() (*traceCensus, error) {
+		defer h.phase("analysis")()
+		var clientAS asdb.ASN
+		if idx := h.in.World.VPIndex(name); idx >= 0 {
+			clientAS = h.in.World.VantagePoints[idx].AS.Number
 		}
-		out := make([]ipnet.Addr, 0, len(seen))
-		for a := range seen {
-			out = append(out, a)
+		c := analysis.NewCensus(h.in.World.Registry, clientAS, int(h.in.Source.Records(name)))
+		it := h.iter(name)
+		for {
+			r, ok := it.Next()
+			if !ok {
+				break
+			}
+			c.Add(r)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		h.allServers = out
+		if err := it.Err(); err != nil {
+			return nil, fmt.Errorf("experiments: scanning %s: %w", name, err)
+		}
+		return &traceCensus{
+			summary:   c.Summary(),
+			breakdown: c.Breakdown(),
+			sizes:     c.FlowSizes(),
+			servers:   c.Servers(),
+			google:    c.GoogleServers(),
+		}, nil
 	})
-	return h.allServers, h.serversErr
+}
+
+// censuses returns the censuses of the named datasets, in order,
+// computing the missing ones across the worker pool. It returns the
+// first error in name order.
+func (h *Harness) censuses(names []string) ([]*traceCensus, error) {
+	out := make([]*traceCensus, len(names))
+	errs := make([]error, len(names))
+	par.ForEach(len(names), h.par, func(i int) {
+		out[i], errs[i] = h.census(names[i])
+	})
+	return out, par.FirstError(errs)
+}
+
+// servers returns the sorted union of distinct server addresses across
+// every trace of the source.
+func (h *Harness) servers() ([]ipnet.Addr, error) {
+	cs, err := h.censuses(h.in.Source.Datasets())
+	if err != nil {
+		return nil, err
+	}
+	var out []ipnet.Addr
+	for _, c := range cs {
+		out = append(out, c.servers...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // campaign returns (caching) the per-server min-RTT ping results from
-// one vantage point, in milliseconds. The per-target probes fan out
-// across the worker pool; per-pair RNG forking keeps the results
-// bit-identical at any pool size.
+// one vantage point to every server of its trace, in milliseconds. The
+// per-target probes fan out across the worker pool; per-pair RNG
+// forking keeps the results bit-identical at any pool size.
 func (h *Harness) campaign(vpName string) (map[ipnet.Addr]float64, error) {
 	return h.cells(vpName).campaign.do(func() (map[ipnet.Addr]float64, error) {
-		defer h.phase("probing")()
-		targets, err := h.datasetServers(vpName)
+		c, err := h.census(vpName)
 		if err != nil {
 			return nil, err
 		}
-		return h.prober.CampaignFromVP(vpName, targets, 10, h.par)
+		defer h.phase("probing")()
+		return h.prober.CampaignFromVP(vpName, c.servers, 10, h.par)
 	})
-}
-
-// datasetServers returns the sorted distinct servers of one trace,
-// streaming it once.
-func (h *Harness) datasetServers(vpName string) ([]ipnet.Addr, error) {
-	seen := make(map[ipnet.Addr]struct{})
-	it := h.iter(vpName)
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		seen[r.Server] = struct{}{}
-	}
-	if err := it.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: scanning %s: %w", vpName, err)
-	}
-	out := make([]ipnet.Addr, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // Geolocate runs the full CBG pipeline once: calibrate bestlines on
@@ -333,6 +355,13 @@ func (h *Harness) Geolocate() (map[ipnet.Addr]geoloc.Region, error) {
 // it must be treated as read-only.
 func (h *Harness) geolocate() (map[ipnet.Addr]geoloc.Region, error) {
 	h.geoOnce.Do(func() {
+		// The server set comes first, so that the localization phase
+		// times CBG alone.
+		servers, err := h.servers()
+		if err != nil {
+			h.geoErr = err
+			return
+		}
 		defer h.phase("localization")()
 		lms := h.prober.LandmarkInfos()
 		cross := h.prober.CrossRTTMatrix(5, h.par)
@@ -343,11 +372,6 @@ func (h *Harness) geolocate() (map[ipnet.Addr]geoloc.Region, error) {
 		}
 		h.cbg = cbg
 
-		servers, err := h.servers()
-		if err != nil {
-			h.geoErr = err
-			return
-		}
 		located := make([]bool, len(servers))
 		results := make([]geoloc.Region, len(servers))
 		par.ForEach(len(servers), h.par, func(i int) {
@@ -406,8 +430,8 @@ func (h *Harness) Dataset(name string) (*dataset, error) {
 	return h.cells(name).dataset.do(func() (*dataset, error) { return h.buildDataset(name) })
 }
 
-// buildDataset computes one dataset's artifacts in a handful of
-// streaming passes; nothing trace-sized is retained.
+// buildDataset computes one dataset's artifacts from its census and a
+// handful of streaming passes; nothing trace-sized is retained.
 func (h *Harness) buildDataset(name string) (*dataset, error) {
 	defer h.phase("analysis")()
 	idx := h.in.World.VPIndex(name)
@@ -423,33 +447,19 @@ func (h *Harness) buildDataset(name string) (*dataset, error) {
 		return nil, err
 	}
 
-	// Pass 1: the distinct Google servers and their CBG locations.
-	// Cluster only this dataset's servers (the paper clusters what each
-	// trace saw; /24 aggregation is implicit).
-	seen := make(map[ipnet.Addr]struct{})
+	// The §IV Google servers and their CBG locations. Cluster only this
+	// dataset's servers (the paper clusters what each trace saw; /24
+	// aggregation is implicit).
+	c, err := h.census(name)
+	if err != nil {
+		return nil, err
+	}
 	dsLocs := make(map[ipnet.Addr]geo.Point)
-	it := h.googleIter(name)
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		if _, dup := seen[r.Server]; dup {
-			continue
-		}
-		seen[r.Server] = struct{}{}
-		if loc, ok := locs[r.Server]; ok {
-			dsLocs[r.Server] = loc
+	for _, a := range c.google {
+		if loc, ok := locs[a]; ok {
+			dsLocs[a] = loc
 		}
 	}
-	if err := it.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: scanning %s: %w", name, err)
-	}
-	servers := make([]ipnet.Addr, 0, len(seen))
-	for a := range seen {
-		servers = append(servers, a)
-	}
-	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
 	dcmap := analysis.BuildDCMap(dsLocs, 100)
 
 	rtts, err := h.campaign(name)
@@ -457,13 +467,13 @@ func (h *Harness) buildDataset(name string) (*dataset, error) {
 		return nil, err
 	}
 
-	// Pass 2: the preferred data center, from the video subset.
+	// Pass 1: the preferred data center, from the video subset.
 	pref, err := analysis.FindPreferredIter(h.videoIter(name), dcmap, rtts, vp.City.Point)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scanning %s: %w", name, err)
 	}
 
-	// Pass 3: T=1s sessions, streamed in start order and tallied on the
+	// Pass 2: T=1s sessions, streamed in start order and tallied on the
 	// fly — the sessions themselves never exist as a slice.
 	googleStart, err := h.googleStartSource(name)
 	if err != nil {
@@ -477,7 +487,7 @@ func (h *Harness) buildDataset(name string) (*dataset, error) {
 		return nil, fmt.Errorf("experiments: sessionizing %s: %w", name, err)
 	}
 
-	// Pass 4: per-video non-preferred accounting.
+	// Pass 3: per-video non-preferred accounting.
 	nonPrefVideos, err := analysis.NonPreferredPerVideoIter(h.videoIter(name), dcmap, pref.Preferred)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scanning %s: %w", name, err)
@@ -485,7 +495,6 @@ func (h *Harness) buildDataset(name string) (*dataset, error) {
 
 	return &dataset{
 		vp:            vp,
-		googleServers: servers,
 		dcmap:         dcmap,
 		pref:          pref,
 		tally:         tally,

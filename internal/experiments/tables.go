@@ -21,15 +21,17 @@ type TableIResult struct {
 	Rows []TableIRow
 }
 
-// TableI computes the traffic summary of every dataset, streaming
-// each trace once.
+// TableI computes the traffic summary of every dataset from its
+// census.
 func (h *Harness) TableI() (*TableIResult, error) {
+	names := h.DatasetNames()
+	cs, err := h.censuses(names)
+	if err != nil {
+		return nil, err
+	}
 	res := &TableIResult{}
-	for _, name := range h.DatasetNames() {
-		s, err := analysis.SummarizeIter(h.iter(name))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scanning %s: %w", name, err)
-		}
+	for i, name := range names {
+		s := cs[i].summary
 		res.Rows = append(res.Rows, TableIRow{
 			Dataset: name,
 			Flows:   s.Flows,
@@ -64,17 +66,16 @@ type TableIIResult struct {
 }
 
 // TableII computes the whois-based AS attribution of servers and
-// bytes, streaming each trace once.
+// bytes from each dataset's census.
 func (h *Harness) TableII() (*TableIIResult, error) {
+	names := h.DatasetNames()
+	cs, err := h.censuses(names)
+	if err != nil {
+		return nil, err
+	}
 	res := &TableIIResult{}
-	for _, name := range h.DatasetNames() {
-		idx := h.in.World.VPIndex(name)
-		vp := h.in.World.VantagePoints[idx]
-		bd, err := analysis.BreakdownByASIter(h.iter(name), h.in.World.Registry, vp.AS.Number)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scanning %s: %w", name, err)
-		}
-		res.Rows = append(res.Rows, TableIIRow{Dataset: name, Breakdown: bd})
+	for i, name := range names {
+		res.Rows = append(res.Rows, TableIIRow{Dataset: name, Breakdown: cs[i].breakdown})
 	}
 	return res, nil
 }
@@ -115,13 +116,14 @@ func (h *Harness) TableIII() (*TableIIIResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	names := h.DatasetNames()
+	cs, err := h.censuses(names)
+	if err != nil {
+		return nil, err
+	}
 	res := &TableIIIResult{}
-	for _, name := range h.DatasetNames() {
-		ds, err := h.Dataset(name)
-		if err != nil {
-			return nil, err
-		}
-		counts := analysis.CountAddrsByContinent(ds.googleServers, locs)
+	for i, name := range names {
+		counts := analysis.CountAddrsByContinent(cs[i].google, locs)
 		res.Rows = append(res.Rows, TableIIIRow{Dataset: name, Counts: counts})
 	}
 	return res, nil

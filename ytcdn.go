@@ -454,6 +454,9 @@ func (s allDatasetsSource) Datasets() []string {
 // iterator.
 func (s allDatasetsSource) Iter(dataset string) capture.Iterator { return s.inner.Iter(dataset) }
 
+// Records forwards the source's record count.
+func (s allDatasetsSource) Records(dataset string) int64 { return s.inner.Records(dataset) }
+
 // storeSource is a store-backed study's source. It adds the store's
 // start-ordered scan, the bounded-memory capability the streaming
 // sessionizer keys on.
