@@ -307,62 +307,127 @@ func (m *MemSink) TotalRecords() int {
 
 var _ Sink = (*MemSink)(nil)
 
+// writerBatch is the number of records a WriterSink hands its encoder
+// at once. A batch entry is 64 bytes, so each of the sink's two batch
+// buffers is 256 KiB.
+const writerBatch = 4096
+
+// sinkEntry is one record waiting in a WriterSink batch.
+type sinkEntry struct {
+	dataset string
+	rec     FlowRecord
+}
+
 // WriterSink streams records as TSV lines, one file per study (the
-// dataset name is the first column). It buffers internally; call Flush
-// before reading the output. WriterSink is safe for concurrent use —
-// each record is written as one atomic line, so a sink shared by
-// concurrent studies (RunMany with a common ExtraSink) produces an
-// interleaved but well-formed stream.
+// dataset name is the first column). Record only queues the record in
+// a batch; a full batch of writerBatch records is encoded and written
+// on a goroutine of its own while the caller goes on simulating. At
+// most one batch is in flight, and its goroutine exits once the batch
+// is written, so it needs no shutdown. Call Flush before reading the
+// output: it waits for the batch in flight and writes the rest.
+//
+// WriterSink is safe for concurrent use. Every line is whole and lines
+// are written in Record order, so a sink shared by concurrent studies
+// (RunMany with a common ExtraSink) produces an interleaved but
+// well-formed stream.
 type WriterSink struct {
 	mu sync.Mutex
+	// batch holds the records queued since the last handoff.
 	// guarded by mu
+	batch []sinkEntry
+	// spare is the other batch buffer, the one in flight while a batch
+	// is being encoded.
+	// guarded by mu
+	spare []sinkEntry
+	// encoding counts the batches in flight: zero or one.
+	encoding sync.WaitGroup
+
+	// w, line and err belong to the goroutine encoding a batch until
+	// it is done, and to the holder of mu otherwise: the encoder never
+	// takes mu, and the holder of mu waits on encoding before it
+	// touches them.
 	w *bufio.Writer
 	// line is the reused encode buffer of one TSV line.
-	// guarded by mu
 	line []byte
 	// err is sticky: the first write failure wins.
-	// guarded by mu
 	err error
 }
 
 // NewWriterSink wraps w.
 func NewWriterSink(w io.Writer) *WriterSink {
-	return &WriterSink{w: bufio.NewWriterSize(w, 1<<20)}
+	return &WriterSink{
+		w:     bufio.NewWriterSize(w, 1<<20),
+		batch: make([]sinkEntry, 0, writerBatch),
+		spare: make([]sinkEntry, 0, writerBatch),
+	}
 }
 
-// Record implements Sink. Errors are sticky and surfaced by Flush.
-// The line is encoded into a buffer the sink reuses, so a record costs
-// no allocation; ParseLine reads it back.
+// Record implements Sink. Errors are sticky and surfaced by Flush; once
+// a write has failed, later batches are dropped unencoded. A record
+// costs no allocation; a full batch costs one, the goroutine that
+// encodes it. ParseLine reads a line back.
 func (ws *WriterSink) Record(dataset string, rec FlowRecord) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
+	ws.batch = append(ws.batch, sinkEntry{dataset: dataset, rec: rec})
+	if len(ws.batch) < writerBatch {
+		return
+	}
+	ws.encoding.Wait()
+	full := ws.batch
+	ws.batch, ws.spare = ws.spare[:0], full
 	if ws.err != nil {
 		return
 	}
-	b := append(ws.line[:0], dataset...)
-	b = append(b, '\t')
-	b = rec.Client.AppendTo(b)
-	b = append(b, '\t')
-	b = rec.Server.AppendTo(b)
-	b = append(b, '\t')
-	b = strconv.AppendInt(b, rec.Start.Microseconds(), 10)
-	b = append(b, '\t')
-	b = strconv.AppendInt(b, rec.End.Microseconds(), 10)
-	b = append(b, '\t')
-	b = strconv.AppendInt(b, rec.Bytes, 10)
-	b = append(b, '\t')
-	b = append(b, rec.VideoID[:]...)
-	b = append(b, '\t')
-	b = append(b, rec.Resolution.String()...)
-	b = append(b, '\n')
-	ws.line = b
-	_, ws.err = ws.w.Write(b)
+	ws.encoding.Add(1)
+	go ws.encode(full)
 }
 
-// Flush drains the buffer and returns any write error.
+// encode is the encoder goroutine: it writes one batch and exits.
+func (ws *WriterSink) encode(batch []sinkEntry) {
+	defer ws.encoding.Done()
+	ws.write(batch)
+}
+
+// write encodes batch as TSV lines into w, stopping at the first write
+// error. The caller owns w, line and err (see WriterSink).
+func (ws *WriterSink) write(batch []sinkEntry) {
+	b := ws.line
+	for i := range batch {
+		if ws.err != nil {
+			break
+		}
+		e := &batch[i]
+		b = append(b[:0], e.dataset...)
+		b = append(b, '\t')
+		b = e.rec.Client.AppendTo(b)
+		b = append(b, '\t')
+		b = e.rec.Server.AppendTo(b)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, e.rec.Start.Microseconds(), 10)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, e.rec.End.Microseconds(), 10)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, e.rec.Bytes, 10)
+		b = append(b, '\t')
+		b = append(b, e.rec.VideoID[:]...)
+		b = append(b, '\t')
+		b = append(b, e.rec.Resolution.String()...)
+		b = append(b, '\n')
+		_, ws.err = ws.w.Write(b)
+	}
+	ws.line = b
+}
+
+// Flush waits for the batch in flight, writes the queued records,
+// drains the buffer and returns any write error. Recording may go on
+// after it.
 func (ws *WriterSink) Flush() error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
+	ws.encoding.Wait()
+	ws.write(ws.batch)
+	ws.batch = ws.batch[:0]
 	if ws.err != nil {
 		return ws.err
 	}

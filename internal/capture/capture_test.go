@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -231,6 +232,138 @@ func TestWriterSinkStickyError(t *testing.T) {
 	}
 	if err := ws.Flush(); err == nil {
 		t.Error("Flush must surface the write error")
+	}
+}
+
+// handoffRecord is the i-th record of the WriterSink handoff tests:
+// its fields count up, so each line is distinct and a line out of place
+// shows.
+func handoffRecord(i int) FlowRecord {
+	rec := sampleRecord()
+	rec.Client += ipnet.Addr(i)
+	rec.Start = time.Duration(i) * time.Microsecond
+	rec.End = rec.Start + time.Duration(i%977)*time.Millisecond
+	rec.Bytes = int64(i) * 1013
+	rec.Resolution = resolutions[i%len(resolutions)]
+	return rec
+}
+
+// handoffDatasets are the dataset names the handoff tests cycle
+// through.
+var handoffDatasets = []string{"US-Campus", "EU1-ADSL", "EU2"}
+
+// recordHandoff records records [from, to) of the handoff sequence into
+// ws and appends their reference lines to want.
+func recordHandoff(ws *WriterSink, want *strings.Builder, from, to int) {
+	for i := from; i < to; i++ {
+		ds, rec := handoffDatasets[i%len(handoffDatasets)], handoffRecord(i)
+		ws.Record(ds, rec)
+		want.WriteString(referenceLine(ds, rec))
+	}
+}
+
+// TestWriterSinkBatchBoundaries records counts on each side of the
+// batch size, through zero, one and two handoffs to the encoder, then
+// as many again after a Flush. After each Flush the output must equal
+// the fmt reference, line for line in Record order.
+func TestWriterSinkBatchBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, writerBatch - 1, writerBatch, writerBatch + 1, 2*writerBatch + 17} {
+		var buf, want strings.Builder
+		ws := NewWriterSink(&buf)
+		for flush, from := range []int{0, n} {
+			recordHandoff(ws, &want, from, from+n)
+			if err := ws.Flush(); err != nil {
+				t.Fatalf("n=%d, Flush %d: %v", n, flush+1, err)
+			}
+			if buf.String() != want.String() {
+				t.Fatalf("n=%d, Flush %d: output (%d bytes) differs from the reference (%d bytes)",
+					n, flush+1, buf.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// limitWriter takes the first limit bytes written to it, then fails.
+type limitWriter struct {
+	buf   bytes.Buffer
+	limit int
+}
+
+func (l *limitWriter) Write(p []byte) (int, error) {
+	if room := l.limit - l.buf.Len(); len(p) > room {
+		l.buf.Write(p[:room])
+		return room, errWrite
+	}
+	return l.buf.Write(p)
+}
+
+// TestWriterSinkFailsMidBatch gives the sink a writer that fails
+// partway through a batch on the encoder goroutine: the sink's 1 MiB
+// buffer first drains at record 14,671, in the middle of the fourth
+// batch, and the writer takes only part of it. Flush must return the error, every
+// later Flush too, and what reached the writer must be a prefix of the
+// reference.
+func TestWriterSinkFailsMidBatch(t *testing.T) {
+	lw := &limitWriter{limit: 700_000}
+	var want strings.Builder
+	ws := NewWriterSink(lw)
+	recordHandoff(ws, &want, 0, 5*writerBatch+17)
+	if want.Len() <= 1<<20 {
+		t.Fatalf("the reference is %d bytes; the test needs more than the sink's 1 MiB buffer", want.Len())
+	}
+	if err := ws.Flush(); err != errWrite {
+		t.Fatalf("Flush = %v, want the write error", err)
+	}
+	recordHandoff(ws, &want, 5*writerBatch+17, 6*writerBatch)
+	if err := ws.Flush(); err != errWrite {
+		t.Fatalf("second Flush = %v, want the write error", err)
+	}
+	if got := lw.buf.String(); len(got) != lw.limit || !strings.HasPrefix(want.String(), got) {
+		t.Fatalf("the writer got %d bytes; want the reference's first %d", len(got), lw.limit)
+	}
+}
+
+// TestWriterSinkConcurrentRecorders records from four goroutines into
+// one sink, as RunMany's studies do with a shared ExtraSink. Every line
+// must parse whole, and each goroutine's records must appear in the
+// order it recorded them. Meaningful under -race.
+func TestWriterSinkConcurrentRecorders(t *testing.T) {
+	const goroutines, perGoroutine = 4, 3*writerBatch + 5
+	var buf bytes.Buffer
+	ws := NewWriterSink(&buf)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ds := fmt.Sprintf("g%d", g)
+			for i := 0; i < perGoroutine; i++ {
+				ws.Record(ds, handoffRecord(i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := ws.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	next := make(map[string]int)
+	for n, line := range strings.SplitAfter(buf.String(), "\n") {
+		if line == "" {
+			continue
+		}
+		ds, rec, err := ParseLine(line)
+		if err != nil {
+			t.Fatalf("line %d %q: %v", n+1, line, err)
+		}
+		if want := handoffRecord(next[ds]); rec != want {
+			t.Fatalf("line %d: %s's record %d out of order: got %+v, want %+v", n+1, ds, next[ds], rec, want)
+		}
+		next[ds]++
+	}
+	for g := 0; g < goroutines; g++ {
+		if ds := fmt.Sprintf("g%d", g); next[ds] != perGoroutine {
+			t.Errorf("%s: %d lines, want %d", ds, next[ds], perGoroutine)
+		}
 	}
 }
 

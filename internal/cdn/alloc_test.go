@@ -5,6 +5,7 @@ package cdn
 import (
 	"io"
 	"testing"
+	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/obs"
@@ -40,9 +41,12 @@ func TestQuirkPoolAllocs(t *testing.T) {
 // with Resolution.SizeBytes, begins its load accounting and schedules
 // its server's EndFlow closure, which the first flow at that server
 // built (endFlowAt); the engine step that runs it allocates nothing.
-// The sink is a WriterSink into io.Discard, which allocates nothing
-// per record (capture's TestRecordAllocs), so the counts are the
-// emission's own.
+// A follow-up (followUpAfter, then the engine steps that run its chain
+// and end its flow) takes its record from the simulator's free list,
+// which the warm-up run fills, and queues the record's fire method,
+// bound when the record was made. The sink is a WriterSink into
+// io.Discard, which averages no allocation per record (capture's
+// TestRecordAllocs), so the counts are the emission's own.
 func TestFlowEmissionAllocs(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	r.sim.Instrument(obs.NewRegistry())
@@ -61,6 +65,11 @@ func TestFlowEmissionAllocs(t *testing.T) {
 		{"emitVideo", 0, func() {
 			r.sim.emitVideo(vp, req, g, srv, r.eng.Now(), 1)
 			r.eng.Step()
+		}},
+		{"followUp", 0, func() {
+			r.sim.followUpAfter(time.Second, req, g)
+			for r.eng.Step() {
+			}
 		}},
 	} {
 		allocs := testing.AllocsPerRun(1000, c.run)

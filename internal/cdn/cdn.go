@@ -173,6 +173,9 @@ type Simulator struct {
 	// endFlow holds, per ServerID, the event that ends a video flow at
 	// that server, built on the server's first flow (see endFlowAt).
 	endFlow []func()
+	// freeFollowUps lists the follow-up records not in the queue (see
+	// followUpAfter).
+	freeFollowUps *followUp
 
 	sessions  int
 	flows     int
@@ -358,12 +361,45 @@ func (s *Simulator) SubmitSession(req Request) {
 	if g.Bool(s.cfg.FollowUpProb) {
 		gap := time.Duration(g.Uniform(float64(s.cfg.FollowUpGapMin), float64(s.cfg.FollowUpGapMax)))
 		if s.span <= 0 || s.eng.Now()+gap < s.span {
-			req := req
-			s.eng.ScheduleAfter(gap, func() {
-				s.runChain(req, g, s.eng.Now(), 0.3)
-			})
+			s.followUpAfter(gap, req, g)
 		}
 	}
+}
+
+// followUp is a pending user interaction of a session: a chain that
+// runs a gap after the session's first (see SubmitSession). Records
+// are reused through the simulator's free list, and each carries its
+// fire method bound once, so queuing a follow-up allocates nothing
+// once the list holds as many records as follow-ups ever pend at once.
+type followUp struct {
+	s    *Simulator
+	req  Request
+	g    *stats.RNG
+	fire func()
+	next *followUp // the free list's link
+}
+
+// followUpAfter queues a follow-up chain of req, drawing from g, gap
+// after the engine's current time.
+func (s *Simulator) followUpAfter(gap time.Duration, req Request, g *stats.RNG) {
+	f := s.freeFollowUps
+	if f == nil {
+		f = &followUp{s: s}
+		f.fire = f.run
+	} else {
+		s.freeFollowUps, f.next = f.next, nil
+	}
+	f.req, f.g = req, g
+	s.eng.ScheduleAfter(gap, f.fire)
+}
+
+// run executes the follow-up's chain, returning the record to the free
+// list first.
+func (f *followUp) run() {
+	s, req, g := f.s, f.req, f.g
+	f.req, f.g = Request{}, nil
+	f.next, s.freeFollowUps = s.freeFollowUps, f
+	s.runChain(req, g, s.eng.Now(), 0.3)
 }
 
 // runChain performs server selection (DNS resolution, or a candidate

@@ -69,23 +69,29 @@ func (z *Zipf) Exponent() float64 { return z.s }
 func (z *Zipf) Sample(g *RNG) int { return z.index(g.Float64()) }
 
 // index returns the smallest rank i with cdf[i] >= u, for u in [0, 1):
-// the index sort.SearchFloat64s(z.cdf, u) returns, found by a binary
-// search inside u's guide bucket.
+// the index sort.SearchFloat64s(z.cdf, u) returns. The answer lies in
+// u's guide bucket, between guide[k] and guide[k+1]. The search starts
+// where u's offset into the bucket interpolates to and steps to the
+// answer one rank at a time, which takes few steps where the CDF is
+// close to linear across a bucket: 0.40 steps a draw on average over
+// the paper catalog's 400,000 ranks at s = 0.8. A steep law makes the
+// last bucket span most ranks, so a draw there steps far: at s = 2.5
+// the average is 15 steps, where a binary search needs one or two.
 func (z *Zipf) index(u float64) int {
-	k := int(u * zipfGuideSize)
+	x := u * zipfGuideSize
+	k := int(x)
 	lo, hi := int(z.guide[k]), len(z.cdf)-1
 	if k+1 < zipfGuideSize {
 		hi = int(z.guide[k+1])
 	}
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if z.cdf[m] < u {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+	i := lo + int((x-float64(k))*float64(hi-lo))
+	for z.cdf[i] < u {
+		i++
 	}
-	return lo
+	for i > lo && z.cdf[i-1] >= u {
+		i--
+	}
+	return i
 }
 
 // ProbOfRank returns the probability mass of the given rank.

@@ -15,6 +15,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/cdn"
@@ -36,7 +37,10 @@ func DiurnalWeight(t time.Duration, peakHour, minFrac float64) float64 {
 	return minFrac + (1-minFrac)*bump
 }
 
-// bucket is one subnet's independent arrival stream.
+// bucket is one subnet's independent arrival stream. Its events are
+// chained: the bucket keeps at most two queued, its next hourly batch
+// and its next arrival, so the engine's queue holds what is due soon
+// rather than the whole capture window's batches.
 type bucket struct {
 	// subnet indexes the covered subnet in VantagePoint.Subnets.
 	subnet int
@@ -47,6 +51,18 @@ type bucket struct {
 	share float64
 	// clients is the subnet's client-pool size.
 	clients int
+
+	gen *Generator
+	// hour is the start of the bucket's current hourly batch.
+	hour time.Duration
+	// times holds the current hour's arrival times in order, and next
+	// indexes the one queued on the engine. The buffer is reused from
+	// hour to hour.
+	times []time.Duration
+	next  int
+	// batchEvent and arriveEvent are the bucket's emitHour and arrive,
+	// bound once by Schedule, so queuing either allocates nothing.
+	batchEvent, arriveEvent func()
 }
 
 // Generator produces the session stream of one vantage point over a
@@ -57,6 +73,10 @@ type Generator struct {
 	cat     *content.Catalog
 	span    time.Duration
 	buckets []bucket
+
+	// eng and submit are set by Schedule.
+	eng    *des.Engine
+	submit func(cdn.Request)
 
 	// Optional instruments (see Instrument); nil when metrics are off.
 	// The counted quantities (arrival draws, hour batches) fall out of
@@ -148,33 +168,29 @@ func (gen *Generator) request(b *bucket, t time.Duration) cdn.Request {
 	}
 }
 
-// Schedule installs hourly batch events on the engine, one per covered
-// subnet per hour; each batch draws its hour's Poisson arrival count
-// from the subnet's own stream and schedules the individual sessions
-// at uniform offsets. submit is invoked inside engine events.
+// Schedule installs the generator on the engine: one hourly batch per
+// covered subnet at t = 0, in subnet order. Each batch draws its hour's
+// Poisson arrival count and uniform offsets from the subnet's own
+// stream, queues the first of the hour's arrivals and the subnet's next
+// batch; each arrival queues the next before it submits its session.
+// submit is invoked inside engine events. Call Schedule once.
 func (gen *Generator) Schedule(eng *des.Engine, submit func(cdn.Request)) {
-	hours := int(gen.span / time.Hour)
-	if gen.span%time.Hour != 0 {
-		hours++
-	}
+	gen.eng, gen.submit = eng, submit
 	for i := range gen.buckets {
 		b := &gen.buckets[i]
-		// Every arrival of the bucket shares one event: its session
-		// starts at the engine's clock, the time emitHour scheduled it
-		// at, since emitHour never schedules into the past.
-		arrive := func() { submit(gen.request(b, eng.Now())) }
-		for h := 0; h < hours; h++ {
-			at := time.Duration(h) * time.Hour
-			eng.Schedule(at, func() {
-				gen.emitHour(eng, b, at, arrive)
-			})
-		}
+		b.gen = gen
+		b.batchEvent, b.arriveEvent = b.emitHour, b.arrive
+		eng.Schedule(0, b.batchEvent)
 	}
 }
 
-// emitHour schedules one hour's arrivals for one subnet bucket, each
-// at or after start, the engine's clock when the batch runs.
-func (gen *Generator) emitHour(eng *des.Engine, b *bucket, start time.Duration, arrive func()) {
+// emitHour runs the bucket's batch for the hour starting at b.hour, the
+// engine's clock: it draws the hour's arrival times, sorts them into
+// the bucket's buffer and queues the first one, then queues the next
+// hour's batch if it starts inside the span.
+func (b *bucket) emitHour() {
+	gen := b.gen
+	start := b.hour
 	width := time.Hour
 	if start+width > gen.span {
 		width = gen.span - start
@@ -185,7 +201,32 @@ func (gen *Generator) emitHour(eng *des.Engine, b *bucket, start time.Duration, 
 		gen.arrivals.Add(int64(n))
 		gen.batches.Inc()
 	}
+	b.times = b.times[:0]
 	for i := 0; i < n; i++ {
-		eng.Schedule(start+time.Duration(b.g.Float64()*float64(width)), arrive)
+		b.times = append(b.times, start+time.Duration(b.g.Float64()*float64(width)))
 	}
+	// Arrivals of one bucket at one instant are interchangeable, since
+	// each draws its request when it runs, so the sort need not be
+	// stable.
+	slices.Sort(b.times)
+	b.next = 0
+	if n > 0 {
+		gen.eng.Schedule(b.times[0], b.arriveEvent)
+	}
+	if b.hour = start + time.Hour; b.hour < gen.span {
+		gen.eng.Schedule(b.hour, b.batchEvent)
+	}
+}
+
+// arrive submits the session of the bucket's queued arrival, after
+// queuing the next one. Every arrival of an hour comes before the next
+// hour's batch reuses the buffer, since each is drawn inside its hour.
+func (b *bucket) arrive() {
+	gen := b.gen
+	if b.next++; b.next < len(b.times) {
+		gen.eng.Schedule(b.times[b.next], b.arriveEvent)
+	}
+	// The session starts at the engine's clock, the time it was queued
+	// at, since an arrival is never queued into the past.
+	gen.submit(gen.request(b, gen.eng.Now()))
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/obs"
 	"github.com/ytcdn-sim/ytcdn/internal/obs/obshttp"
 	"github.com/ytcdn-sim/ytcdn/internal/obs/profile"
@@ -235,10 +236,12 @@ func liveScrape(t *testing.T, store *StoreOptions) {
 // TestNoGoroutineOutlivesRun checks that every goroutine the program
 // starts is joined, on the code that actually runs: the /metrics
 // listener and the progress ticker of one registry, the RunMany
-// fan-out, and the harness's par.ForEach workers (CBG sweep, ping
+// fan-out, the harness's par.ForEach workers (CBG sweep, ping
 // campaigns, per-dataset pipelines) under a profiler at
-// Parallelism 4. Once the ticker is stopped and the server closed, the
-// goroutine count must fall back to where it started.
+// Parallelism 4, and the encoder goroutines of a capture.WriterSink
+// shared by RunMany's studies as their ExtraSink, once flushed and
+// once never flushed. Once the ticker is stopped and the server
+// closed, the goroutine count must fall back to where it started.
 func TestNoGoroutineOutlivesRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -281,6 +284,25 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 	for _, phase := range []string{"localization", "probing", "analysis"} {
 		if snap.Counters["wall.phase."+phase+".calls"] == 0 {
 			t.Errorf("phase %s never ran", phase)
+		}
+	}
+
+	// Each study here records about 7,000 flows, so the shared sink
+	// hands its encoder at least two 4096-record batches.
+	for _, flush := range []bool{true, false} {
+		ws := capture.NewWriterSink(io.Discard)
+		sinkOpts := Options{Scale: 0.01, Span: 2 * 24 * time.Hour, ExtraSink: ws}
+		studies, err := RunMany(Replicates(sinkOpts, 2), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flows := studies[0].TotalFlows() + studies[1].TotalFlows(); flows < 2*4096 {
+			t.Fatalf("the shared sink saw %d records, fewer than two batches", flows)
+		}
+		if flush {
+			if err := ws.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 

@@ -90,9 +90,11 @@ type Options struct {
 	// and small runs. Tables and figures are bit-identical either way.
 	Store *StoreOptions
 	// ExtraSink, when non-nil, additionally receives every flow record
-	// as it is emitted (e.g. a capture.WriterSink streaming to disk).
-	// One study records from a single goroutine; a sink shared by
-	// concurrent studies (RunMany) must be safe for concurrent use.
+	// as it is emitted (e.g. a capture.WriterSink streaming to disk,
+	// which encodes on a goroutine of its own beside the simulation;
+	// call its Flush after the run). One study records from a single
+	// goroutine; a sink shared by concurrent studies (RunMany) must be
+	// safe for concurrent use, as WriterSink is.
 	ExtraSink capture.Sink
 	// Parallelism bounds the worker pool of the analysis harness
 	// returned by Study.Experiments (per-server CBG geolocation, the
