@@ -57,6 +57,7 @@ func main() {
 	dbErr := &stats.CDF{}
 	radius := &stats.CDF{}
 
+	sweep := prober.LandmarkSweep()
 	step := len(w.Servers) / *nServers
 	if step < 1 {
 		step = 1
@@ -65,7 +66,7 @@ func main() {
 		srv := w.Servers[i]
 		truth := w.DC(srv.DC).City.Point
 
-		rtts, err := prober.LandmarkRTTs(srv.Addr, 3)
+		rtts, err := sweep.RTTs(srv.Addr, 3)
 		if err != nil {
 			continue
 		}

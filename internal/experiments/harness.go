@@ -372,10 +372,12 @@ func (h *Harness) geolocate() (map[ipnet.Addr]geoloc.Region, error) {
 		}
 		h.cbg = cbg
 
+		// The sweep's route table lives for this pass only.
+		sweep := h.prober.LandmarkSweep()
 		located := make([]bool, len(servers))
 		results := make([]geoloc.Region, len(servers))
 		par.ForEach(len(servers), h.par, func(i int) {
-			rtts, err := h.prober.LandmarkRTTs(servers[i], 3)
+			rtts, err := sweep.RTTs(servers[i], 3)
 			if err != nil {
 				return // unroutable servers drop out, as in real sweeps
 			}

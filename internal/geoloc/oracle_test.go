@@ -133,12 +133,13 @@ func checkMatchesReference(t *testing.T, name string, c *CBG, rtts []time.Durati
 // distance = 100 km/ms · RTT, so an RTT of r/100 ms is a disc of
 // radius r km exactly (the physical bound coincides with the line).
 func unitLineCBG(locs []geo.Point) *CBG {
-	c := &CBG{landmarks: make([]LandmarkInfo, len(locs)), lines: make([]Bestline, len(locs))}
+	lms := make([]LandmarkInfo, len(locs))
+	lines := make([]Bestline, len(locs))
 	for i, p := range locs {
-		c.landmarks[i] = LandmarkInfo{Name: fmt.Sprintf("lm%d", i), Loc: p}
-		c.lines[i] = Bestline{SlopeKmPerMs: maxSlopeKmPerMs}
+		lms[i] = LandmarkInfo{Name: fmt.Sprintf("lm%d", i), Loc: p}
+		lines[i] = Bestline{SlopeKmPerMs: maxSlopeKmPerMs}
 	}
-	return c
+	return newCBG(lms, lines)
 }
 
 // rttForRadius is the RTT a unitLineCBG landmark turns into a disc of
@@ -169,11 +170,13 @@ func randomPoint(g *stats.RNG) geo.Point {
 // are zero (unreachable landmarks).
 func randomScenario(g *stats.RNG) (*CBG, []time.Duration) {
 	n := 3 + g.Intn(22)
-	c := &CBG{landmarks: make([]LandmarkInfo, n), lines: make([]Bestline, n)}
-	for i := range c.landmarks {
-		c.landmarks[i] = LandmarkInfo{Name: fmt.Sprintf("lm%d", i), Loc: randomPoint(g)}
-		c.lines[i] = Bestline{SlopeKmPerMs: g.Uniform(1, maxSlopeKmPerMs), InterceptKm: g.Uniform(-300, 600)}
+	lms := make([]LandmarkInfo, n)
+	lines := make([]Bestline, n)
+	for i := range lms {
+		lms[i] = LandmarkInfo{Name: fmt.Sprintf("lm%d", i), Loc: randomPoint(g)}
+		lines[i] = Bestline{SlopeKmPerMs: g.Uniform(1, maxSlopeKmPerMs), InterceptKm: g.Uniform(-300, 600)}
 	}
+	c := newCBG(lms, lines)
 	target := randomPoint(g)
 	speed := g.Uniform(40, 120) // km per ms of RTT; above 100 underestimates
 	rtts := make([]time.Duration, n)
@@ -192,6 +195,135 @@ func randomScenario(g *stats.RNG) (*CBG, []time.Duration) {
 		rtts[i] = time.Duration(ms * float64(time.Millisecond))
 	}
 	return c, rtts
+}
+
+// paperScenario builds a geolocator shaped like the paper's: 215
+// landmarks (a quarter near a pole, a quarter near the antimeridian)
+// with bestline slopes of 40–100 km/ms and intercepts of −150 to
+// 100 km, and the RTT vector of a random target. Each RTT covers the
+// distance at 70–100% of the landmark's bestline speed, plus 0.2–3 ms.
+// Negative intercepts make some discs miss the target, so about half
+// the vectors need the relaxation loop, as in the paper suite.
+func paperScenario(g *stats.RNG) (*CBG, []time.Duration) {
+	const n = 215
+	lms := make([]LandmarkInfo, n)
+	lines := make([]Bestline, n)
+	for i := range lms {
+		lms[i] = LandmarkInfo{Name: fmt.Sprintf("lm%d", i), Loc: randomPoint(g)}
+		lines[i] = Bestline{SlopeKmPerMs: g.Uniform(40, maxSlopeKmPerMs), InterceptKm: g.Uniform(-150, 100)}
+	}
+	target := randomPoint(g)
+	rtts := make([]time.Duration, n)
+	for i := range rtts {
+		ms := geo.Distance(target, lms[i].Loc)/(lines[i].SlopeKmPerMs*g.Uniform(0.7, 1.0)) + g.Uniform(0.2, 3)
+		rtts[i] = time.Duration(ms * float64(time.Millisecond))
+	}
+	return newCBG(lms, lines), rtts
+}
+
+// straddleScenario builds discs on the edge of liveDiscs' second rule.
+// Disc 0 has a radius r0, log-uniform over 1–5000 km, at a random
+// centre c0. Each other landmark sits at a haversine distance sep from
+// c0 and gets the radius sep + r0·s + 1 km + u, with u uniform in
+// ±2 km, divided by s. At slack s it therefore reaches 1 km ± 2 km past
+// disc 0, so the rule keeps some discs and drops others that reach
+// past it by barely more than the margin; one on c0 with u < −1 km
+// becomes disc 0 instead. s is 1 half the time and another slack
+// otherwise. Some landmarks sit on c0, or within a metre of it, where
+// acos of the dot product is least accurate, and some near its
+// antipode.
+func straddleScenario(g *stats.RNG) (*CBG, []time.Duration) {
+	c0 := randomPoint(g)
+	r0 := math.Exp(g.Uniform(0, math.Log(5000)))
+	slack := 1.0
+	if g.Bool(0.5) {
+		slack = slacks[g.Intn(len(slacks))]
+	}
+	locs := []geo.Point{c0}
+	radii := []float64{r0}
+	for k := 1 + g.Intn(30); k > 0; k-- {
+		var ci geo.Point
+		switch j := g.Intn(10); {
+		case j < 1:
+			ci = c0
+		case j < 2:
+			ci = geo.Destination(c0, g.Uniform(0, 360), g.Uniform(0, 1e-3))
+		case j < 3:
+			ci = geo.Point{Lat: -c0.Lat + g.Uniform(-0.5, 0.5), Lon: c0.Lon + 180 + g.Uniform(-0.5, 0.5)}
+		default:
+			ci = geo.Destination(c0, g.Uniform(0, 360), g.Uniform(0, 15000))
+		}
+		sep := geo.Distance(c0, ci)
+		locs = append(locs, ci)
+		radii = append(radii, (sep+r0*slack+pruneMarginKm+g.Uniform(-2, 2))/slack)
+	}
+	c := unitLineCBG(locs)
+	rtts := make([]time.Duration, len(radii))
+	for i, r := range radii {
+		rtts[i] = rttForRadius(r)
+	}
+	return c, rtts
+}
+
+// TestLocateMatchesReferencePruning holds the disc pruning to the
+// haversine grid, bit for bit, on paper-shaped vectors and on discs
+// that straddle the pruning margin.
+func TestLocateMatchesReferencePruning(t *testing.T) {
+	vectors := 400
+	if testing.Short() {
+		vectors = 40
+	}
+	g := stats.NewRNG(14)
+	for k := 0; k < vectors; k++ {
+		c, rtts := paperScenario(g)
+		checkMatchesReference(t, fmt.Sprintf("paper %d", k), c, rtts)
+		c, rtts = straddleScenario(g)
+		checkMatchesReference(t, fmt.Sprintf("straddle %d", k), c, rtts)
+	}
+}
+
+// TestLiveDiscsPrunes pins the pruning itself, which the oracles
+// cannot see: a Locate that tests every disc returns the same Region.
+// Around a disc 0 of radius 500 km, discs that reach past it by more
+// than the margin and whole-sphere discs never reach the grid, at any
+// slack; discs that reach past it by less than the margin, and discs
+// whose limit is within the margin of πR, do.
+func TestLiveDiscsPrunes(t *testing.T) {
+	g := stats.NewRNG(15)
+	c0 := geo.Brussels.Point
+	locs := []geo.Point{c0}
+	radii := []float64{500}
+	for i := 0; i < 40; i++ {
+		ci := geo.Destination(c0, g.Uniform(0, 360), g.Uniform(0, 8000))
+		locs = append(locs, ci)
+		radii = append(radii, geo.Distance(c0, ci)+500+2*pruneMarginKm+g.Uniform(0, 3000))
+	}
+	locs = append(locs, geo.Sydney.Point, geo.London.Point)
+	radii = append(radii, 2.5*math.Pi*geo.EarthRadiusKm, 1.01*math.Pi*geo.EarthRadiusKm)
+	c := unitLineCBG(locs)
+	keys := make([]discKey, len(radii))
+	for i, r := range radii {
+		keys[i] = discKey{radius: r, lm: i}
+	}
+	c.tightestFirst(keys)
+	for _, slack := range slacks {
+		if live := c.liveDiscs(nil, keys, slack); len(live) != 1 || live[0].center != c0 {
+			t.Errorf("slack %v: %d discs reach the grid, want disc 0 alone", slack, len(live))
+		}
+	}
+
+	// Within the margin of disc 0, or with a limit too near πR, a
+	// disc stays.
+	near := geo.Destination(c0, 90, 1000)
+	sep := geo.Distance(c0, near)
+	for _, r := range []float64{sep + 500 + 0.5*pruneMarginKm, math.Pi*geo.EarthRadiusKm - 0.5*pruneMarginKm} {
+		c := unitLineCBG([]geo.Point{c0, near})
+		keys := []discKey{{radius: r, lm: 1}, {radius: 500, lm: 0}}
+		c.tightestFirst(keys)
+		if live := c.liveDiscs(nil, keys, 1); len(live) != 2 || live[0].center != c0 {
+			t.Errorf("radius %.1f km at %.1f km from disc 0: %d discs reach the grid, want 2", r, sep, len(live))
+		}
+	}
 }
 
 // TestLocateMatchesReference is the exactness oracle: over thousands of
@@ -313,6 +445,22 @@ func TestInAllMatchesHaversineAtBoundary(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLocatePaperMatchesReference searches for a paper-shaped vector,
+// or a set of discs straddling the pruning margin, on which the pruned
+// grid and the haversine grid disagree.
+func FuzzLocatePaperMatchesReference(f *testing.F) {
+	f.Add(int64(1))
+	f.Add(int64(20100904))
+	f.Add(int64(-7))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		g := stats.NewRNG(seed)
+		c, rtts := paperScenario(g)
+		checkMatchesReference(t, fmt.Sprintf("seed %d, paper", seed), c, rtts)
+		c, rtts = straddleScenario(g)
+		checkMatchesReference(t, fmt.Sprintf("seed %d, straddle", seed), c, rtts)
+	})
 }
 
 // FuzzLocateMatchesReference searches for an RTT vector on which the

@@ -158,9 +158,10 @@ func (m *Model) pathInflation(a, b string) float64 {
 	return m.cfg.InflationMin + u*(m.cfg.InflationMax-m.cfg.InflationMin)
 }
 
-// routeKm returns the effective route length in km, accounting for
-// gateway detours on either side.
-func routeKm(a, b Endpoint) float64 {
+// RouteKm returns the effective route length in km, accounting for
+// gateway detours on either side. It reads only the endpoints'
+// positions and gateways.
+func RouteKm(a, b Endpoint) float64 {
 	from := a.Loc
 	total := 0.0
 	if a.Gateway != nil {
@@ -180,10 +181,15 @@ func routeKm(a, b Endpoint) float64 {
 // value min-RTT probing converges to. It is symmetric in its
 // arguments.
 func (m *Model) BaseRTT(a, b Endpoint) time.Duration {
+	return m.baseRTTOnRoute(a, b, RouteKm(a, b))
+}
+
+// baseRTTOnRoute is BaseRTT(a, b) given km = RouteKm(a, b).
+func (m *Model) baseRTTOnRoute(a, b Endpoint, km float64) time.Duration {
 	if a.ID == b.ID {
 		return m.cfg.BaseProcessing
 	}
-	km := routeKm(a, b) * m.pathInflation(a.ID, b.ID)
+	km *= m.pathInflation(a.ID, b.ID)
 	prop := time.Duration(2 * km / m.cfg.FiberKmPerMs * float64(time.Millisecond))
 	return prop + m.cfg.BaseProcessing + a.Access.oneWayAccessDelay() + b.Access.oneWayAccessDelay()
 }
@@ -205,7 +211,14 @@ func (m *Model) Jitter(base time.Duration, g *stats.RNG) time.Duration {
 // estimate used by the paper for Figs. 2 and 7 and by CBG. It draws
 // what n Jitter calls on BaseRTT(a, b) draw.
 func (m *Model) MinRTT(a, b Endpoint, n int, g *stats.RNG) time.Duration {
-	base := m.BaseRTT(a, b)
+	return m.MinRTTOnRoute(a, b, RouteKm(a, b), n, g)
+}
+
+// MinRTTOnRoute is MinRTT(a, b, n, g) for a caller that already holds
+// km = RouteKm(a, b), such as a sweep that measures many endpoints at
+// a few positions and computes each route once.
+func (m *Model) MinRTTOnRoute(a, b Endpoint, km float64, n int, g *stats.RNG) time.Duration {
+	base := m.baseRTTOnRoute(a, b, km)
 	if n <= 0 {
 		return base
 	}

@@ -36,21 +36,25 @@ func New(w *topology.World, g *stats.RNG) *Prober {
 	return &Prober{w: w, g: g}
 }
 
+// server looks up the server that answers pings at addr.
+func (p *Prober) server(addr ipnet.Addr) (*topology.Server, error) {
+	srv, ok := p.w.ServerByAddr(addr)
+	if !ok {
+		return nil, fmt.Errorf("probe: %s does not answer pings", addr)
+	}
+	return srv, nil
+}
+
 // serverEndpoint builds the per-server network endpoint. Servers in
 // one data center share a location but keep distinct identities, so
 // measured paths to them differ slightly — like real co-located
 // machines behind different ports and peerings.
-func (p *Prober) serverEndpoint(addr ipnet.Addr) (netmodel.Endpoint, error) {
-	srv, ok := p.w.ServerByAddr(addr)
-	if !ok {
-		return netmodel.Endpoint{}, fmt.Errorf("probe: %s does not answer pings", addr)
-	}
-	dc := p.w.DC(srv.DC)
+func (p *Prober) serverEndpoint(srv *topology.Server) netmodel.Endpoint {
 	return netmodel.Endpoint{
-		ID:     "srv-" + addr.String(),
-		Loc:    dc.City.Point,
+		ID:     "srv-" + srv.Addr.String(),
+		Loc:    p.w.DC(srv.DC).City.Point,
 		Access: netmodel.AccessDataCenter,
-	}, nil
+	}
 }
 
 // MinRTT probes target n times from the given endpoint and returns the
@@ -58,12 +62,12 @@ func (p *Prober) serverEndpoint(addr ipnet.Addr) (netmodel.Endpoint, error) {
 // pure function of (prober seed, from.ID, target), so repeating a
 // measurement reproduces it.
 func (p *Prober) MinRTT(from netmodel.Endpoint, target ipnet.Addr, n int) (time.Duration, error) {
-	ep, err := p.serverEndpoint(target)
+	srv, err := p.server(target)
 	if err != nil {
 		return 0, err
 	}
 	g := p.g.Fork("minrtt/" + from.ID + "/" + target.String())
-	return p.w.Net.MinRTT(from, ep, n, g), nil
+	return p.w.Net.MinRTT(from, p.serverEndpoint(srv), n, g), nil
 }
 
 // MinRTTFromVP probes target from a vantage point's monitored network.
@@ -164,19 +168,59 @@ func (p *Prober) CrossRTTMatrix(samples, parallelism int) [][]time.Duration {
 	return m
 }
 
-// LandmarkRTTs measures a target from every landmark (one CBG
-// localization input). The whole sweep draws from one stream forked
-// per target, so localizing many targets concurrently reproduces the
-// sequential measurements exactly.
-func (p *Prober) LandmarkRTTs(target ipnet.Addr, samples int) ([]time.Duration, error) {
-	ep, err := p.serverEndpoint(target)
+// LandmarkSweep measures targets from every landmark: the CBG
+// localization input. It holds the landmark endpoints and the route
+// length from each landmark to each data center, so a sweep computes
+// no geodesic. The table is exact because a server's endpoint sits at
+// its data center's position and neither endpoint has a gateway.
+// A sweep is read-only and safe for concurrent use. It is sized for
+// one localization pass (about 70 KB on the paper world's 41 data
+// centers and 215 landmarks); drop it when the pass ends.
+type LandmarkSweep struct {
+	p   *Prober
+	lms []netmodel.Endpoint
+	// route[int(dc)*len(lms)+i] is the route length from landmark i
+	// to any server of data center dc.
+	route []float64
+}
+
+// LandmarkSweep builds a sweep over the world's landmarks.
+func (p *Prober) LandmarkSweep() *LandmarkSweep {
+	lms := make([]netmodel.Endpoint, len(p.w.Landmarks))
+	for i, lm := range p.w.Landmarks {
+		lms[i] = lm.Endpoint()
+	}
+	route := make([]float64, 0, len(p.w.DataCenters)*len(lms))
+	for _, dc := range p.w.DataCenters {
+		at := netmodel.Endpoint{Loc: dc.City.Point, Access: netmodel.AccessDataCenter}
+		for _, lm := range lms {
+			route = append(route, netmodel.RouteKm(lm, at))
+		}
+	}
+	return &LandmarkSweep{p: p, lms: lms, route: route}
+}
+
+// RTTs measures a target from every landmark (one CBG localization
+// input). The whole sweep draws from one stream forked per target, so
+// localizing many targets concurrently reproduces the sequential
+// measurements exactly.
+func (s *LandmarkSweep) RTTs(target ipnet.Addr, samples int) ([]time.Duration, error) {
+	srv, err := s.p.server(target)
 	if err != nil {
 		return nil, err
 	}
-	g := p.g.Fork("lmrtt/" + target.String())
-	out := make([]time.Duration, len(p.w.Landmarks))
-	for i, lm := range p.w.Landmarks {
-		out[i] = p.w.Net.MinRTT(lm.Endpoint(), ep, samples, g)
+	g := s.p.g.Fork("lmrtt/" + target.String())
+	return s.measure(s.p.serverEndpoint(srv), srv.DC, samples, g), nil
+}
+
+// measure returns ep's minimum RTT from every landmark, drawing the
+// samples from g in landmark order. ep must be the endpoint of a
+// server of data center dc.
+func (s *LandmarkSweep) measure(ep netmodel.Endpoint, dc topology.DataCenterID, samples int, g *stats.RNG) []time.Duration {
+	route := s.route[int(dc)*len(s.lms):][:len(s.lms)]
+	out := make([]time.Duration, len(s.lms))
+	for i := range s.lms {
+		out[i] = s.p.w.Net.MinRTTOnRoute(s.lms[i], ep, route[i], samples, g)
 	}
-	return out, nil
+	return out
 }

@@ -141,10 +141,10 @@ func TestCrossRTTMatrixSymmetric(t *testing.T) {
 	}
 }
 
-func TestLandmarkRTTsPlausible(t *testing.T) {
+func TestLandmarkSweepPlausible(t *testing.T) {
 	w := testWorld(t)
 	p := New(w, stats.NewRNG(5))
-	rtts, err := p.LandmarkRTTs(w.Servers[0].Addr, 3)
+	rtts, err := p.LandmarkSweep().RTTs(w.Servers[0].Addr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +154,30 @@ func TestLandmarkRTTsPlausible(t *testing.T) {
 	for i, rtt := range rtts {
 		if rtt <= 0 || rtt > time.Second {
 			t.Fatalf("landmark %d rtt %v implausible", i, rtt)
+		}
+	}
+}
+
+// TestLandmarkSweepMatchesMinRTT is the sweep's oracle: for every
+// server of a small world, including legacy and third-party ones, the
+// table-driven sweep returns exactly the RTTs that the latency model's
+// MinRTT gives from each landmark's endpoint on the stream forked for
+// the target, drawn in landmark order.
+func TestLandmarkSweepMatchesMinRTT(t *testing.T) {
+	w := testWorld(t)
+	p := New(w, stats.NewRNG(12))
+	sweep := p.LandmarkSweep()
+	for _, srv := range w.Servers {
+		got, err := sweep.RTTs(srv.Addr, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := p.serverEndpoint(srv)
+		g := p.g.Fork("lmrtt/" + srv.Addr.String())
+		for i, lm := range w.Landmarks {
+			if want := w.Net.MinRTT(lm.Endpoint(), ep, 3, g); got[i] != want {
+				t.Fatalf("server %s (DC %d), landmark %s: sweep %v, MinRTT %v", srv.Addr, srv.DC, lm.Name, got[i], want)
+			}
 		}
 	}
 }
