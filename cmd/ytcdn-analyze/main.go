@@ -13,9 +13,11 @@
 // dataset, one census pass (analysis.Census) for the summary and the
 // video/control classification, then one start-ordered pass tallying
 // flows per session with only the currently open sessions' counts in
-// memory. A TSV file is loaded into memory and stable-sorted by flow
-// start; a store directory is streamed, its start order coming from
-// the store's merge scan.
+// memory. A TSV file is loaded into memory and a store directory is
+// streamed; either source's ScanByStart gives the start order, equal
+// starts in file or emission order. Lines need not be in start order:
+// a TSV's scan buffers the records within its start-order lag, the
+// whole trace at worst.
 //
 // Usage:
 //
@@ -29,7 +31,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"sort"
 	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/analysis"
@@ -74,9 +75,7 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
-// analyzeTSV loads a WriterSink-format trace file into memory and
-// sorts each dataset by flow start, keeping file order among equal
-// starts as the store's scan keeps emission order.
+// analyzeTSV loads a WriterSink-format trace file into memory.
 func analyzeTSV(w io.Writer, path string, gap time.Duration) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -87,11 +86,7 @@ func analyzeTSV(w io.Writer, path string, gap time.Duration) error {
 	if err != nil {
 		return err
 	}
-	for _, recs := range traces {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
-	}
-	src := capture.MapSource(traces)
-	return analyze(w, src, src.Iter, gap)
+	return analyze(w, capture.MapSource(traces), gap)
 }
 
 // analyzeStore streams a tracestore directory, so neither the trace
@@ -107,12 +102,11 @@ func analyzeStore(w io.Writer, dir string, gap time.Duration) error {
 				name, r.Records(name))
 		}
 	}
-	return analyze(w, r, r.ScanByStart, gap)
+	return analyze(w, r, gap)
 }
 
-// analyze prints one row per dataset of src. byStart opens a dataset's
-// records ordered by start time, the order the session tally needs.
-func analyze(w io.Writer, src capture.TraceSource, byStart func(string) capture.Iterator, gap time.Duration) error {
+// analyze prints one row per dataset of src.
+func analyze(w io.Writer, src capture.TraceSource, gap time.Duration) error {
 	fmt.Fprintf(w, "%-12s %9s %10s %9s %9s | %7s %7s | %9s %7s\n",
 		"dataset", "flows", "GB", "servers", "clients", "video", "control", "sessions", "1-flow")
 	for _, name := range src.Datasets() {
@@ -132,7 +126,7 @@ func analyze(w io.Writer, src capture.TraceSource, byStart func(string) capture.
 			return err
 		}
 		sum, control := c.Summary(), c.FlowSizes().Control
-		tallies, err := analysis.SessionTalliesIter(byStart(name), []time.Duration{gap}, 10)
+		tallies, err := analysis.SessionTalliesIter(src.ScanByStart(name), []time.Duration{gap}, 10)
 		if err != nil {
 			return err
 		}

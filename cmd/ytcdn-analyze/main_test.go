@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -43,7 +44,10 @@ func rowsByDataset(t *testing.T, out string) (string, map[string]string) {
 // 10 s, written in that order: the first ends at 20 s, the second at
 // 5 s, before it starts. The pair is one session at every gap, because
 // the first flow's end covers the second's start; a sessionizer that
-// re-sorts equal starts by end splits it at gaps below 5 s.
+// re-sorts equal starts by end splits it at gaps below 5 s. The study's
+// TSV is also analyzed with its lines shuffled: its start-ordered scan
+// then buffers the whole trace, and must print what the file in
+// emission order prints.
 func TestStoreMatchesTSV(t *testing.T) {
 	dir := t.TempDir()
 	writeTSV := func(name string, record func(capture.Sink) error) string {
@@ -78,6 +82,17 @@ func TestStoreMatchesTSV(t *testing.T) {
 		return err
 	})
 
+	shuffledTSV := filepath.Join(dir, "shuffled.tsv")
+	data, err := os.ReadFile(studyTSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	rand.New(rand.NewSource(1)).Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+	if err := os.WriteFile(shuffledTSV, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	pairStore := filepath.Join(dir, "pair-store")
 	pairTSV := writeTSV("pair.tsv", func(ws capture.Sink) error {
 		sw, err := tracestore.NewWriter(pairStore, tracestore.Options{})
@@ -100,6 +115,7 @@ func TestStoreMatchesTSV(t *testing.T) {
 	// must print.
 	for _, in := range []struct{ name, tsv, store, sessions string }{
 		{"study", studyTSV, studyStore, ""},
+		{"shuffled study", shuffledTSV, studyStore, ""},
 		{"end before start", pairTSV, pairStore, "1"},
 	} {
 		for _, gap := range []time.Duration{0, time.Second, time.Minute} {

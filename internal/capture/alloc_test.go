@@ -5,6 +5,7 @@ package capture
 import (
 	"io"
 	"testing"
+	"time"
 )
 
 // TestRecordAllocs is the capture path's allocation contract: in
@@ -42,5 +43,42 @@ func TestRecordAllocs(t *testing.T) {
 	})
 	if perChunk > 1 {
 		t.Errorf("MemSink.Record allocates %.1f times per %d-record chunk, want at most 1", perChunk, chunkRecords)
+	}
+}
+
+// TestScanByStartAllocs is the in-memory start-ordered scan's
+// contract: draining MemSink.ScanByStart or MapSource.ScanByStart over
+// a recorded trace allocates the same count at 1,000 records as at
+// 100,000, at most 4. MemSink allocates its chunk-list snapshot, the
+// chunk iterator, the reorder and its 16-entry heap; MapSource the
+// slice iterator, the reorder and the heap. The heap grows only when
+// more records than it holds wait within the lag of the latest start;
+// these traces, recorded in swapped pairs, hold at most two.
+func TestScanByStartAllocs(t *testing.T) {
+	drain := func(it Iterator) {
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+		}
+	}
+	count := func(n int) (mem, slice float64) {
+		recs := make([]FlowRecord, n)
+		m := NewMemSink()
+		for i := range recs {
+			recs[i] = sampleRecord()
+			recs[i].Start = time.Duration(i^1) * time.Millisecond
+			m.Record("US-Campus", recs[i])
+		}
+		src := MapSource{"US-Campus": recs}
+		mem = testing.AllocsPerRun(10, func() { drain(m.ScanByStart("US-Campus")) })
+		slice = testing.AllocsPerRun(10, func() { drain(src.ScanByStart("US-Campus")) })
+		return mem, slice
+	}
+	shortMem, shortSlice := count(1_000)
+	longMem, longSlice := count(100_000)
+	t.Logf("MemSink: %.0f allocs, MapSource: %.0f allocs", longMem, longSlice)
+	if shortMem != longMem || longMem > 4 {
+		t.Errorf("MemSink.ScanByStart allocates %.0f times over 1,000 records, %.0f over 100,000; want the same, at most 4", shortMem, longMem)
+	}
+	if shortSlice != longSlice || longSlice > 3 {
+		t.Errorf("MapSource.ScanByStart allocates %.0f times over 1,000 records, %.0f over 100,000; want the same, at most 3", shortSlice, longSlice)
 	}
 }

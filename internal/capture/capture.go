@@ -71,6 +71,13 @@ type TraceSource interface {
 	// Iter returns a fresh iterator over one dataset's records. An
 	// unknown dataset yields an empty iterator.
 	Iter(dataset string) Iterator
+	// ScanByStart returns a fresh iterator over the records Iter
+	// yields, in exactly the order sort.SliceStable by Start gives
+	// them: by start time, equal starts in Iter's order. Every source
+	// implements it as ByStart over Iter, with a lag it knows (see
+	// StartLag), so it buffers only the records within that lag of
+	// the latest start read.
+	ScanByStart(dataset string) Iterator
 	// Records returns how many records Iter yields for a dataset (0
 	// for an unknown one), so a consumer can size its buffers once.
 	Records(dataset string) int64
@@ -165,6 +172,15 @@ func (m MapSource) Datasets() []string {
 // Iter implements TraceSource.
 func (m MapSource) Iter(dataset string) Iterator { return IterSlice(m[dataset]) }
 
+// ScanByStart implements TraceSource. It measures the slice's lag in
+// one pass, so a slice in any order scans exactly; a reversed one holds
+// every record in the reorder, as a sorted copy would.
+func (m MapSource) ScanByStart(dataset string) Iterator {
+	var lag StartLag
+	lag.addRecords(m[dataset])
+	return ByStart(m.Iter(dataset), lag.Lag())
+}
+
 // Records implements TraceSource.
 func (m MapSource) Records(dataset string) int64 { return int64(len(m[dataset])) }
 
@@ -180,9 +196,9 @@ const chunkRecords = 512
 
 // MemSink accumulates records per dataset in memory, in chunks of
 // chunkRecords records. One goroutine records; once it is done, any
-// number may read (Trace, Iter, Datasets, TotalRecords), as the
-// analysis harness's workers do. MemSink takes no lock, so reading
-// while a goroutine records is a data race.
+// number may read (Trace, Iter, ScanByStart, Datasets, TotalRecords),
+// as the analysis harness's workers do. MemSink takes no lock, so
+// reading while a goroutine records is a data race.
 type MemSink struct {
 	byDataset map[string]*memTrace
 }
@@ -259,11 +275,28 @@ func (m *MemSink) Datasets() []string {
 // It iterates a snapshot of the records captured so far, without
 // copying them: records recorded after the call are not seen.
 func (m *MemSink) Iter(dataset string) Iterator {
+	return &chunkIterator{chunks: m.snapshot(dataset)}
+}
+
+// ScanByStart implements TraceSource over the snapshot Iter takes,
+// measuring its lag in one pass first, so Record does no work for it.
+func (m *MemSink) ScanByStart(dataset string) Iterator {
+	chunks := m.snapshot(dataset)
+	var lag StartLag
+	for _, c := range chunks {
+		lag.addRecords(c)
+	}
+	return ByStart(&chunkIterator{chunks: chunks}, lag.Lag())
+}
+
+// snapshot copies a dataset's chunk list (nil for a dataset never
+// recorded): the records captured so far, not the records themselves.
+func (m *MemSink) snapshot(dataset string) [][]FlowRecord {
 	t := m.byDataset[dataset]
 	if t == nil {
-		return &chunkIterator{}
+		return nil
 	}
-	return &chunkIterator{chunks: append([][]FlowRecord(nil), t.chunks...)}
+	return append([][]FlowRecord(nil), t.chunks...)
 }
 
 // chunkIterator walks a chunk list.

@@ -3,6 +3,7 @@ package capture
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,59 @@ func FuzzRejectInvalidLine(f *testing.F) {
 		}
 		if valid && (rec.VideoID.String() != videoID || rec.Resolution.String() != resolution) {
 			t.Errorf("accepted line changed its fields: VideoID %q, resolution %q", rec.VideoID, rec.Resolution)
+		}
+	})
+}
+
+// FuzzByStartMatchesStableSort checks the start-ordered scan against
+// sort.SliceStable on fuzzed emission orders. Each byte of starts is
+// one record, starting at the byte read as a signed number times step:
+// repeated bytes are ties, a sorted input has lag 0, a descending one
+// has the whole trace's span as its lag, and a large step wraps the
+// starts across the int64 range, where the lag saturates. MapSource
+// and MemSink measure the lag themselves. ByStart also runs at the lag
+// plus extra milliseconds, as a source with a loose bound would, and
+// extra = 0xFFFF stands for the unbounded lag.
+func FuzzByStartMatchesStableSort(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 2, 0, 5, 4, 4}, int64(time.Millisecond), uint16(0))
+	f.Add([]byte{0, 0, 1, 1, 2, 3}, int64(time.Millisecond), uint16(0))
+	reversed := make([]byte, 256)
+	for i := range reversed {
+		reversed[i] = byte(127 - i/2)
+	}
+	f.Add(reversed, int64(time.Second), uint16(0))
+	f.Add([]byte{1, 0, 3, 2, 5, 4}, int64(time.Millisecond), uint16(1000))
+	f.Add([]byte{0x7f, 0x80, 0, 0x7f, 0x80}, int64(1)<<62, uint16(0))
+	f.Add([]byte{2, 1, 0, 1}, int64(time.Millisecond), uint16(math.MaxUint16))
+	f.Fuzz(func(t *testing.T, starts []byte, step int64, extra uint16) {
+		recs := make([]FlowRecord, len(starts))
+		m := NewMemSink()
+		for i, b := range starts {
+			recs[i] = FlowRecord{Start: time.Duration(int64(int8(b)) * step), Bytes: int64(i)}
+			m.Record("ds", recs[i])
+		}
+		want := stableByStart(recs)
+		var lag StartLag
+		lag.addRecords(recs)
+		loose := time.Duration(math.MaxInt64)
+		if e := time.Duration(extra) * time.Millisecond; extra != math.MaxUint16 && lag.Lag() <= loose-e {
+			loose = lag.Lag() + e
+		}
+		for _, c := range []struct {
+			name string
+			it   Iterator
+		}{
+			{"MapSource.ScanByStart", MapSource{"ds": recs}.ScanByStart("ds")},
+			{"MemSink.ScanByStart", m.ScanByStart("ds")},
+			{fmt.Sprintf("ByStart at lag %v", loose), ByStart(IterSlice(recs), loose)},
+		} {
+			got, err := Collect(c.it)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s (lag %v) differs from the stable sort:\n got %v\nwant %v", c.name, lag.Lag(), got, want)
+			}
 		}
 	})
 }

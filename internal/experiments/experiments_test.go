@@ -241,18 +241,29 @@ func TestDatasetNamesOrder(t *testing.T) {
 	}
 }
 
-// countingSource counts the scans Iter opens per dataset.
+// countingSource counts the scans Iter and ScanByStart open per
+// dataset. It overrides both: the embedded source's ScanByStart reads
+// its records without calling this Iter.
 type countingSource struct {
 	capture.TraceSource
 	mu    sync.Mutex
 	scans map[string]int
 }
 
-func (s *countingSource) Iter(name string) capture.Iterator {
+func (s *countingSource) count(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.scans[name]++
+}
+
+func (s *countingSource) Iter(name string) capture.Iterator {
+	s.count(name)
 	return s.TraceSource.Iter(name)
+}
+
+func (s *countingSource) ScanByStart(name string) capture.Iterator {
+	s.count(name)
+	return s.TraceSource.ScanByStart(name)
 }
 
 // countScans builds a harness whose source counts its scans.
@@ -296,9 +307,10 @@ func TestCensusScansEachDatasetOnce(t *testing.T) {
 }
 
 // TestSuiteScanCounts pins how many scans the whole suite opens per
-// dataset: the census, the preferred-DC and per-video passes, the
-// start-ordered Google subset (one copy in memory), and the figures'
-// own passes, most of them on EU1-ADSL.
+// dataset: the census, the preferred-DC and per-video passes, one
+// start-ordered scan per sessionizing pass (the T=1s tally, Fig 5 on
+// US-Campus, Fig 16 on EU1-ADSL), and the figures' own passes, most of
+// them on EU1-ADSL.
 func TestSuiteScanCounts(t *testing.T) {
 	h, src := countScans(t, 2)
 	if err := h.Warm(); err != nil {
@@ -308,9 +320,9 @@ func TestSuiteScanCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int{
-		topology.DatasetUSCampus:  6,
+		topology.DatasetUSCampus:  7,
 		topology.DatasetEU1Campus: 5,
-		topology.DatasetEU1ADSL:   11,
+		topology.DatasetEU1ADSL:   12,
 		topology.DatasetEU1FTTH:   5,
 		topology.DatasetEU2:       6,
 	}

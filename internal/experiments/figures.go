@@ -150,12 +150,11 @@ type Fig05Result struct {
 // sessionization).
 func (h *Harness) Fig05SessionGapT() (*Fig05Result, error) {
 	name := topology.DatasetUSCampus
-	googleStart, err := h.googleStartSource(name)
-	if err != nil {
-		return nil, err
+	if !h.hasDataset(name) {
+		return nil, fmt.Errorf("experiments: no trace for %q", name)
 	}
 	gaps := []time.Duration{time.Second, 5 * time.Second, 10 * time.Second, 60 * time.Second, 300 * time.Second}
-	tallies, err := analysis.SessionTalliesIter(googleStart(), gaps, 10)
+	tallies, err := analysis.SessionTalliesIter(h.googleByStart(name), gaps, 10)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sessionizing %s: %w", name, err)
 	}
@@ -761,12 +760,8 @@ func (h *Harness) Fig16Video1Server() (*Fig16Result, error) {
 		}, nil
 	}
 	srvAddr := ipAddrFromU32(best)
-	googleStart, err := h.googleStartSource(name)
-	if err != nil {
-		return nil, err
-	}
 	pattern := analysis.NewServerSessionPattern(h.in.Span)
-	err = analysis.StreamSessions(googleStart(), time.Second, func(s analysis.Session) {
+	err = analysis.StreamSessions(h.googleByStart(name), time.Second, func(s analysis.Session) {
 		pattern.Add(s, ds.dcmap, ds.pref.Preferred, srvAddr)
 	})
 	if err != nil {

@@ -8,21 +8,23 @@
 // per-dataset sessionization — so the full suite runs each step once.
 // The census is one scan of a dataset's trace (an analysis.Census):
 // Tables I–II, Fig 4, the server set that localization and the ping
-// campaign start from, and the §IV Google server set all read it. It
-// is safe for concurrent use: each artifact is guarded by a sync.Once
-// (or a per-dataset once cell), and the embarrassingly parallel stages
-// — the per-dataset censuses, CBG localization of every server, the
-// per-VP ping campaigns, the five per-dataset analysis pipelines — fan
-// out across a bounded worker pool sized by Input.Parallelism. Because
-// all measurement noise comes from order-independent forked RNG
-// streams, and results merge in dataset or address order, a parallel
-// run is bit-identical to a sequential one at the same seed.
+// campaign start from, and the §IV Google server set all read it. The
+// sessionizing passes (the T=1s tally, Figs 5 and 16) each open the
+// source's start-ordered scan, ScanByStart, so no pass copies a trace,
+// whatever the source. The harness is safe for concurrent use: each
+// artifact is guarded by a sync.Once (or a per-dataset once cell), and
+// the embarrassingly parallel stages — the per-dataset censuses, CBG
+// localization of every server, the per-VP ping campaigns, the five
+// per-dataset analysis pipelines — fan out across a bounded worker
+// pool sized by Input.Parallelism. Because all measurement noise comes
+// from order-independent forked RNG streams, and results merge in
+// dataset or address order, a parallel run is bit-identical to a
+// sequential one at the same seed.
 package experiments
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -45,14 +47,14 @@ type Input struct {
 	World     *topology.World
 	Catalog   *content.Catalog
 	Placement *core.Placement
-	// Source supplies the per-dataset traces as streams: a
-	// capture.MapSource over in-memory records, or a tracestore.Reader
-	// over a disk-backed study. Every pass streams its records, and a
-	// source that can also scan a dataset in start order (the store's
-	// ScanByStart) feeds the sessionizing figures without materializing
-	// anything, so paper-scale studies analyze in bounded memory.
-	// Results are bit-identical across sources holding the same
-	// records.
+	// Source supplies the per-dataset traces as streams: an in-memory
+	// capture.MemSink or capture.MapSource, or a tracestore.Reader over
+	// a disk-backed study. Every pass streams its records, and the
+	// sessionizing figures stream the source's ScanByStart, which
+	// buffers only the records within the trace's start-order lag, so
+	// no pass copies a trace and paper-scale studies analyze in bounded
+	// memory. Results are bit-identical across sources holding the
+	// same records.
 	Source capture.TraceSource
 	Span   time.Duration
 	Seed   int64
@@ -113,13 +115,11 @@ func (c *cell[T]) do(compute func() (T, error)) (T, error) {
 }
 
 // datasetCells holds one dataset's once-cells: its census, its vantage
-// point's ping campaign, its analysis artifacts, and its start-ordered
-// Google stream factory.
+// point's ping campaign and its analysis artifacts.
 type datasetCells struct {
 	census   cell[*traceCensus]
 	campaign cell[map[ipnet.Addr]float64]
 	dataset  cell[*dataset]
-	starts   cell[func() capture.Iterator]
 }
 
 // cells returns (creating on first use) the once-cells of one dataset.
@@ -201,57 +201,30 @@ func (h *Harness) iter(name string) capture.Iterator { return h.in.Source.Iter(n
 // googleIter opens a fresh stream over one dataset's §IV Google-AS
 // subset (lazy filter — nothing is materialized).
 func (h *Harness) googleIter(name string) capture.Iterator {
+	return h.google(name, h.in.Source.Iter)
+}
+
+// googleByStart is googleIter in start order, the order the
+// sessionizers need (the T=1s tally, Fig 5's one pass over every T,
+// Fig 16): the filter over the source's ScanByStart.
+func (h *Harness) googleByStart(name string) capture.Iterator {
+	return h.google(name, h.in.Source.ScanByStart)
+}
+
+// google filters the stream open returns for one dataset to its §IV
+// Google-AS subset.
+func (h *Harness) google(name string, open func(string) capture.Iterator) capture.Iterator {
 	idx := h.in.World.VPIndex(name)
 	if idx < 0 {
 		return capture.ErrIter(fmt.Errorf("experiments: unknown dataset %q", name))
 	}
 	vp := h.in.World.VantagePoints[idx]
-	return analysis.GoogleIter(h.iter(name), h.in.World.Registry, vp.AS.Number)
+	return analysis.GoogleIter(open(name), h.in.World.Registry, vp.AS.Number)
 }
 
 // videoIter narrows googleIter to video flows.
 func (h *Harness) videoIter(name string) capture.Iterator {
 	return analysis.VideoIter(h.googleIter(name))
-}
-
-// startScanner is the optional TraceSource capability the disk-backed
-// store provides: a start-ordered stream with bounded buffering.
-type startScanner interface {
-	ScanByStart(dataset string) capture.Iterator
-}
-
-// googleStartSource returns a factory of fresh start-ordered streams
-// over one dataset's §IV Google-AS subset — the input shape the
-// sessionizers require, reusable when several passes sessionize one
-// dataset (the per-dataset T=1s tally, Fig 5's one pass over every T,
-// Fig 16). A store-backed source opens a bounded ScanByStart merge per
-// call; an in-memory source, which already holds the trace, filters
-// then sorts the (much smaller) Google subset once per dataset —
-// cached in a cell, shared by every sessionizing figure — and
-// re-serves it (the sort is stable, so equal starts keep emission
-// order, matching the store's tie-break).
-func (h *Harness) googleStartSource(name string) (func() capture.Iterator, error) {
-	return h.cells(name).starts.do(func() (func() capture.Iterator, error) {
-		idx := h.in.World.VPIndex(name)
-		if idx < 0 {
-			return nil, fmt.Errorf("experiments: unknown dataset %q", name)
-		}
-		if !h.hasDataset(name) {
-			return nil, fmt.Errorf("experiments: no trace for %q", name)
-		}
-		vp := h.in.World.VantagePoints[idx]
-		if s, ok := h.in.Source.(startScanner); ok {
-			return func() capture.Iterator {
-				return analysis.GoogleIter(s.ScanByStart(name), h.in.World.Registry, vp.AS.Number)
-			}, nil
-		}
-		recs, err := capture.Collect(h.googleIter(name))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scanning %s: %w", name, err)
-		}
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
-		return func() capture.Iterator { return capture.IterSlice(recs) }, nil
-	})
 }
 
 // census returns (computing on first use) one dataset's census, from a
@@ -477,12 +450,8 @@ func (h *Harness) buildDataset(name string) (*dataset, error) {
 
 	// Pass 2: T=1s sessions, streamed in start order and tallied on the
 	// fly — the sessions themselves never exist as a slice.
-	googleStart, err := h.googleStartSource(name)
-	if err != nil {
-		return nil, err
-	}
 	tally := analysis.NewSessionTally(10)
-	err = analysis.StreamSessions(googleStart(), time.Second, func(s analysis.Session) {
+	err = analysis.StreamSessions(h.googleByStart(name), time.Second, func(s analysis.Session) {
 		tally.Add(s, dcmap, pref.Preferred)
 	})
 	if err != nil {

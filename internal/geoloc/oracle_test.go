@@ -421,6 +421,25 @@ func TestLocateMatchesReferenceEdges(t *testing.T) {
 		}
 		checkMatchesReference(t, fmt.Sprintf("ties %d", k), c, rtts)
 	}
+	// pdqsort returns equal keys in place at any count (its partial
+	// insertion sort finds nothing out of order), so the cases above
+	// cannot tell its order from a stable sort's. Here the tightest
+	// radius is shared by a few discs among larger ones, from 22 up to
+	// the paper's 215 landmarks: pdqsort partitions such keys and
+	// reorders the tied ones, and only its own order matches the
+	// reference.
+	for _, n := range []int{22, 23, 25, 30, 40, 50, 64, 100, 150, 215} {
+		c := unitLineCBG(randomPoints(n))
+		tight := g.Uniform(100, 15000)
+		rtts := make([]time.Duration, n)
+		for i := range rtts {
+			rtts[i] = rttForRadius(tight + g.Uniform(1, 5000))
+		}
+		for tied := 2 + g.Intn(n/4); tied > 0; tied-- {
+			rtts[g.Intn(n)] = rttForRadius(tight)
+		}
+		checkMatchesReference(t, fmt.Sprintf("%d discs, tightest tied", n), c, rtts)
+	}
 }
 
 // TestInAllMatchesHaversineAtBoundary drives cells onto disc

@@ -63,13 +63,13 @@ func TestScanPathAllocs(t *testing.T) {
 // a cold Iter and a cold ScanByStart over a multi-segment shard
 // allocate the same count whether the shard holds 5 or 5,000 distinct
 // VideoIDs. The two shards differ only in their VideoIDs, so they have
-// the same segments, servers and merge frontier. What a scan allocates
-// is the iterator, the open file and, per decode buffer, the payload,
-// the record array and the server dictionary: a sequential scan sizes
-// one buffer for the shard's largest segment, and the start-ordered
-// merge gives each open segment its own. Each count averages twenty
-// scans, so a stray runtime allocation during one scan (a GC cycle
-// starting) does not move it.
+// the same segments, servers and starts. What Iter allocates is the
+// iterator, the open file and one decode buffer sized for the shard's
+// largest segment: its payload, record array and server dictionary.
+// ScanByStart is the same scan behind capture.ByStart, which adds the
+// reorder and its heap, whose growth depends on the starts alone. Each
+// count averages twenty scans, so a stray runtime allocation during
+// one scan (a GC cycle starting) does not move it.
 func TestColdScanAllocs(t *testing.T) {
 	const n, segRecords = 20_000, 1 << 10
 	count := func(vocabulary int) (iter, byStart float64) {

@@ -90,11 +90,12 @@ func FuzzDecodeSegment(f *testing.F) {
 		if count == 0 {
 			return
 		}
-		// Start deltas are unsigned but wrap, so a corrupt payload can
-		// decode out of start order; the encoder stores the records
-		// stable-sorted, and a second pass keeps that order.
+		// The decoder rejects starts out of order, so the records are
+		// already in the order the encoder's stable sort keeps.
+		if !slices.IsSortedFunc(recs, func(a, b capture.FlowRecord) int { return cmp.Compare(a.Start, b.Start) }) {
+			t.Fatalf("decoded starts out of order: %+v", recs)
+		}
 		want := slices.Clone(recs)
-		slices.SortStableFunc(want, func(a, b capture.FlowRecord) int { return cmp.Compare(a.Start, b.Start) })
 		_, again := encodeSegment(slices.Clone(want))
 		got, err := decodeSegment(again, count)
 		if err != nil {
@@ -185,7 +186,9 @@ func FuzzParseSegHeader(f *testing.F) {
 // FuzzOpenShard feeds whole shard files — seeded from a real one —
 // through the reader's index + scan path: corrupted shard headers,
 // segment headers, CRCs and dictionaries must surface as errors (or
-// clean truncation recovery), never as panics or runaway allocations.
+// clean truncation recovery), never as panics or runaway allocations,
+// and a ScanByStart that ends without an error must have yielded
+// non-decreasing starts.
 func FuzzOpenShard(f *testing.F) {
 	// Build a genuine two-segment shard in memory via the writer.
 	dir := f.TempDir()
@@ -230,20 +233,32 @@ func FuzzOpenShard(f *testing.F) {
 		}
 		for _, name := range r.Datasets() {
 			// Both scan orders must either stream records or error —
-			// CRC mismatches and malformed payloads surface here.
-			for _, it := range []capture.Iterator{r.Iter(name), r.ScanByStart(name)} {
-				n := 0
+			// CRC mismatches, malformed payloads and headers whose
+			// start range disagrees with their records surface here.
+			for _, byStart := range []bool{false, true} {
+				it := r.Iter(name)
+				if byStart {
+					it = r.ScanByStart(name)
+				}
+				n, sorted := 0, true
+				var last time.Duration
 				for {
-					_, ok := it.Next()
+					rec, ok := it.Next()
 					if !ok {
 						break
 					}
+					sorted = sorted && (n == 0 || rec.Start >= last)
+					last = rec.Start
 					n++
 					if int64(n) > r.Records(name) {
 						t.Fatalf("%s yielded %d records, index says %d", name, n, r.Records(name))
 					}
 				}
-				_ = it.Err() // error or nil — only panics are failures
+				// A scan may end in an error; a start-ordered one that
+				// does not must have been in start order.
+				if byStart && it.Err() == nil && !sorted {
+					t.Fatalf("%s: ScanByStart ended cleanly out of start order", name)
+				}
 			}
 		}
 		if r.BufferedBytes() != 0 {

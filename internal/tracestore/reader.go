@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"github.com/ytcdn-sim/ytcdn/internal/capture"
 	"github.com/ytcdn-sim/ytcdn/internal/obs"
@@ -50,6 +51,9 @@ type rshard struct {
 	// maxCount and maxPayload size a sequential scan's buffers once
 	// for the shard's largest segment.
 	maxCount, maxPayload uint32
+	// lag bounds how far the stored order runs behind start order
+	// (see capture.StartLag), from the segment headers.
+	lag time.Duration
 }
 
 // segMeta locates one segment inside a shard file.
@@ -137,6 +141,11 @@ func indexShard(path string) (*rshard, error) {
 	}
 
 	sh := &rshard{dataset: string(name), path: path}
+	// Each segment is start-sorted and the segments lie in spill order,
+	// so no record starts before one stored earlier by more than the
+	// latest maxStart of the segments before its own minus its own
+	// segment's minStart. loadSegment holds every segment to its header.
+	var lag capture.StartLag
 	off := nameOff + int64(nameLen)
 	hdr := make([]byte, segHeaderSize)
 	for off < size {
@@ -165,8 +174,10 @@ func indexShard(path string) (*rshard, error) {
 		sh.records += int64(h.count)
 		sh.maxCount = max(sh.maxCount, h.count)
 		sh.maxPayload = max(sh.maxPayload, h.payloadLen)
+		lag.Add(h.minStart, h.maxStart)
 		off += segHeaderSize + int64(h.payloadLen)
 	}
+	sh.lag = lag.Lag()
 	return sh, nil
 }
 
@@ -236,10 +247,12 @@ func (r *Reader) acquire(n int64) {
 func (r *Reader) release(n int64) { r.buffered.Add(-n) }
 
 // loadSegment reads, CRC-checks and decodes one segment into buf. The
-// returned records alias buf's arrays: callers that keep a segment
-// alive across loads (the start-ordered merge arms) must pass a fresh
-// buffer per call, while the sequential scan iterator reuses one for
-// its whole walk.
+// returned records alias buf's arrays, valid until the next load into
+// buf; the sequential scan iterator reuses one buffer for its whole
+// walk. The CRC covers the payload, not the header, so a segment whose
+// first or last decoded start is not its header's minStart or maxStart
+// is corrupt: the shard's lag, and with it ScanByStart's order, rests
+// on those two fields.
 func (r *Reader) loadSegment(f *os.File, sh *rshard, i int, buf *decodeBuf) ([]capture.FlowRecord, int64, error) {
 	m := sh.segs[i]
 	payload := buf.payloadSlot(int(m.payloadLen))
@@ -252,6 +265,9 @@ func (r *Reader) loadSegment(f *os.File, sh *rshard, i int, buf *decodeBuf) ([]c
 	recs, fp, err := buf.decode(int(m.count))
 	if err != nil {
 		return nil, 0, fmt.Errorf("tracestore: %s segment %d: %w", sh.dataset, i, err)
+	}
+	if n := len(recs); n > 0 && (recs[0].Start != m.minStart || recs[n-1].Start != m.maxStart) {
+		return nil, 0, fmt.Errorf("tracestore: %s segment %d: header start range disagrees with its records", sh.dataset, i)
 	}
 	r.acquire(fp)
 	r.bytesRead.Add(int64(m.payloadLen))
@@ -276,14 +292,27 @@ func (r *Reader) Instrument(reg *obs.Registry) {
 // Iter implements capture.TraceSource: a streaming iterator over one
 // dataset in stored order (segments in spill order, records
 // start-sorted within each segment). It decodes one segment at a time
-// and closes its file handle at exhaustion or first error; abandon it
-// early with Close.
+// and closes its file handle at exhaustion or first error.
 func (r *Reader) Iter(dataset string) capture.Iterator {
 	sh, ok := r.shards[dataset]
 	if !ok {
 		return capture.IterSlice(nil)
 	}
 	return &scanIterator{r: r, sh: sh}
+}
+
+// ScanByStart implements capture.TraceSource: Iter's stream through
+// capture.ByStart, at the lag the index took from the segment headers.
+// Equal starts come in stored order: by segment in spill order, then
+// stable within the segment, which is emission order. When no segment
+// starts before an earlier one ends, the lag is 0 and the scan is
+// Iter's.
+func (r *Reader) ScanByStart(dataset string) capture.Iterator {
+	sh, ok := r.shards[dataset]
+	if !ok {
+		return capture.IterSlice(nil)
+	}
+	return capture.ByStart(&scanIterator{r: r, sh: sh}, sh.lag)
 }
 
 // scanIterator walks a shard segment by segment. It owns one decodeBuf
@@ -344,13 +373,6 @@ func (it *scanIterator) Next() (capture.FlowRecord, bool) {
 
 // Err implements capture.Iterator.
 func (it *scanIterator) Err() error { return it.err }
-
-// Close releases the iterator early. It is idempotent and unnecessary
-// after Next has returned false.
-func (it *scanIterator) Close() error {
-	it.finish(it.err)
-	return it.err
-}
 
 // dropSegment returns the current decoded segment to the gauge.
 func (it *scanIterator) dropSegment() {

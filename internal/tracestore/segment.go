@@ -360,11 +360,16 @@ func (b *decodeBuf) decode(count int) ([]capture.FlowRecord, int64, error) {
 	return recs, int64(count) * flowRecordSize, nil
 }
 
-// decodeFixedCols decodes the start/duration/bytes/client columns.
+// decodeFixedCols decodes the start/duration/bytes/client columns. The
+// encoder stores starts sorted, so a delta that wraps a start below the
+// one before it is corruption, even under a matching CRC.
 func decodeFixedCols(p *payloadReader, recs []capture.FlowRecord) {
 	recs[0].Start = time.Duration(p.varint())
 	for i := 1; i < len(recs); i++ {
 		recs[i].Start = recs[i-1].Start + time.Duration(p.uvarint())
+		if recs[i].Start < recs[i-1].Start {
+			p.fail("tracestore: start of record %d precedes the one before it", i)
+		}
 	}
 	for i := range recs {
 		recs[i].End = recs[i].Start + time.Duration(p.varint())

@@ -26,9 +26,12 @@
 //
 // Every segment header carries the record count, payload length, a
 // CRC-32 of the payload, and the segment's min/max start time, so a
-// reader can index a shard without decoding payloads and can stream
-// start-ordered views opening only the segments whose time ranges
-// overlap the merge frontier.
+// reader can index a shard without decoding payloads, and can bound
+// from the headers alone how far the stored order runs behind start
+// order: the lag at which Reader.ScanByStart reorders the sequential
+// scan (see capture.ByStart). The CRC does not cover the header, so a
+// reader rejects a segment whose records' first or last start is not
+// the header's.
 //
 // # Durability
 //

@@ -1,7 +1,10 @@
 package tracestore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -199,6 +202,11 @@ func TestFunkyDatasetNames(t *testing.T) {
 	}
 }
 
+// TestScanByStartOrdered checks the store's start-ordered scan against
+// the stable sort of the records in emission order, record for record:
+// the segments overlap in time, so the scan runs through the reorder,
+// and equal starts must come out in emission order, as they do from
+// an in-memory source.
 func TestScanByStartOrdered(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(5, 3000)
@@ -207,27 +215,22 @@ func TestScanByStartOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if lag := r.shards["ds"].lag; lag == 0 {
+		t.Fatal("the segments do not overlap, so the scan would not reorder")
+	}
 	got, err := capture.Collect(r.ScanByStart("ds"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("%d records, want %d", len(got), len(recs))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Start < got[i-1].Start {
-			t.Fatalf("order violated at %d: %v after %v", i, got[i].Start, got[i-1].Start)
-		}
-	}
-	// Same multiset: compare against a fully sorted copy.
 	want := make([]capture.FlowRecord, len(recs))
 	copy(want, recs)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].Start < want[j].Start })
-	sortTies(want)
-	sortTies(got)
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("record %d mismatch after normalization", i)
+			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 	if r.BufferedBytes() != 0 {
@@ -235,26 +238,97 @@ func TestScanByStartOrdered(t *testing.T) {
 	}
 }
 
-// sortTies canonicalizes runs of equal start times so two start-ordered
-// streams can be compared record by record.
-func sortTies(recs []capture.FlowRecord) {
-	i := 0
-	for i < len(recs) {
-		j := i + 1
-		for j < len(recs) && recs[j].Start == recs[i].Start {
-			j++
+// TestHeaderStartRangeChecked corrupts a segment header's start range,
+// which the payload CRC does not cover and the shard's lag rests on.
+// Setting segment 1's minStart to the shard's last maxStart shrinks the
+// lag below the true one, so without the check ScanByStart would yield
+// every record, one pair out of order, with no error. Both scans must
+// end in an error instead, and so must a maxStart that disagrees.
+func TestHeaderStartRangeChecked(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, 256, map[string][]capture.FlowRecord{"ds": genRecords(5, 3000)})
+	path := filepath.Join(dir, shardFileName("ds"))
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Segment header offsets, walked as indexShard walks them.
+	var hdrs []int
+	for off := len(shardMagic) + 1 + len("ds"); off < len(clean); {
+		h, err := parseSegHeader(clean[off:])
+		if err != nil {
+			t.Fatal(err)
 		}
-		run := recs[i:j]
-		sort.Slice(run, func(a, b int) bool {
-			if run[a].End != run[b].End {
-				return run[a].End < run[b].End
+		hdrs = append(hdrs, off)
+		off += segHeaderSize + int(h.payloadLen)
+	}
+	if len(hdrs) < 3 {
+		t.Fatalf("want at least 3 segments, got %d", len(hdrs))
+	}
+	const minStartOff, maxStartOff = 16, 24
+	lastMax := binary.LittleEndian.Uint64(clean[hdrs[len(hdrs)-1]+maxStartOff:])
+	for _, c := range []struct {
+		name  string
+		field int
+		value uint64
+	}{
+		{"segment 1 minStart = last maxStart", hdrs[1] + minStartOff, lastMax},
+		{"segment 0 maxStart = last maxStart", hdrs[0] + maxStartOff, lastMax},
+	} {
+		data := bytes.Clone(clean)
+		binary.LittleEndian.PutUint64(data[c.field:], c.value)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for scan, it := range map[string]capture.Iterator{"Iter": r.Iter("ds"), "ScanByStart": r.ScanByStart("ds")} {
+			if _, err := capture.Collect(it); err == nil {
+				t.Errorf("%s: %s ended without an error", c.name, scan)
 			}
-			if run[a].Client != run[b].Client {
-				return run[a].Client < run[b].Client
-			}
-			return run[a].Bytes < run[b].Bytes
-		})
-		i = j
+		}
+		if r.BufferedBytes() != 0 {
+			t.Errorf("%s: BufferedBytes = %d after the failed scans", c.name, r.BufferedBytes())
+		}
+	}
+}
+
+// TestDecodeRejectsUnsortedStarts crafts a two-record payload whose
+// start delta wraps the second start below the first. The CRC would
+// match such a payload, so the decoder itself must reject it; the same
+// payload with a zero delta decodes.
+func TestDecodeRejectsUnsortedStarts(t *testing.T) {
+	craft := func(delta uint64) []byte {
+		var p []byte
+		p = binary.AppendVarint(p, int64(10*time.Second)) // first start
+		p = binary.AppendUvarint(p, delta)                // second start
+		for i := 0; i < 2; i++ {
+			p = binary.AppendVarint(p, int64(time.Second)) // durations
+		}
+		for i := 0; i < 2; i++ {
+			p = binary.AppendVarint(p, 1000) // bytes
+		}
+		for i := 0; i < 2; i++ {
+			p = binary.AppendUvarint(p, 0x0A000001) // clients
+		}
+		p = binary.AppendUvarint(p, 1) // server dictionary, then ids
+		p = binary.AppendUvarint(p, 0xADC20001)
+		p = append(p, 0, 0)
+		for _, entry := range []string{"dQw4w9WgXcQ", "360p"} {
+			p = binary.AppendUvarint(p, 1)
+			p = binary.AppendUvarint(p, uint64(len(entry)))
+			p = append(p, entry...)
+			p = append(p, 0, 0)
+		}
+		return p
+	}
+	if _, err := decodeSegment(craft(0), 2); err != nil {
+		t.Fatalf("sorted payload: %v", err)
+	}
+	if recs, err := decodeSegment(craft(math.MaxUint64), 2); err == nil {
+		t.Errorf("a delta of -1 decoded, starts %v then %v", recs[0].Start, recs[1].Start)
 	}
 }
 

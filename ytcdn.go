@@ -424,7 +424,7 @@ func (s *Study) StoreDir() string {
 // place: the simulation has finished, so nothing needs copying.
 func (s *Study) source() capture.TraceSource {
 	if s.store != nil {
-		return storeSource{allDatasetsSource{inner: s.store}, s.store}
+		return allDatasetsSource{inner: s.store}
 	}
 	return allDatasetsSource{inner: s.mem}
 }
@@ -456,21 +456,13 @@ func (s allDatasetsSource) Datasets() []string {
 // iterator.
 func (s allDatasetsSource) Iter(dataset string) capture.Iterator { return s.inner.Iter(dataset) }
 
+// ScanByStart forwards the source's start-ordered stream.
+func (s allDatasetsSource) ScanByStart(dataset string) capture.Iterator {
+	return s.inner.ScanByStart(dataset)
+}
+
 // Records forwards the source's record count.
 func (s allDatasetsSource) Records(dataset string) int64 { return s.inner.Records(dataset) }
-
-// storeSource is a store-backed study's source. It adds the store's
-// start-ordered scan, the bounded-memory capability the streaming
-// sessionizer keys on.
-type storeSource struct {
-	allDatasetsSource
-	store *tracestore.Reader
-}
-
-// ScanByStart forwards the store's start-ordered stream.
-func (s storeSource) ScanByStart(dataset string) capture.Iterator {
-	return s.store.ScanByStart(dataset)
-}
 
 // TotalFlows returns the number of flows captured across all datasets.
 func (s *Study) TotalFlows() int {
